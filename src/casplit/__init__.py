@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from casplit.core import Packet, SlotClock, make_rng, step_order, advance
-from casplit.channel import CarrierConfig, ChannelState, sample_fading, path_loss, sinr_db, mac_capacity
-from casplit.stack import ProtocolStack, buffer_difference
+from casplit.core import make_rng
+from casplit.channel import CarrierConfig, sample_fading, path_loss, sinr_db, mac_capacity
+from casplit.stack import CountStack, ProtocolStack
 from casplit.fuzzy_pid import (
     SplitAction,
     PidGains,
@@ -20,19 +20,14 @@ from casplit.scenario import ScenarioConfig, RunMode, build_run
 from casplit.metrics import RunSummary, EtaReport, utilization_ratio, buffer_throughput_correlation
 
 __all__ = [
-    "Packet",
-    "SlotClock",
     "make_rng",
-    "step_order",
-    "advance",
     "CarrierConfig",
-    "ChannelState",
     "sample_fading",
     "path_loss",
     "sinr_db",
     "mac_capacity",
+    "CountStack",
     "ProtocolStack",
-    "buffer_difference",
     "SplitAction",
     "PidGains",
     "FuzzyConfig",

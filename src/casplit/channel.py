@@ -64,16 +64,6 @@ class CarrierConfig:
             self.name = self.kind
 
 
-@dataclass
-class ChannelState:
-    """Sampled channel of one carrier in one slot."""
-
-    alpha: float
-    h: float
-    gamma_db: float
-    distance_m: float
-
-
 def sample_fading(cfg: CarrierConfig, rng: np.random.Generator, size: int | None = None):
     """Draw fading coefficients with mean 1 and variance ``cfg.sigma2``.
 

@@ -104,6 +104,21 @@ def _load_instance(path: str) -> dict:
         raise sc.ConfigError(f"instance file is not valid JSON: {exc}")
 
 
+def _parse_identity(identity, max_slots: int) -> tuple[list[SplitAction], int]:
+    """The ``identity`` block: a non-empty list of [a_p, a_s] pairs and a window."""
+    try:
+        pattern = [SplitAction(*pair) for pair in identity["pattern"]]
+    except (KeyError, TypeError, ValueError):
+        pattern = None
+    if not pattern:
+        raise sc.ConfigError("identity.pattern: expected a non-empty list of [a_p, a_s] 0/1 pairs")
+    window = identity.get("window")
+    if type(window) is not int or not 1 <= window <= max_slots:
+        raise sc.ConfigError(f"identity.window: expected an integer in [1, {max_slots}], "
+                             f"got {window!r}")
+    return pattern, window
+
+
 def _cmd_oracle(args) -> int:
     raw = _load_instance(args.instance)
     identity = raw.pop("identity", None)
@@ -113,8 +128,8 @@ def _cmd_oracle(args) -> int:
         raise sc.ConfigError(f"instance rejected: {exc}")
 
     if identity is not None:
-        pattern = [SplitAction(a, s) for a, s in identity["pattern"]]
-        report = verify_nstep_identity(inst, pattern, int(identity["window"]))
+        pattern, window = _parse_identity(identity, inst.max_slots)
+        report = verify_nstep_identity(inst, pattern, window)
         print(f"identity case: {report.valid_case}")
         print(f"identity holds: {report.holds}")
         print(f"delta_h={report.delta_h} workload={report.workload} "

@@ -1,62 +1,15 @@
-"""Deterministic slotted clock, packet identity and seedable RNG streams.
+"""Seedable RNG streams.
 
-Every run is driven by a single integer slot counter.  All randomness is
-drawn from named per-carrier streams so that runs sharing a seed see the
-same fading regardless of which carriers the splitter actually uses
-(common random numbers).
+All randomness is drawn from named per-carrier streams so that runs sharing
+a seed see the same fading regardless of which carriers the splitter
+actually uses (common random numbers).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
-
-MAX_SLOTS_HARD = 2**62  # slot counter overflow guard
-
-
-@dataclass(frozen=True)
-class Packet:
-    """One PDCP SDU, identified by its sequence number."""
-
-    seq: int
-    ingest_slot: int
-
-
-@dataclass
-class SlotClock:
-    t: int = 0
-    slot_duration: float = 1e-3  # seconds, metadata only; dynamics are per-slot
-
-
-def advance(clock: SlotClock) -> SlotClock:
-    """Move the clock forward one slot."""
-    if clock.t >= MAX_SLOTS_HARD:
-        raise OverflowError("slot counter exhausted; check scenario max_slots")
-    clock.t += 1
-    return clock
-
-
-# Fixed evaluation order of the per-slot update equations.  Arrivals land in
-# the RLC buffers before service runs within the same slot, which is what
-# makes the buffer recursions well defined.  Workload ingestion happens at
-# the start of the pdcp-dispatch phase.
-STEP_PHASES = (
-    "sample-channel",
-    "controller-decide",
-    "pdcp-dispatch",
-    "xn-arrivals",
-    "rlc-serve",
-    "ue-receive",
-    "trace-record",
-    "clock-advance",
-)
-
-
-def step_order() -> tuple[str, ...]:
-    """Per-slot phase labels, in execution order."""
-    return STEP_PHASES
 
 
 def make_rng(seed: int, stream_id: str) -> np.random.Generator:

@@ -1,10 +1,12 @@
 """Single-run simulation loop.
 
-A run wires a workload, a protocol stack, precomputed per-slot carrier
-capacities and one splitting policy (or a forced single-carrier action),
-then executes the fixed per-slot phase order.  Channel sampling is
+A run wires a workload, a count-level ``CountStack``, precomputed per-slot
+carrier capacities and one splitting policy (or a forced single-carrier
+action), then executes the fixed per-slot phase order.  Channel sampling is
 precomputed outside the loop (phase 1 logically, vectorized physically) so
 the loop itself is integer queue work plus one controller call per slot.
+The same loop serves the η runs, oracle witness replay and the
+window-identity check.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from casplit.core import SlotClock, advance
 from casplit.fuzzy_pid import SplitAction
-from casplit.stack import ProtocolStack
+from casplit.stack import CountStack
 
 BURST = "burst"
 PER_SLOT = "per_slot"
@@ -41,6 +42,7 @@ class RunResult:
     trace_extra: list[tuple] = field(default_factory=list, repr=False)
     final_rlc: list[int] = field(default_factory=list)
     final_inflight: list[int] = field(default_factory=list)
+    served: list[int] = field(default_factory=list)  # per-carrier totals, preseed included
 
     @property
     def mean_throughput(self) -> float:
@@ -79,7 +81,7 @@ class Simulation:
         self.arrival_mode = arrival_mode
         self.arrival_rate = arrival_rate
         self.n_scc = n_scc
-        self.stack = ProtocolStack(n_scc, d_xn, preseed_rlc)
+        self.stack = CountStack(n_scc, d_xn, preseed_rlc)
         self.caps = caps
         self.controller = controller
         self.forced_action = forced_action
@@ -89,7 +91,6 @@ class Simulation:
         self.mode = mode
         self.policy = policy if policy else getattr(controller, "name", "forced")
         self.seed = seed
-        self.clock = SlotClock()
 
     def run(self) -> RunResult:
         stack = self.stack
@@ -123,11 +124,10 @@ class Simulation:
             stack.xn_tick(t)
             served = stack.rlc_serve(caps_t)
             n_rx = stack.ue_receive(served)
-            counts = [len(x) for x in served]
             occ = stack.rlc_occupancy()
             inflight = stack.xn_inflight()
             if controller is not None:
-                controller.observe(t, counts, occ, inflight)
+                controller.observe(t, served, occ, inflight)
 
             delivered_hist.append(n_rx)
             ap_hist.append(action.a_p)
@@ -143,14 +143,16 @@ class Simulation:
                     int(getattr(controller, "k", 0) or 0),
                     getattr(controller, "mode", "forced" if forced else "fixed"),
                 ))
-            advance(self.clock)
-            if burst and not completed and stack.ue.count >= target:
+            if burst and not completed and stack.delivered >= target:
                 completed = True
                 completion_slot = t
                 if self.stop_on_complete:
                     break
 
         t_slots = len(delivered_hist)
+        final_rlc = stack.rlc_occupancy()
+        final_inflight = stack.xn_inflight()
+        in_flight = [0] + final_inflight
         return RunResult(
             mode=self.mode,
             policy=self.policy,
@@ -160,12 +162,13 @@ class Simulation:
             t_slots=t_slots,
             completed=completed,
             completion_slot=completion_slot,
-            total_delivered=stack.ue.count,
+            total_delivered=stack.delivered,
             delivered=np.array(delivered_hist, dtype=np.int64),
             a_p=np.array(ap_hist, dtype=np.int8),
             a_s=np.array(as_hist, dtype=np.int8),
             b=np.array(b_hist, dtype=np.int64),
             trace_extra=trace_extra,
-            final_rlc=stack.rlc_occupancy(),
-            final_inflight=stack.xn_inflight(),
+            final_rlc=final_rlc,
+            final_inflight=final_inflight,
+            served=[o - q - x for o, q, x in zip(stack.out_counts, final_rlc, in_flight)],
         )

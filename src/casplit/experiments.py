@@ -41,7 +41,8 @@ class ExperimentOutcome:
     files: list[Path] = field(default_factory=list)
 
 
-def _peak_rss_kb() -> int:
+def _process_peak_rss_kb() -> int:
+    """Peak RSS of the whole process so far: it never falls between runs."""
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
@@ -108,7 +109,7 @@ def _timed_run(sim: Simulation, cfg: ScenarioConfig, timings: list[dict]) -> Run
         "mode": result.mode,
         "policy": result.policy,
         "wall_clock_s": time.perf_counter() - t0,
-        "peak_rss_kb": _peak_rss_kb(),
+        "process_peak_rss_kb": _process_peak_rss_kb(),
     })
     return result
 

@@ -1,13 +1,17 @@
 """Brute-force reference solvers on tiny deterministic instances.
 
 ``brute_force_min_T`` searches the full binary action-sequence space for
-the fastest burst completion; equivalent search prefixes are merged by
+the fastest burst completion by stepping one ``CountStack`` through
+``restore``/phases/``snapshot``; equivalent search prefixes are merged by
 deduplicating identical queue states per slot, which leaves the result
 identical to plain enumeration.  ``verify_nstep_identity`` checks the
 window-throughput bookkeeping identity (delivered equals available work
 minus the surviving one-sided backlog) on instances where exactly one side
 of the split stays saturated, and the strategy-ranking equivalence between
-window throughput and the drift objective.
+window throughput and the drift objective.  Both the witness replay and
+the identity check are ordinary ``Simulation`` runs, so the search, the
+replay and the engine share one slot transition; the differential tests
+against ``ProtocolStack`` check that transition.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from casplit.engine import Simulation
 from casplit.fuzzy_pid import SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
-from casplit.stack import ProtocolStack
+from casplit.stack import CountStack
 
 MAX_L = 14
 MAX_SCC = 2
@@ -51,6 +55,11 @@ class TinyInstance:
             raise ValueError("caps must cover every carrier")
         if any(len(row) < self.max_slots for row in self.caps):
             raise ValueError("caps rows must span max_slots")
+        if any(c < 0 for row in self.caps for c in row):
+            raise ValueError("caps must be non-negative")
+        if self.preseed_rlc and (len(self.preseed_rlc) != 1 + self.n_scc
+                                 or any(c < 0 for c in self.preseed_rlc)):
+            raise ValueError("preseed_rlc must list one non-negative occupancy per carrier")
         if self.d_xn < 0:
             raise ValueError("d_xn must be non-negative")
 
@@ -85,38 +94,6 @@ class ScriptedController:
         pass
 
 
-def _step_counts(state, action: SplitAction, caps_t, n_scc: int, d_xn: int):
-    """Count-level mirror of one protocol-stack slot; returns (state, served)."""
-    pdcp, rlc, pipes = state
-    rlc = list(rlc)
-    pipes = [list(p) for p in pipes]
-    # dispatch: PCC head first, then one packet per SCC in index order
-    if action.a_p and pdcp:
-        pdcp -= 1
-        rlc[0] += 1
-    if action.a_s:
-        for s in range(n_scc):
-            if not pdcp:
-                break
-            pdcp -= 1
-            if d_xn:
-                pipes[s][d_xn] += 1
-            else:
-                pipes[s][0] += 1
-    # Xn arrivals due this slot
-    for s in range(n_scc):
-        rlc[1 + s] += pipes[s][0]
-        pipes[s] = pipes[s][1:] + [0]
-    # serve
-    served = 0
-    for c in range(1 + n_scc):
-        take = min(caps_t[c], rlc[c])
-        rlc[c] -= take
-        served += take
-    new_state = (pdcp, tuple(rlc), tuple(tuple(p) for p in pipes))
-    return new_state, served
-
-
 def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) -> OracleResult:
     """Exhaustive minimum-completion-time search over action sequences.
 
@@ -128,12 +105,14 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
         raise ValueError("min-T search expects an initially empty stack")
     n_car = 1 + inst.n_scc
     actions = ALL_ACTIONS if allow_noncomplementary else COMPLEMENTARY_ACTIONS
-    pipe0 = tuple(tuple([0] * (inst.d_xn + 1)) for _ in range(inst.n_scc))
-    start = (inst.l, (0,) * n_car, pipe0)
-    done = lambda st: st[0] == 0 and not any(st[1]) and not any(sum(p) for p in st[2])
+    stack = CountStack(inst.n_scc, inst.d_xn)
+    stack.pdcp_ingest(inst.l)
+    done = lambda st: st[0] == 0 and not any(st[1]) and not any(map(any, st[2]))
 
-    frontier = {start: None}
-    parents: list[dict] = [dict(frontier)]
+    # Every state of layer t shares the Xn ring phase t % (d_xn + 1), so
+    # equal snapshots within a layer are equal queue states.
+    frontier = [stack.snapshot()]
+    parents: list[dict] = []  # one layer per slot: state -> (parent, action, served)
     explored = 0
     for t in range(inst.max_slots):
         caps_t = [inst.caps[c][t] for c in range(n_car)]
@@ -141,42 +120,34 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
         winner = None
         for state in frontier:
             for action in actions:
-                ns, _ = _step_counts(state, action, caps_t, inst.n_scc, inst.d_xn)
+                stack.restore(state)
+                stack.pdcp_dispatch(action.a_p, action.a_s, t)
+                stack.xn_tick(t)
+                served = stack.ue_receive(stack.rlc_serve(caps_t))
+                ns = stack.snapshot()
                 explored += 1
                 if ns not in nxt:
-                    nxt[ns] = (state, action)
+                    nxt[ns] = (state, action, served)
                     if winner is None and done(ns):
                         winner = ns
         parents.append(nxt)
         if winner is not None:
             seq: list[SplitAction] = []
+            per_slot: list[int] = []
             node = winner
-            for layer in range(t + 1, 0, -1):
-                prev, act = parents[layer][node]
+            for layer in reversed(parents):
+                node, act, served = layer[node]
                 seq.append(act)
-                node = prev
+                per_slot.append(served)
             seq.reverse()
-            _, per_slot = replay_counts(inst, seq)
+            per_slot.reverse()
             return OracleResult(True, t + 1, seq, per_slot, explored)
-        frontier = nxt
+        frontier = list(nxt)
     return OracleResult(False, None, [], [], explored)
 
 
-def replay_counts(inst: TinyInstance, actions: list[SplitAction]):
-    """Replay through the count-level transition; returns (state, per-slot served)."""
-    n_car = 1 + inst.n_scc
-    pipe0 = tuple(tuple([0] * (inst.d_xn + 1)) for _ in range(inst.n_scc))
-    state = (inst.l, (0,) * n_car, pipe0)
-    served = []
-    for t, action in enumerate(actions):
-        caps_t = [inst.caps[c][t] for c in range(n_car)]
-        state, s = _step_counts(state, action, caps_t, inst.n_scc, inst.d_xn)
-        served.append(s)
-    return state, served
-
-
 def replay_witness(inst: TinyInstance, actions: list[SplitAction]):
-    """Replay a witness through the full protocol stack (independent route).
+    """Replay a witness as a ``Simulation`` run of a scripted controller.
 
     Returns (completion_slot_count or None, per-slot deliveries).
     """
@@ -207,56 +178,43 @@ def verify_nstep_identity(inst: TinyInstance, pattern: list[SplitAction],
                           n: int) -> IdentityReport:
     """Check ``delivered == workload - |backlog drift|`` over an n-slot window.
 
-    The instance runs with a saturated per-slot source and the repeating
-    action pattern through the real protocol stack.  The identity applies
-    when exactly one side stays saturated for the whole window (serving at
+    The instance runs as one ``Simulation`` with a saturated per-slot
+    source and the repeating action pattern.  The identity applies when
+    exactly one side stays saturated for the whole window (serving at
     capacity every slot) while the other side ends the window empty;
-    assumption violations are reported, not raised.
+    assumption violations are reported, not raised.  Service never exceeds
+    capacity in a slot, so a side served at capacity every slot is exactly
+    a side whose window total equals its capacity total.
     """
     if n > inst.max_slots:
         raise ValueError("window exceeds instance horizon")
     n_car = 1 + inst.n_scc
     preseed = list(inst.preseed_rlc) if inst.preseed_rlc else [0] * n_car
-    stack = ProtocolStack(inst.n_scc, inst.d_xn, preseed)
-    rate = 1 + inst.n_scc  # covers the widest dispatch a pattern can ask for
+    sim = Simulation(
+        l=inst.l, arrival_mode="per_slot",
+        arrival_rate=1 + inst.n_scc,  # covers the widest dispatch a pattern can ask for
+        n_scc=inst.n_scc, d_xn=inst.d_xn, caps=inst.caps_array(n),
+        controller=ScriptedController([pattern[t % len(pattern)] for t in range(n)]),
+        max_slots=n, preseed_rlc=preseed, stop_on_complete=False,
+    )
+    result = sim.run()
     b0 = preseed[0] - sum(preseed[1:])
-
-    dispatched = [0] * n_car
-    pcc_at_cap = True
-    scc_at_cap = True
-    delivered = 0
-    for t in range(n):
-        action = pattern[t % len(pattern)]
-        stack.pdcp_ingest(rate)
-        moved = stack.pdcp_dispatch(action.a_p, action.a_s, t)
-        for c in range(n_car):
-            dispatched[c] += len(moved[c])
-        stack.xn_tick(t)
-        served = stack.rlc_serve([inst.caps[c][t] for c in range(n_car)])
-        delivered += stack.ue_receive(served)
-        if len(served[0]) != inst.caps[0][t]:
-            pcc_at_cap = False
-        for s in range(inst.n_scc):
-            if len(served[1 + s]) != inst.caps[1 + s][t]:
-                scc_at_cap = False
-
-    occ = stack.rlc_occupancy()
-    inflight = stack.xn_inflight()
-    sccs_end_empty = not any(occ[1:]) and not any(inflight)
-    pcc_end_empty = occ[0] == 0
+    out = sim.stack.out_counts  # preseed plus dispatched, per carrier
+    dispatched = [o - p for o, p in zip(out, preseed)]
+    delivered = result.total_delivered
+    cap_sums = [sum(row[:n]) for row in inst.caps]
+    pcc_at_cap = result.served[0] == cap_sums[0]
+    scc_at_cap = result.served[1:] == cap_sums[1:]
+    sccs_end_empty = not any(result.final_rlc[1:]) and not any(result.final_inflight)
+    pcc_end_empty = result.final_rlc[0] == 0
 
     violations = []
-    case = None
     if pcc_at_cap and sccs_end_empty:
         case = "case1"
-        cap_sum = sum(inst.caps[0][:n])
-        delta_h = preseed[0] + dispatched[0] - cap_sum
+        delta_h = out[0] - cap_sums[0]
     elif scc_at_cap and pcc_end_empty:
         case = "case2"
-        delta_h = 0
-        for s in range(inst.n_scc):
-            cap_sum = sum(inst.caps[1 + s][:n])
-            delta_h -= preseed[1 + s] + dispatched[1 + s] - cap_sum
+        delta_h = sum(cap_sums[1:]) - sum(out[1:])
     else:
         if not pcc_at_cap:
             violations.append("pcc served below capacity in the window")
@@ -268,7 +226,7 @@ def verify_nstep_identity(inst: TinyInstance, pattern: list[SplitAction],
             violations.append("pcc backlog survives the window")
         return IdentityReport(None, None, 0, 0, delivered, b0, dispatched, violations)
 
-    workload = sum(preseed) + sum(dispatched)
+    workload = sum(out)
     holds = delivered == workload - abs(delta_h)
     return IdentityReport(case, holds, delta_h, workload, delivered, b0, dispatched)
 

@@ -47,13 +47,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class TrajectorySample:
-    t: int
-    distance_p: float
-    distance_s: float
-
-
-@dataclass
 class StaticTrajectory:
     kind = "static"
     distance_m: float = 100.0
@@ -88,14 +81,6 @@ class OutAndBackTrajectory:
         out = self.d0_m + self.speed_mps * np.minimum(elapsed, self.turn_time_s)
         back = self.speed_mps * np.clip(elapsed - self.turn_time_s, 0.0, self.turn_time_s)
         return out - back
-
-
-def ue_distance(trajectory, t: int, slot_duration: float,
-                scc_offset_m: float = 0.0) -> TrajectorySample:
-    """Distance sample at slot t; the secondary gNB is co-located with the
-    primary unless an offset is configured."""
-    d = trajectory.distance(t, slot_duration)
-    return TrajectorySample(t=t, distance_p=d, distance_s=max(1.0, d + scc_offset_m))
 
 
 # Calibrated receive offsets (antenna gains and noise normalization) such

@@ -1,10 +1,13 @@
 """PDCP and RLC queue dynamics, Xn-delayed SCC delivery, MAC service, UE reception.
 
-Queues carry integer sequence numbers.  The PDCP buffer is always a
-contiguous range (head-of-line dispatch), so it is stored as a counter
-pair; RLC buffers and the Xn pipeline are FIFOs of sequence numbers.  The
-per-slot ordering is fixed by the engine: dispatch and Xn arrivals land in
-the RLC buffers before service runs in the same slot.
+The splitter observes only buffer occupancies, so the simulation runs on
+``CountStack``: integer queue depths and an Xn ring of per-SCC counts.
+``ProtocolStack`` keeps the same phases over integer sequence numbers (the
+PDCP buffer is a contiguous range, RLC buffers and the Xn pipeline are
+FIFOs) and is the reference that tests check the count-level stack, packet
+conservation and duplicate-free delivery against.  The per-slot ordering is
+fixed by the engine: dispatch and Xn arrivals land in the RLC buffers before
+service runs in the same slot.
 """
 
 from __future__ import annotations
@@ -188,5 +191,98 @@ class ProtocolStack:
         return n == len(seqs) and seqs == set(range(self._tail))
 
 
-def buffer_difference(stack: ProtocolStack) -> int:
-    return stack.buffer_difference()
+class CountStack:
+    """Count-level queue state of one simulated run.
+
+    Same carrier indexing, preseed convention and phase methods as
+    ``ProtocolStack``, on counts instead of sequence numbers.  An SCC packet
+    dispatched in slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn
+    ring until ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in
+    order.
+    """
+
+    def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
+        if n_scc < 1:
+            raise ValueError("need at least one SCC")
+        if d_xn < 0:
+            raise ValueError("d_xn must be non-negative")
+        self.n_scc = n_scc
+        self.n_carriers = 1 + n_scc
+        self.d_xn = d_xn
+        if preseed_rlc and len(preseed_rlc) != self.n_carriers:
+            raise ValueError("preseed_rlc must list one occupancy per carrier")
+        self.rlc = list(preseed_rlc) if preseed_rlc else [0] * self.n_carriers
+        self.xn = [[0] * n_scc for _ in range(d_xn + 1)]
+        self.pdcp_depth = 0
+        self.out_counts = list(self.rlc)
+        self.total_ingested = sum(self.rlc)
+        self.delivered = 0
+
+    def pdcp_ingest(self, arrivals: int) -> None:
+        """Append ``arrivals`` new packets to the PDCP buffer."""
+        if arrivals < 0:
+            raise ValueError("arrivals must be non-negative")
+        self.pdcp_depth += arrivals
+        self.total_ingested += arrivals
+
+    def pdcp_dispatch(self, a_p: int, a_s: int, slot: int) -> None:
+        """Dispatch as ``ProtocolStack.pdcp_dispatch``; ``out_counts`` records it."""
+        if a_p and self.pdcp_depth:
+            self.pdcp_depth -= 1
+            self.rlc[0] += 1
+            self.out_counts[0] += 1
+        if a_s and self.pdcp_depth:
+            k = min(self.n_scc, self.pdcp_depth)
+            self.pdcp_depth -= k
+            row = self.xn[(slot + self.d_xn) % (self.d_xn + 1)]
+            for s in range(k):
+                row[s] += 1
+                self.out_counts[1 + s] += 1
+
+    def xn_tick(self, slot: int) -> None:
+        """Surface the in-flight packets due this slot."""
+        row = self.xn[slot % (self.d_xn + 1)]
+        for s in range(self.n_scc):
+            self.rlc[1 + s] += row[s]
+            row[s] = 0
+
+    def rlc_serve(self, capacities) -> list[int]:
+        """Serve ``min(capacity, occupancy)`` packets per carrier; returns the counts."""
+        served = []
+        for c in range(self.n_carriers):
+            cap = capacities[c]
+            if cap < 0:
+                raise ValueError("capacity must be non-negative")
+            n = min(cap, self.rlc[c])
+            self.rlc[c] -= n
+            served.append(n)
+        return served
+
+    def ue_receive(self, served: list[int]) -> int:
+        """Count this slot's deliveries at the UE; returns the slot total."""
+        total = sum(served)
+        self.delivered += total
+        return total
+
+    def rlc_occupancy(self) -> list[int]:
+        return list(self.rlc)
+
+    def xn_inflight(self) -> list[int]:
+        return [sum(row[s] for row in self.xn) for s in range(self.n_scc)]
+
+    def buffer_difference(self) -> int:
+        """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
+        return self.rlc[0] - sum(self.rlc[1:])
+
+    def snapshot(self) -> tuple:
+        """Hashable queue state: PDCP depth, RLC counts and the Xn ring.
+
+        The cumulative counters never affect a later slot and are left out.
+        """
+        return (self.pdcp_depth, tuple(self.rlc), tuple(tuple(row) for row in self.xn))
+
+    def restore(self, state: tuple) -> None:
+        """Reset the queue state to a ``snapshot()``."""
+        self.pdcp_depth = state[0]
+        self.rlc = list(state[1])
+        self.xn = [list(row) for row in state[2]]

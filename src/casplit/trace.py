@@ -87,12 +87,13 @@ def write_metadata(path, config_text: str, seeds: list[int], modes: list[str]) -
 
 
 def write_timings(path, rows: list[dict]) -> None:
-    """Wall-clock seconds and peak RSS per run; not byte-reproducible."""
-    lines = ["scenario,seed,mode,policy,wall_clock_s,peak_rss_kb"]
+    """Wall-clock seconds per run and the process's peak RSS after it;
+    not byte-reproducible."""
+    lines = ["scenario,seed,mode,policy,wall_clock_s,process_peak_rss_kb"]
     for r in rows:
         lines.append(",".join([
             r["scenario"], str(r["seed"]), r["mode"], r["policy"],
-            _f(r["wall_clock_s"]), str(r["peak_rss_kb"]),
+            _f(r["wall_clock_s"]), str(r["process_peak_rss_kb"]),
         ]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -170,3 +170,31 @@ def test_trace_file_golden_prefix(tmp_path):
     assert trace[0] == ",".join(trace_columns(1))
     first = trace[1].split(",")
     assert first[0] == "0" and first[2] == "1" and first[3] == "0"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("caps", [[1] * 24, [1, -1] + [1] * 22]),
+    ("preseed_rlc", [3, -1]),
+])
+def test_oracle_rejects_negative_counts(tmp_path, capsys, field, value):
+    inst = {"l": 3, "n_scc": 1, "caps": [[1] * 24, [1] * 24], field: value}
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(inst), encoding="utf-8")
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    captured = capsys.readouterr()
+    assert field in captured.err and "t_star" not in captured.out
+
+
+@pytest.mark.parametrize("identity, key", [
+    ({"pattern": [[1, 0], [0, 1]], "window": 30}, "identity.window"),
+    ({"pattern": [[1, 0], [0, 1]]}, "identity.window"),
+    ({"pattern": [], "window": 10}, "identity.pattern"),
+    ({"pattern": [[1, 2]], "window": 10}, "identity.pattern"),
+])
+def test_oracle_rejects_malformed_identity_block(tmp_path, capsys, identity, key):
+    inst = {"l": 1, "n_scc": 1, "caps": [[1] * 24, [1] * 24], "max_slots": 24,
+            "preseed_rlc": [12, 0], "identity": identity}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst), encoding="utf-8")
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    assert key in capsys.readouterr().err

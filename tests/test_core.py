@@ -1,40 +1,9 @@
 import numpy as np
-import pytest
 
-from casplit.core import SlotClock, advance, make_rng, step_order
+from casplit.core import make_rng
 from casplit.engine import Simulation
 from casplit.fuzzy_pid import SplitAction
 from casplit.stack import ProtocolStack
-
-
-def test_step_order_has_eight_phases_in_fixed_order():
-    phases = step_order()
-    assert phases == (
-        "sample-channel",
-        "controller-decide",
-        "pdcp-dispatch",
-        "xn-arrivals",
-        "rlc-serve",
-        "ue-receive",
-        "trace-record",
-        "clock-advance",
-    )
-
-
-def test_advance_increments():
-    clock = SlotClock()
-    advance(clock)
-    assert clock.t == 1
-    clock.t = 99
-    advance(clock)
-    assert clock.t == 100
-
-
-def test_advance_many():
-    clock = SlotClock()
-    for _ in range(10**6):
-        advance(clock)
-    assert clock.t == 10**6
 
 
 def test_rng_streams_reproducible_and_independent():
@@ -87,18 +56,18 @@ def test_permuting_dispatch_and_serve_changes_buffer_trace():
 
 
 def test_delivered_seqs_subset_and_unique():
+    """Replaying the run's actions through the sequence-level stack delivers
+    the same count every slot, each of the burst's packets at most once."""
     caps = _saturated_caps(100)
-    sim = Simulation(l=40, arrival_mode="burst", arrival_rate=0, n_scc=1,
-                     d_xn=2, caps=caps, forced_action=SplitAction(1, 1),
-                     max_slots=100, stop_on_complete=True)
-    sim.run()
-    received = sim.stack.ue.received
+    result = Simulation(l=40, arrival_mode="burst", arrival_rate=0, n_scc=1,
+                        d_xn=2, caps=caps, forced_action=SplitAction(1, 1),
+                        max_slots=100, stop_on_complete=True).run()
+    stack = ProtocolStack(n_scc=1, d_xn=2)
+    stack.pdcp_ingest(40)
+    for t in range(result.t_slots):
+        stack.pdcp_dispatch(int(result.a_p[t]), int(result.a_s[t]), t)
+        stack.xn_tick(t)
+        assert stack.ue_receive(stack.rlc_serve(caps[:, t])) == result.delivered[t]
+    received = stack.ue.received
     assert received <= set(range(40))
-    assert len(received) == sim.stack.ue.count
-
-
-def test_slot_counter_overflow_guard():
-    clock = SlotClock()
-    clock.t = 2**62
-    with pytest.raises(OverflowError):
-        advance(clock)
+    assert len(received) == stack.ue.count == result.total_delivered

@@ -12,14 +12,13 @@ from casplit.scenario import (
     build_run,
     default_mobile_scenario,
     default_static_scenario,
-    ue_distance,
 )
 
 
 def test_static_trajectory_constant():
     traj = StaticTrajectory(100.0)
     for t in (0, 500, 99_999):
-        assert ue_distance(traj, t, 1e-3).distance_p == 100.0
+        assert traj.distance(t, 1e-3) == 100.0
 
 
 def test_out_and_back_distances():
@@ -41,11 +40,6 @@ def test_vectorized_trajectory_matches_scalar():
     d = traj.distances(21_000, 1e-3)
     for t in (0, 9_999, 10_000, 15_000, 20_000, 20_999):
         assert d[t] == pytest.approx(traj.distance(t, 1e-3))
-
-
-def test_secondary_gnb_colocated_by_default():
-    s = ue_distance(StaticTrajectory(80.0), 3, 1e-3)
-    assert s.distance_s == s.distance_p
 
 
 def test_forced_modes_emit_fixed_actions():

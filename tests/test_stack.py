@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casplit.core import make_rng
-from casplit.stack import ProtocolStack, StackError, buffer_difference
+from casplit.stack import CountStack, ProtocolStack, StackError
 
 
 def test_ingest_burst():
@@ -119,11 +119,11 @@ def test_ue_duplicate_is_hard_failure():
 
 def test_buffer_difference_examples():
     s1 = ProtocolStack(n_scc=3, preseed_rlc=[4, 1, 1, 2])
-    assert buffer_difference(s1) == 0
+    assert s1.buffer_difference() == 0
     s2 = ProtocolStack(n_scc=2, preseed_rlc=[7, 0, 0])
-    assert buffer_difference(s2) == 7
+    assert s2.buffer_difference() == 7
     s3 = ProtocolStack(n_scc=3, preseed_rlc=[0, 3, 3, 3])
-    assert buffer_difference(s3) == -9
+    assert s3.buffer_difference() == -9
 
 
 def test_buffer_difference_excludes_inflight():
@@ -185,3 +185,35 @@ def test_conservation_property(seed, d_xn):
     stack = ProtocolStack(n_scc=2, d_xn=d_xn)
     _random_walk(stack, 300, seed=seed)
     assert stack.conservation_ok()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.booleans())
+def test_count_stack_matches_protocol_stack(data, n_scc, d_xn, preseeded):
+    """The count-level stack is the sequence-level stack with the sequence
+    numbers forgotten: every phase agrees on every count, slot by slot."""
+    n_car = 1 + n_scc
+    preseed = (data.draw(st.lists(st.integers(0, 4), min_size=n_car, max_size=n_car))
+               if preseeded else None)
+    ref = ProtocolStack(n_scc, d_xn, preseed)
+    fast = CountStack(n_scc, d_xn, preseed)
+    for t in range(data.draw(st.integers(1, 40))):
+        assert fast.buffer_difference() == ref.buffer_difference()
+        arrivals = data.draw(st.integers(0, 4))
+        ref.pdcp_ingest(arrivals)
+        fast.pdcp_ingest(arrivals)
+        a_p, a_s = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        ref.pdcp_dispatch(a_p, a_s, t)
+        fast.pdcp_dispatch(a_p, a_s, t)
+        ref.xn_tick(t)
+        fast.xn_tick(t)
+        caps = data.draw(st.lists(st.integers(0, 3), min_size=n_car, max_size=n_car))
+        served_ref = ref.rlc_serve(caps)
+        served = fast.rlc_serve(caps)
+        assert served == [len(x) for x in served_ref]
+        assert fast.ue_receive(served) == ref.ue_receive(served_ref)
+        assert fast.rlc_occupancy() == ref.rlc_occupancy()
+        assert fast.xn_inflight() == ref.xn_inflight()
+        assert fast.out_counts == ref.out_counts
+        assert fast.pdcp_depth == ref.pdcp_depth
+        assert (fast.total_ingested, fast.delivered) == (ref.total_ingested, ref.ue.count)
