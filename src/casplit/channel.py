@@ -48,8 +48,10 @@ class CarrierConfig:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Every message starts with the field name; the config parser
+        # prefixes it with the carrier section.
         if self.kind not in (PCC, SCC):
-            raise ValueError(f"carrier kind must be 'pcc' or 'scc', got {self.kind!r}")
+            raise ValueError(f"kind must be 'pcc' or 'scc', got {self.kind!r}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.sigma2 < 0:
@@ -57,9 +59,11 @@ class CarrierConfig:
         if self.n_th <= 0:
             raise ValueError("n_th must be positive")
         if self.fading_family not in FADING_FAMILIES:
-            raise ValueError(f"unknown fading family {self.fading_family!r}")
+            raise ValueError(f"fading_family: unknown family {self.fading_family!r}, "
+                             f"use one of {FADING_FAMILIES}")
         if self.pl_model not in PATH_LOSS_MODELS:
-            raise ValueError(f"unknown path loss model {self.pl_model!r}")
+            raise ValueError(f"pl_model: unknown model {self.pl_model!r}, "
+                             f"use one of {PATH_LOSS_MODELS}")
         if not self.name:
             self.name = self.kind
 

@@ -7,6 +7,13 @@ precomputed outside the loop (phase 1 logically, vectorized physically) so
 the loop itself is integer queue work plus one controller call per slot.
 The same loop serves the η runs, oracle witness replay and the
 window-identity check.
+
+A forced single-carrier run under per-slot arrivals that never let the
+PDCP buffer empty (the η reference runs) is one Lindley recursion per
+carrier, so ``Simulation.run`` computes it in closed form
+(``CountStack.run_saturated``) and skips the loop.  Every other run,
+including a controller that repeats one action, takes the loop, which is
+the reference the tests check the closed form against.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from casplit.fuzzy_pid import SplitAction
+from casplit.fuzzy_pid import SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
 from casplit.stack import CountStack
 
 BURST = "burst"
@@ -93,6 +100,32 @@ class Simulation:
         self.seed = seed
 
     def run(self) -> RunResult:
+        forced = self.forced_action
+        if (self.controller is None and self.arrival_mode == PER_SLOT
+                and forced in (PCC_ONLY_ACTION, SCC_ONLY_ACTION)
+                and self.arrival_rate >= (1 if forced.a_p else self.n_scc)
+                and np.issubdtype(self.caps.dtype, np.integer)):
+            return self._run_saturated()
+        return self._run_loop()
+
+    def _run_saturated(self) -> RunResult:
+        """A forced run that never empties the PDCP buffer, in closed form."""
+        n = self.max_slots
+        caps = self.caps[:, :n]
+        delivered, b, occupancy = self.stack.run_saturated(
+            caps, self.forced_action, self.arrival_rate, n,
+            keep_occupancy=self.collect_trace)
+        trace_extra = []
+        if self.collect_trace:
+            trace_extra = [(occ, caps_t, (0.0, 0.0, 0.0), 0.0, 0, "forced")
+                           for occ, caps_t in zip(zip(*occupancy), zip(*caps.tolist()))]
+        return self._result(
+            delivered=delivered,
+            a_p=np.full(n, self.forced_action.a_p, dtype=np.int8),
+            a_s=np.full(n, self.forced_action.a_s, dtype=np.int8),
+            b=b, trace_extra=trace_extra, completed=False, completion_slot=None)
+
+    def _run_loop(self) -> RunResult:
         stack = self.stack
         controller = self.controller
         forced = self.forced_action
@@ -149,7 +182,18 @@ class Simulation:
                 if self.stop_on_complete:
                     break
 
-        t_slots = len(delivered_hist)
+        return self._result(
+            delivered=np.array(delivered_hist, dtype=np.int64),
+            a_p=np.array(ap_hist, dtype=np.int8),
+            a_s=np.array(as_hist, dtype=np.int8),
+            b=np.array(b_hist, dtype=np.int64),
+            trace_extra=trace_extra, completed=completed,
+            completion_slot=completion_slot)
+
+    def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,
+                b: np.ndarray, trace_extra: list, completed: bool,
+                completion_slot: int | None) -> RunResult:
+        stack = self.stack
         final_rlc = stack.rlc_occupancy()
         final_inflight = stack.xn_inflight()
         in_flight = [0] + final_inflight
@@ -159,14 +203,14 @@ class Simulation:
             seed=self.seed,
             l=self.l,
             arrival_mode=self.arrival_mode,
-            t_slots=t_slots,
+            t_slots=len(delivered),
             completed=completed,
             completion_slot=completion_slot,
             total_delivered=stack.delivered,
-            delivered=np.array(delivered_hist, dtype=np.int64),
-            a_p=np.array(ap_hist, dtype=np.int8),
-            a_s=np.array(as_hist, dtype=np.int8),
-            b=np.array(b_hist, dtype=np.int64),
+            delivered=delivered,
+            a_p=a_p,
+            a_s=a_s,
+            b=b,
             trace_extra=trace_extra,
             final_rlc=final_rlc,
             final_inflight=final_inflight,

@@ -45,6 +45,11 @@ class TinyInstance:
     label: str = ""
 
     def __post_init__(self) -> None:
+        # ``type(x) is int`` also rejects bools, which subclass int.
+        for name in ("l", "n_scc", "d_xn", "max_slots"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.l <= MAX_L:
             raise ValueError(f"l must be in [1, {MAX_L}]")
         if not 1 <= self.n_scc <= MAX_SCC:
@@ -55,11 +60,11 @@ class TinyInstance:
             raise ValueError("caps must cover every carrier")
         if any(len(row) < self.max_slots for row in self.caps):
             raise ValueError("caps rows must span max_slots")
-        if any(c < 0 for row in self.caps for c in row):
-            raise ValueError("caps must be non-negative")
-        if self.preseed_rlc and (len(self.preseed_rlc) != 1 + self.n_scc
-                                 or any(c < 0 for c in self.preseed_rlc)):
-            raise ValueError("preseed_rlc must list one non-negative occupancy per carrier")
+        if not all(type(c) is int and c >= 0 for row in self.caps for c in row):
+            raise ValueError("caps must be non-negative integers")
+        if self.preseed_rlc and (len(self.preseed_rlc) != 1 + self.n_scc or not all(
+                type(c) is int and c >= 0 for c in self.preseed_rlc)):
+            raise ValueError("preseed_rlc must list one non-negative integer per carrier")
         if self.d_xn < 0:
             raise ValueError("d_xn must be non-negative")
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -431,6 +432,26 @@ def from_string(text: str) -> ScenarioConfig:
     return _from_parser(parser)
 
 
+def _typed(where: str, raw: str, kind):
+    """``raw`` parsed as ``kind`` (int or float); the error names ``where``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: expected {noun}, got {raw!r}") from None
+
+
+def _get(section: configparser.SectionProxy, key: str, kind, default: str):
+    return _typed(f"{section.name}.{key}", section.get(key, default), kind)
+
+
+def _carrier_order(carrier: CarrierConfig) -> tuple:
+    """The PCC first, then SCCs by name with digit runs compared as numbers
+    (``scc2`` before ``scc10``)."""
+    parts = re.split(r"(\d+)", carrier.name)
+    return carrier.kind != PCC, [int(p) if i % 2 else p for i, p in enumerate(parts)]
+
+
 def _require(parser, section: str) -> configparser.SectionProxy:
     if not parser.has_section(section):
         raise ConfigError(f"missing config section [{section}]")
@@ -453,31 +474,26 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         missing = [k for k in _CARRIER_FIELDS if k not in raw]
         if missing:
             raise ConfigError(f"[{section}] missing key {missing[0]}")
-        carriers.append(CarrierConfig(
-            kind=raw["kind"], name=name,
-            frequency_ghz=float(raw["frequency_ghz"]),
-            bandwidth_mhz=float(raw["bandwidth_mhz"]),
-            tx_power_dbm=float(raw["tx_power_dbm"]),
-            rho=float(raw["rho"]),
-            sigma2=float(raw["sigma2"]),
-            n_th=float(raw["n_th"]),
-            fading_family=raw["fading_family"],
-            pl_model=raw["pl_model"],
-            pl_fixed_db=float(raw["pl_fixed_db"]),
-            rx_calibration_db=float(raw["rx_calibration_db"]),
-        ))
+        floats = {k: _typed(f"{section}.{k}", raw[k], float) for k in _CARRIER_FIELDS
+                  if k not in ("kind", "fading_family", "pl_model")}
+        try:
+            carriers.append(CarrierConfig(
+                kind=raw["kind"], name=name, fading_family=raw["fading_family"],
+                pl_model=raw["pl_model"], **floats))
+        except ValueError as exc:  # CarrierConfig messages start with the field
+            raise ConfigError(f"{section}.{exc}") from None
     if not carriers:
         raise ConfigError("missing config section [carriers.pcc]")
-    carriers.sort(key=lambda c: (c.kind != PCC, c.name))
+    carriers.sort(key=_carrier_order)
 
     kind = trajectory.get("kind", "static")
     if kind == "static":
-        traj = StaticTrajectory(float(trajectory.get("distance_m", 100.0)))
+        traj = StaticTrajectory(_get(trajectory, "distance_m", float, "100.0"))
     elif kind == "out_and_back":
         traj = OutAndBackTrajectory(
-            d0_m=float(trajectory.get("d0_m", 70.0)),
-            speed_mps=float(trajectory.get("speed_mps", 10.0)),
-            turn_time_s=float(trajectory.get("turn_time_s", 10.0)),
+            d0_m=_get(trajectory, "d0_m", float, "70.0"),
+            speed_mps=_get(trajectory, "speed_mps", float, "10.0"),
+            turn_time_s=_get(trajectory, "turn_time_s", float, "10.0"),
         )
     else:
         raise ConfigError(f"trajectory.kind: unknown kind {kind!r}")
@@ -487,7 +503,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         if key in ("policy", "n"):
             continue
         if key in _TABLE_KEYS:
-            params[key] = tuple(float(x) for x in raw.split(","))
+            params[key] = tuple(_typed(f"controller.{key}", x, float) for x in raw.split(","))
         else:
             params[key] = _parse_scalar(raw)
 
@@ -495,19 +511,19 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
 
     return ScenarioConfig(
         name=run.get("name", "scenario"),
-        l=int(workload.get("l", "1")),
+        l=_get(workload, "l", int, "1"),
         arrival_mode=workload.get("arrival_mode", BURST),
-        arrival_rate=int(workload.get("arrival_rate", "5")),
-        n=int(controller.get("n", "16")),
-        n_scc=int(run.get("n_scc", str(sum(1 for c in carriers if c.kind == SCC)))),
-        d_xn=int(channel.get("d_xn", "2")),
-        seed=int(run.get("seed", "1")),
-        max_slots=int(run.get("max_slots", "60000")),
-        slot_duration=float(run.get("slot_duration", "0.001")),
+        arrival_rate=_get(workload, "arrival_rate", int, "5"),
+        n=_get(controller, "n", int, "16"),
+        n_scc=_get(run, "n_scc", int, str(sum(1 for c in carriers if c.kind == SCC))),
+        d_xn=_get(channel, "d_xn", int, "2"),
+        seed=_get(run, "seed", int, "1"),
+        max_slots=_get(run, "max_slots", int, "60000"),
+        slot_duration=_get(run, "slot_duration", float, "0.001"),
         policy=controller.get("policy", "fuzzy_pid"),
         policy_params=params,
         carriers=carriers,
         trajectory=traj,
-        scc_distance_offset_m=float(channel.get("scc_distance_offset_m", "0.0")),
+        scc_distance_offset_m=_get(channel, "scc_distance_offset_m", float, "0.0"),
         metadata=metadata,
     )

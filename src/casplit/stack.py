@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class StackError(RuntimeError):
     """A protocol invariant was violated (indicates a stack bug)."""
@@ -198,7 +200,8 @@ class CountStack:
     ``ProtocolStack``, on counts instead of sequence numbers.  An SCC packet
     dispatched in slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn
     ring until ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in
-    order.
+    order.  ``run_saturated`` replaces the phases for a whole forced
+    single-carrier run whose arrivals never let the PDCP buffer empty.
     """
 
     def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
@@ -273,6 +276,83 @@ class CountStack:
     def buffer_difference(self) -> int:
         """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
         return self.rlc[0] - sum(self.rlc[1:])
+
+    def run_saturated(self, caps, action, rate: int, n_slots: int,
+                      keep_occupancy: bool = False):
+        """Slots ``0..n_slots-1`` of one forced single-carrier action, in closed form.
+
+        ``rate`` packets arrive per slot, at least the action's per-slot draw
+        (1 for the PCC, ``n_scc`` for the SCC group), so every dispatch is
+        full and each RLC count is a Lindley recursion
+        ``q_t = max(0, q_{t-1} + a_t - c_t)``: ``a_t`` is 1 on the PCC,
+        ``1[t >= d_xn]`` on each SCC and 0 on the idle side, and ``q_{-1}``
+        is the current count.  Its reflected-walk form is
+        ``q = S - min(0, cummin S)`` with ``S = q_{-1} + cumsum(a - c)``.
+
+        Returns the packets served in each slot (all carriers), the buffer
+        difference seen before each slot, and, with ``keep_occupancy``, one
+        list of end-of-slot RLC counts per carrier (else None).  Carriers
+        are folded into the two per-slot arrays one at a time, so the work
+        memory is a few slot-length vectors, not a carriers-by-slots matrix.
+        Leaves the stack exactly where the per-slot phases leave it.  The
+        Xn ring must be empty.
+        """
+        pcc = action.a_p == 1
+        if pcc == (action.a_s == 1):
+            raise ValueError("closed form needs a single-carrier action")
+        draw = 1 if pcc else self.n_scc
+        if rate < draw:
+            raise ValueError(f"arrival rate {rate} does not saturate a draw of {draw}")
+        if any(map(any, self.xn)):
+            raise ValueError("closed form starts from an empty Xn ring")
+        caps = caps[:, :n_slots]
+        if caps.shape[1] < n_slots:
+            raise ValueError(f"capacities span fewer than {n_slots} slots")
+        if n_slots and caps.min() < 0:
+            raise ValueError("capacity must be non-negative")
+        active = range(1) if pcc else range(1, self.n_carriers)
+        delay = 0 if pcc else self.d_xn
+        delivered = np.zeros(n_slots, dtype=np.int64)
+        b = np.zeros(n_slots, dtype=np.int64)
+        if n_slots:
+            b[0] = self.buffer_difference()
+        occupancy = [] if keep_occupancy else None
+        q = np.empty(n_slots, dtype=np.int64)
+        for c in range(self.n_carriers):
+            np.negative(caps[c], out=q)
+            if c in active:
+                q[delay:] += 1
+                delivered[delay:] += 1
+            np.cumsum(q, out=q)
+            q += self.rlc[c]
+            floor = np.minimum.accumulate(q)
+            np.minimum(floor, 0, out=floor)
+            q -= floor
+            # served_t = q_{t-1} + a_t - q_t; a_t was added above.
+            delivered -= q
+            delivered[1:] += q[:-1]
+            if c == 0:
+                b[1:] += q[:-1]
+            else:
+                b[1:] -= q[:-1]
+            if n_slots:
+                delivered[0] += self.rlc[c]
+                self.rlc[c] = int(q[-1])
+            if keep_occupancy:
+                occupancy.append(q.tolist())
+
+        self.pdcp_depth += n_slots * (rate - draw)
+        self.total_ingested += n_slots * rate
+        for c in active:
+            self.out_counts[c] += n_slots
+        if not pcc:
+            # SCC dispatches of the last d_xn slots are still in flight.
+            for t in range(max(0, n_slots - delay), n_slots):
+                row = self.xn[(t + delay) % (delay + 1)]
+                for i in range(self.n_scc):
+                    row[i] += 1
+        self.delivered += int(delivered.sum())
+        return delivered, b, occupancy
 
     def snapshot(self) -> tuple:
         """Hashable queue state: PDCP depth, RLC counts and the Xn ring.

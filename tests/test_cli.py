@@ -198,3 +198,40 @@ def test_oracle_rejects_malformed_identity_block(tmp_path, capsys, identity, key
     path.write_text(json.dumps(inst), encoding="utf-8")
     assert run_cli("oracle", "--instance", str(path)) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("l", 2.5),
+    ("n_scc", True),
+    ("d_xn", 1.5),
+    ("max_slots", "24"),
+    ("caps", [[1] * 24, [1.5] + [1] * 23]),
+    ("preseed_rlc", [3, 0.5]),
+])
+def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    inst = {"l": 3, "n_scc": 1, "caps": [[1] * 24, [1] * 24], field: value}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(inst), encoding="utf-8")
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    captured = capsys.readouterr()
+    assert f"config error: instance rejected: {field}" in captured.err
+    assert "t_star" not in captured.out
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("workload", "l", "fifty"),
+    ("carriers.pcc", "fading_family", "rayleigh"),
+])
+def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, section, key, value):
+    path, _ = tiny_config
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]")
+    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+    lines[at] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{section}.{key}" in err and value in err

@@ -118,3 +118,13 @@ def test_metadata_rows_survive_round_trip(tmp_path):
     loaded = sc.from_file(path)
     assert loaded.metadata["tcp_congestion_control"] == "NewReno"
     assert loaded.metadata["xn_link_data_rate"] == "1Gbps"
+
+
+def test_config_round_trip_orders_sccs_numerically(tmp_path):
+    cfg = default_static_scenario(11).copy(max_slots=200)
+    path = tmp_path / "wide.ini"
+    sc.to_file(cfg, path)
+    loaded = sc.from_file(path)
+    assert [c.name for c in loaded.sccs] == [f"scc{i}" for i in range(1, 12)]
+    assert loaded == cfg
+    assert np.array_equal(build_caps(loaded, seed=3), build_caps(cfg, seed=3))
