@@ -102,6 +102,12 @@ class QTable:
     values: np.ndarray = field(default=None)  # (n_bins, 2)
 
     def __post_init__(self) -> None:
+        # Every message starts with the field name; the config layer
+        # prefixes it with ``controller.``.
+        if self.n_bins < 1:
+            raise ValueError("n_bins must be >= 1")
+        if self.b_max < 1:
+            raise ValueError("b_max must be >= 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.values is None:
@@ -157,7 +163,7 @@ class StationaryKController:
 
     name = "stationary_k"
 
-    def __init__(self, k: int):
+    def __init__(self, k: int = 1):
         if k < 0:
             raise ValueError("k must be non-negative")
         self.k = k

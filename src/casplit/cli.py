@@ -63,7 +63,11 @@ def _parse_args(argv):
 
 def _cmd_run(args) -> int:
     cfg = sc.from_file(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError:
+        raise sc.ConfigError(f"--seeds: expected comma separated integers, "
+                             f"got {args.seeds!r}") from None
     modes = []
     for m in args.mode.split(","):
         m = m.strip()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import resource
 import time
 from dataclasses import dataclass, field
@@ -141,7 +142,6 @@ def _emit(spec, cfg, summaries, etas, results, timings) -> list[Path]:
 
 def flat_carriers(n_scc: int, ratio: int = 2) -> list:
     """Deterministic above-threshold carriers (fixed loss, zero variance)."""
-    import dataclasses
     carriers = sc.default_carriers(n_scc)
     out = []
     for c in carriers:

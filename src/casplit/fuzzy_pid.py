@@ -3,10 +3,11 @@
 The controller watches the buffer difference
 ``B = pcc_occupancy - sum(scc_occupancies)`` and emits one binary routing
 action per slot: feed the PCC or feed the SCC group.  The regulated error
-is ``e = B - b_target`` with a slightly negative setpoint, which keeps a
-couple of packets parked in each secondary queue so capacity draws never
-idle.  Operation has two stages.  During the fill stage (the first horizon
-worth of slots) both routes are active so the buffers acquire state.
+is ``e = B - b_target``; the setpoint defaults to 0, and the gain
+adaptation parks packets in the secondary queues on its own by stiffening
+the integral gain.  Operation has two stages.  During the fill stage (the
+first horizon worth of slots) both routes are active so the buffers
+acquire state.
 Afterwards each slot is resolved as one of:
 
 * coast    -- the buffers are exactly empty on both sides: keep playing
@@ -101,19 +102,12 @@ class FuzzyConfig:
     gain_min: float = 0.02
     gain_max: float = 1.0
     membership_width: float = 0.25
-    membership_width_change: float | None = 0.035
-    offset_second_segment: bool = False
-    escape_divisor: int = 16
-    b_target: float | None = None
-    update_every_boundary: bool = True  # False: only boundaries that re-plan
-    update_deadband_divisor: int = 0  # >0: no gain learning while |e| < b_max/this
-    probe_resets_gains: bool = True  # probe marks a regime change: forget tuning
+    membership_width_change: float = 0.035
+    b_target: float = 0.0
 
     def __post_init__(self) -> None:
         if self.b_max <= 0:
             raise ValueError("b_max must be positive")
-        if self.escape_divisor <= 0:
-            raise ValueError("escape_divisor must be positive")
 
 
 def membership(x: float, width: float = 1.0) -> float:
@@ -130,10 +124,7 @@ def fuzzify(b: float, b_prev: float, cfg: FuzzyConfig) -> tuple[float, float]:
     """
     xb = min(max(b / cfg.b_max, -1.0), 1.0)
     xe = min(max((b - b_prev) / (2.0 * cfg.b_max), -1.0), 1.0)
-    we = cfg.membership_width_change
-    if we is None:
-        we = cfg.membership_width
-    return membership(xb, cfg.membership_width), membership(xe, we)
+    return membership(xb, cfg.membership_width), membership(xe, cfg.membership_width_change)
 
 
 def update_gains(gains: PidGains, d_b: float, d_e: float, cfg: FuzzyConfig) -> PidGains:
@@ -182,16 +173,14 @@ def compute_k(history: Sequence[SplitAction], n_scc: int) -> int:
     return max(1, sum_s // max(1, sum_p))
 
 
-def schedule_action(t: int, n: int, k: int, g: float,
-                    offset_second_segment: bool = False) -> SplitAction:
+def schedule_action(t: int, n: int, k: int, g: float) -> SplitAction:
     """Impulse-train slot decision for slot ``t`` inside a window of ``n``.
 
     The window position ``r = t mod n`` is split in two segments by the
     rounded impulse count ``g_int = clamp(round(g), 0, (n-1)//k)``.  In the
     first segment (``r <= g_int*k``) the PCC fires on multiples of ``k``;
-    beyond it the PCC fires on multiples of ``k+1`` (or, with the offset
-    variant, on the ``k+1`` grid anchored at the segment boundary).  All
-    other slots go to the SCC group.
+    beyond it the PCC fires on multiples of ``k+1``.  All other slots go to
+    the SCC group.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -201,9 +190,6 @@ def schedule_action(t: int, n: int, k: int, g: float,
     r = t % n
     if r <= g_int * k:
         a_p = 1 if (r % k == 0 and 1 <= r // k <= g_int) else 0
-    elif offset_second_segment:
-        off = r - g_int * k
-        a_p = 1 if off % (k + 1) == 0 else 0
     else:
         a_p = 1 if (r % (k + 1) == 0 and r >= k + 1) else 0
     return SplitAction(a_p, 1 - a_p)
@@ -231,8 +217,8 @@ class FuzzyPidController:
         self._b_prev = 0
         self._b_prev2 = 0
         self._zero_streak = 0
-        self._escape = self.cfg.b_max / self.cfg.escape_divisor
-        self.b_target = self.cfg.b_target if self.cfg.b_target is not None else 0.0
+        self._escape = self.cfg.b_max / 16
+        self.b_target = self.cfg.b_target
 
     @property
     def phase(self) -> str:
@@ -243,21 +229,8 @@ class FuzzyPidController:
         """Most recent two observed buffer differences (newest first)."""
         return (self._b_prev, self._b_prev2)
 
-    def _maybe_update_gains(self, t: int, e: float, e1: float) -> None:
-        if not self.adapt_gains or t % self.n != 0:
-            return
-        if self.cfg.update_deadband_divisor > 0:
-            # Optional deadband: a small error carries nothing worth
-            # learning, so leave a working tuning alone.
-            if abs(e) < self.cfg.b_max / self.cfg.update_deadband_divisor:
-                return
-        d_b, d_e = fuzzify(e, e1, self.cfg)
-        self.gains = update_gains(self.gains, d_b, d_e, self.cfg)
-
-    def _replan(self, t: int, b: int, b1: int, b2: int, e: float, e1: float,
+    def _replan(self, t: int, b: int, b1: int, b2: int,
                 reset_k: bool = False) -> SplitAction:
-        if not self.cfg.update_every_boundary:
-            self._maybe_update_gains(t, e, e1)
         if reset_k:
             # Runaway recovery: a spacing derived from the (bad) recent
             # history would keep the schedule starved of PCC impulses.
@@ -268,8 +241,7 @@ class FuzzyPidController:
         # impulse count, negated: a deeply negative B (SCC overload) needs
         # many PCC impulses.
         self.g = pid_increment(self.gains, (b, b1, b2))
-        return schedule_action(t, self.n, self.k, -self.g,
-                               self.cfg.offset_second_segment)
+        return schedule_action(t, self.n, self.k, -self.g)
 
     def decide(self, t: int, b: int) -> SplitAction:
         b1, b2 = self._b_prev, self._b_prev2
@@ -277,8 +249,9 @@ class FuzzyPidController:
         self._zero_streak = self._zero_streak + 1 if b == 0 else 0
         e, e1 = b - self.b_target, b1 - self.b_target
 
-        if self.cfg.update_every_boundary and t > self.n:
-            self._maybe_update_gains(t, e, e1)
+        if self.adapt_gains and t > self.n and t % self.n == 0:
+            d_b, d_e = fuzzify(e, e1, self.cfg)
+            self.gains = update_gains(self.gains, d_b, d_e, self.cfg)
 
         if t <= self.n:
             self.mode = "init"
@@ -286,7 +259,7 @@ class FuzzyPidController:
         elif self.k is None:
             # First adaptation slot: plan from the fill-stage history.
             self.mode = "dynamic"
-            action = self._replan(t, b, b1, b2, e, e1)
+            action = self._replan(t, b, b1, b2)
         elif b == 0 and b1 == 0:
             # Exactly empty buffers carry no gradient; keep playing the held
             # schedule, and after a long all-zero stretch probe toward the
@@ -295,28 +268,25 @@ class FuzzyPidController:
                 self.mode = "probe"
                 self.k = self.n - 2
                 self.g = 0.0
-                if self.adapt_gains and self.cfg.probe_resets_gains:
-                    # A long-silent plant is a new regime; stale tuning
-                    # from the previous one is worse than the generic start.
-                    self.gains = self._gains0
+                # A long-silent plant is a new regime; stale tuning from
+                # the previous one is worse than the generic start.
+                self.gains = self._gains0
             else:
                 self.mode = "coast"
-            action = schedule_action(t, self.n, self.k, -self.g,
-                                     self.cfg.offset_second_segment)
+            action = schedule_action(t, self.n, self.k, -self.g)
         elif e * e1 > 0:
             if abs(e) > abs(e1) and abs(e) > self._escape:
                 # Sign-stable but moving away from the setpoint beyond the
                 # hold band: the inherited action is hurting, re-plan.  A
                 # deep runaway also resets the impulse spacing.
                 self.mode = "escape"
-                action = self._replan(t, b, b1, b2, e, e1,
-                                      reset_k=abs(e) > self.cfg.b_max / 4)
+                action = self._replan(t, b, b1, b2, reset_k=abs(e) > self.cfg.b_max / 4)
             else:
                 self.mode = "static"
                 action = self.history[-1]
         else:
             self.mode = "dynamic"
-            action = self._replan(t, b, b1, b2, e, e1)
+            action = self._replan(t, b, b1, b2)
 
         self.history.append(action)
         return action

@@ -19,9 +19,8 @@ from casplit.baselines import (
     QLearningController,
     QTable,
     StationaryKController,
-    ForcedController,
 )
-from casplit.channel import CarrierConfig, capacity_series, PCC, SCC
+from casplit.channel import CarrierConfig, capacity_series, sample_fading, PCC, SCC
 from casplit.core import make_rng
 from casplit.engine import Simulation, BURST, PER_SLOT
 from casplit.fuzzy_pid import (
@@ -34,7 +33,26 @@ from casplit.fuzzy_pid import (
     DEFAULT_GAINS,
 )
 
-POLICIES = ("fuzzy_pid", "nofuzzy_pid", "bwa", "ltr", "qlearning", "stationary_k")
+# The [controller] keys each policy takes, with their kinds.  A TABLE is a
+# fuzzy rule table, held and written flat as ``r0c0,r0c1,r1c0,r1c1``.  The
+# defaults live in the controller classes.
+TABLE = "table"
+_FUZZY_PARAMS = {
+    "b_max": int, "kp": float, "ki": float, "kd": float,
+    "t_p": TABLE, "t_i": TABLE, "t_d": TABLE, "gain_min": float, "gain_max": float,
+    "membership_width": float, "membership_width_change": float, "b_target": float,
+}
+POLICY_PARAMS = {
+    "fuzzy_pid": _FUZZY_PARAMS,
+    "nofuzzy_pid": _FUZZY_PARAMS,
+    "bwa": {},
+    "ltr": {"eps_rate": float, "smoothing": float},
+    "qlearning": {"n_bins": int, "b_max": int, "epsilon": float,
+                  "learn_rate": float, "discount": float},
+    "stationary_k": {"k": int},
+}
+POLICIES = tuple(POLICY_PARAMS)
+_NOUN = {int: "an integer", float: "a number", TABLE: "4 comma-separated numbers"}
 
 
 class RunMode(str, Enum):
@@ -199,6 +217,17 @@ class ScenarioConfig:
             raise ConfigError("trajectory.distance_m must be >= 1")
         if isinstance(self.trajectory, OutAndBackTrajectory) and self.trajectory.d0_m < 1:
             raise ConfigError("trajectory.d0_m must be >= 1")
+        takes = POLICY_PARAMS[self.policy]
+        for key, value in self.policy_params.items():
+            if key not in takes:
+                raise ConfigError(f"controller.{key}: not a parameter of policy "
+                                  f"{self.policy} (it takes: {', '.join(takes) or 'none'})")
+            _check_kind(key, value, takes[key])
+        if self.policy_params:  # the controllers' own defaults always pass
+            try:
+                make_controller(self)
+            except ValueError as exc:  # controller messages start with the field
+                raise ConfigError(f"controller.{exc}") from None
 
     def copy(self, **changes) -> "ScenarioConfig":
         dup = dataclasses.replace(self, **changes)
@@ -257,7 +286,6 @@ def build_caps(cfg: ScenarioConfig, seed: int | None = None) -> np.ndarray:
         if carrier.sigma2 == 0.0:
             alphas = np.ones(n_slots)
         else:
-            from casplit.channel import sample_fading
             alphas = sample_fading(carrier, rng, size=n_slots)
         dist = d_p if carrier.kind == PCC else d_s
         rows.append(capacity_series(carrier, dist, alphas, cfg.rho_s))
@@ -266,41 +294,31 @@ def build_caps(cfg: ScenarioConfig, seed: int | None = None) -> np.ndarray:
 
 def make_controller(cfg: ScenarioConfig, seed: int | None = None,
                     policy: str | None = None):
+    """The controller of ``policy`` (default ``cfg.policy``), handed only the
+    ``[controller]`` keys that policy declares; ``b_max`` defaults to
+    ``cfg.default_b_max()``, every other default is the controller's own."""
     seed = cfg.seed if seed is None else seed
     policy = cfg.policy if policy is None else policy
-    params = cfg.policy_params
+    takes = POLICY_PARAMS.get(policy)
+    if takes is None:
+        raise ConfigError(f"controller.policy: unknown policy {policy!r}")
+    params = {k: v for k, v in cfg.policy_params.items() if k in takes}
     if policy in ("fuzzy_pid", "nofuzzy_pid"):
-        fuzzy_kwargs = {}
-        fuzzy_fields = {f.name for f in dataclasses.fields(FuzzyConfig)}
-        for key, value in params.items():
-            if key not in fuzzy_fields or key == "b_max":
-                continue
-            if key in _TABLE_KEYS and not isinstance(value[0], (tuple, list)):
-                value = ((value[0], value[1]), (value[2], value[3]))
-            fuzzy_kwargs[key] = value
-        fcfg = FuzzyConfig(b_max=int(params.get("b_max", cfg.default_b_max())),
-                           **fuzzy_kwargs)
-        gains = PidGains(params.get("kp", DEFAULT_GAINS.kp),
-                         params.get("ki", DEFAULT_GAINS.ki),
-                         params.get("kd", DEFAULT_GAINS.kd))
+        gains = PidGains(params.pop("kp", DEFAULT_GAINS.kp),
+                         params.pop("ki", DEFAULT_GAINS.ki),
+                         params.pop("kd", DEFAULT_GAINS.kd))
+        tables = {k: (v[:2], v[2:]) for k, v in params.items() if takes[k] is TABLE}
+        fcfg = FuzzyConfig(**{"b_max": cfg.default_b_max(), **params, **tables})
         cls = FuzzyPidController if policy == "fuzzy_pid" else NoFuzzyController
         return cls(n=cfg.n, n_scc=cfg.n_scc, cfg=fcfg, gains=gains)
     if policy == "bwa":
         return BwaController(cfg.pcc.bandwidth_mhz, [c.bandwidth_mhz for c in cfg.sccs])
     if policy == "ltr":
-        return LtrController(cfg.n_scc, cfg.d_xn,
-                             eps_rate=params.get("eps_rate", 0.05),
-                             smoothing=params.get("smoothing", 0.05))
+        return LtrController(cfg.n_scc, cfg.d_xn, **params)
     if policy == "qlearning":
-        table = QTable(n_bins=int(params.get("n_bins", 16)),
-                       b_max=int(params.get("b_max", cfg.default_b_max())),
-                       epsilon=params.get("epsilon", 0.1),
-                       learn_rate=params.get("learn_rate", 0.1),
-                       discount=params.get("discount", 0.9))
+        table = QTable(**{"b_max": cfg.default_b_max(), **params})
         return QLearningController(table, make_rng(seed, "policy/qlearning"))
-    if policy == "stationary_k":
-        return StationaryKController(int(params.get("k", 1)))
-    raise ConfigError(f"controller.policy: unknown policy {policy!r}")
+    return StationaryKController(**params)
 
 
 def build_run(cfg: ScenarioConfig, mode: RunMode | str = RunMode.CA,
@@ -346,30 +364,12 @@ def build_run(cfg: ScenarioConfig, mode: RunMode | str = RunMode.CA,
 _CARRIER_FIELDS = ("kind", "frequency_ghz", "bandwidth_mhz", "tx_power_dbm", "rho",
                    "sigma2", "n_th", "fading_family", "pl_model", "pl_fixed_db",
                    "rx_calibration_db")
-_TABLE_KEYS = ("t_p", "t_i", "t_d")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _parse_scalar(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def to_file(cfg: ScenarioConfig, path) -> None:
@@ -384,11 +384,10 @@ def to_file(cfg: ScenarioConfig, path) -> None:
         "scc_distance_offset_m": _fmt(cfg.scc_distance_offset_m),
     }
     controller = {"policy": cfg.policy, "n": str(cfg.n)}
+    takes = POLICY_PARAMS[cfg.policy]
     for key, value in sorted(cfg.policy_params.items()):
-        if key in _TABLE_KEYS:
-            flat = value if not isinstance(value[0], (tuple, list)) else [
-                x for row in value for x in row]
-            controller[key] = ",".join(_fmt(float(x)) for x in flat)
+        if takes[key] is TABLE:
+            controller[key] = ",".join(_fmt(float(x)) for x in value)
         else:
             controller[key] = _fmt(value)
     parser["controller"] = controller
@@ -437,8 +436,27 @@ def _typed(where: str, raw: str, kind):
     try:
         return kind(raw)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{where}: expected {noun}, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected {_NOUN[kind]}, got {raw!r}") from None
+
+
+def _read_param(key: str, raw: str, kind):
+    """A ``[controller]`` value read as its declared kind; an undeclared key
+    (``kind`` None) stays text for ``ScenarioConfig.validate`` to reject."""
+    if kind is TABLE:
+        return tuple(_typed(f"controller.{key}", x, float) for x in raw.split(","))
+    return raw if kind is None else _typed(f"controller.{key}", raw, kind)
+
+
+def _check_kind(key: str, value, kind) -> None:
+    """``value`` is of the declared ``kind``; the error names the key."""
+    def number(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+    if kind is TABLE:
+        ok = isinstance(value, tuple) and len(value) == 4 and all(map(number, value))
+    else:
+        ok = number(value) and (kind is float or isinstance(value, int))
+    if not ok:
+        raise ConfigError(f"controller.{key}: expected {_NOUN[kind]}, got {value!r}")
 
 
 def _get(section: configparser.SectionProxy, key: str, kind, default: str):
@@ -498,14 +516,10 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     else:
         raise ConfigError(f"trajectory.kind: unknown kind {kind!r}")
 
-    params: dict = {}
-    for key, raw in controller.items():
-        if key in ("policy", "n"):
-            continue
-        if key in _TABLE_KEYS:
-            params[key] = tuple(_typed(f"controller.{key}", x, float) for x in raw.split(","))
-        else:
-            params[key] = _parse_scalar(raw)
+    policy = controller.get("policy", "fuzzy_pid")
+    takes = POLICY_PARAMS.get(policy, {})
+    params = {key: _read_param(key, raw, takes.get(key))
+              for key, raw in controller.items() if key not in ("policy", "n")}
 
     metadata = dict(parser["metadata"]) if parser.has_section("metadata") else {}
 
@@ -520,7 +534,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         seed=_get(run, "seed", int, "1"),
         max_slots=_get(run, "max_slots", int, "60000"),
         slot_duration=_get(run, "slot_duration", float, "0.001"),
-        policy=controller.get("policy", "fuzzy_pid"),
+        policy=policy,
         policy_params=params,
         carriers=carriers,
         trajectory=traj,

@@ -111,6 +111,14 @@ def test_qlearning_bucket_clamps():
     assert 0 <= table.bucket(0) < 16
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_bins", 0), ("b_max", 0), ("epsilon", -0.1), ("epsilon", 1.5),
+])
+def test_qtable_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        QTable(**{field: value})
+
+
 def _window_throughput(controller, caps, n_scc, slots):
     sim = Simulation(l=1, arrival_mode="per_slot", arrival_rate=n_scc + 2,
                      n_scc=n_scc, d_xn=0, caps=caps, controller=controller,

@@ -235,3 +235,35 @@ def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, sectio
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{section}.{key}" in err and value in err
+
+
+@pytest.mark.parametrize("policy, key, value", [
+    ("fuzzy_pid", "escape_divisr", "4"),
+    ("fuzzy_pid", "probe_resets_gains", "maybe"),
+    ("stationary_k", "k", "1.5"),
+    ("fuzzy_pid", "b_max", "abc"),
+    ("fuzzy_pid", "kp", "abc"),
+    ("fuzzy_pid", "t_p", "1,2,3"),
+    ("fuzzy_pid", "escape_divisor", "0"),
+    ("qlearning", "epsilon", "2"),
+    ("qlearning", "n_bins", "0"),
+    ("bwa", "k", "3"),
+])
+def test_run_rejects_malformed_controller_key(tmp_path, capsys, policy, key, value):
+    path = tmp_path / "ctl.ini"
+    sc.to_file(default_static_scenario(1).copy(l=20, max_slots=200, policy=policy), path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("n = 16\n", f"n = 16\n{key} = {value}\n", 1), encoding="utf-8")
+    code = run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"controller.{key}" in err
+
+
+def test_run_rejects_malformed_seeds(tiny_config, tmp_path, capsys):
+    path, _ = tiny_config
+    code = run_cli("run", "--config", str(path), "--seeds", "1,x",
+                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "--seeds" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from casplit import scenario as sc
 from casplit.scenario import (
@@ -78,15 +79,33 @@ def test_validation_messages_name_fields():
         bad.validate()
 
 
-def test_config_round_trip_identical_run(tmp_path):
+_DECLARED_VALUES = {
+    int: st.integers(1, 200),
+    float: st.floats(0.0, 1.0, exclude_min=True),
+    sc.TABLE: st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+}
+
+
+@st.composite
+def declared_params(draw):
+    """A policy and a subset of the ``[controller]`` keys it declares."""
+    policy = draw(st.sampled_from(sc.POLICIES))
+    takes = sc.POLICY_PARAMS[policy]
+    keys = draw(st.lists(st.sampled_from(sorted(takes)), unique=True)) if takes else []
+    return policy, {key: draw(_DECLARED_VALUES[takes[key]]) for key in keys}
+
+
+@settings(max_examples=40, deadline=None)
+@example(("fuzzy_pid", {"b_target": -6.0}))
+@given(declared_params())
+def test_config_round_trip_identical_run(tmp_path_factory, drawn):
+    policy, params = drawn
     cfg = default_static_scenario(2).copy(l=200, max_slots=2_000, seed=7,
-                                          policy_params={"b_target": -6.0})
-    path = tmp_path / "scenario.ini"
+                                          policy=policy, policy_params=params)
+    path = tmp_path_factory.mktemp("round-trip") / "scenario.ini"
     sc.to_file(cfg, path)
-    loaded = sc.from_file(path)
-    assert loaded.l == cfg.l
-    assert loaded.policy_params["b_target"] == -6.0
-    assert [c.name for c in loaded.carriers] == [c.name for c in cfg.carriers]
+    loaded = sc.from_string(path.read_text(encoding="utf-8"))
+    assert loaded == cfg
     r1 = build_run(cfg, RunMode.CA).run()
     r2 = build_run(loaded, RunMode.CA).run()
     assert np.array_equal(r1.delivered, r2.delivered)
@@ -128,3 +147,28 @@ def test_config_round_trip_orders_sccs_numerically(tmp_path):
     assert [c.name for c in loaded.sccs] == [f"scc{i}" for i in range(1, 12)]
     assert loaded == cfg
     assert np.array_equal(build_caps(loaded, seed=3), build_caps(cfg, seed=3))
+
+
+@pytest.mark.parametrize("policy, params, key", [
+    ("fuzzy_pid", {"escape_divisor": 16}, "controller.escape_divisor"),
+    ("ltr", {"t_i": (-0.02, -0.08, 0.1, 0.05)}, "controller.t_i"),
+    ("fuzzy_pid", {"t_p": ((-0.1, -0.5), (0.3, 0.2))}, "controller.t_p"),
+    ("stationary_k", {"k": True}, "controller.k"),
+    ("qlearning", {"epsilon": 2.0}, "controller.epsilon"),
+])
+def test_validate_names_rejected_controller_key(policy, params, key):
+    with pytest.raises(ConfigError, match=key):
+        default_static_scenario(1).copy(policy=policy, policy_params=params)
+
+
+def test_make_controller_hands_each_policy_its_declared_keys():
+    cfg = default_mobile_scenario(3).copy(policy_params={
+        "b_max": 40, "t_i": (-0.02, -0.08, 0.1, 0.05), "kp": 0.3})
+    fuzzy = sc.make_controller(cfg)
+    assert fuzzy.cfg.b_max == 40 and fuzzy.gains.kp == 0.3
+    assert fuzzy.cfg.t_i == ((-0.02, -0.08), (0.1, 0.05))
+    assert sc.make_controller(cfg, policy="qlearning").table.b_max == 40
+    ltr = sc.make_controller(cfg, policy="ltr")
+    assert (ltr.eps_rate, ltr.smoothing) == (0.05, 0.05)
+    assert sc.make_controller(default_static_scenario(1)).cfg.b_max == \
+        default_static_scenario(1).default_b_max()
