@@ -1,6 +1,10 @@
 """Comparison splitting policies: bandwidth-weighted, delay-based, fixed-gain
 PID and tabular Q-learning, plus fixed-pattern policies used by sweeps and
-forced single-carrier runs."""
+forced single-carrier runs.
+
+The bandwidth-weighted, stationary-k and forced policies are open loop:
+their action in slot t depends on t alone, so besides ``decide`` they list
+a whole run's actions at once (``OpenLoopController.schedule``)."""
 
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ __all__ = [
     "BwaController",
     "LtrController",
     "NoFuzzyController",
+    "OpenLoopController",
     "QTable",
     "QLearningController",
     "StationaryKController",
@@ -27,7 +32,28 @@ __all__ = [
 ]
 
 
-class BwaController:
+class OpenLoopController:
+    """A policy whose action in slot t depends on t alone.
+
+    ``schedule(n)`` returns the actions of slots ``0..n-1`` as two int8
+    vectors (``a_p``, ``a_s``), the same actions ``decide`` returns one slot
+    at a time, so ``Simulation.run`` can compute the whole run in closed
+    form.  Such a policy observes nothing.
+    """
+
+    k = 0  # the trace's spacing column
+
+    def decide(self, t: int, b: int) -> SplitAction:
+        raise NotImplementedError
+
+    def schedule(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def observe(self, t, delivered, rlc_occ, inflight) -> None:
+        pass
+
+
+class BwaController(OpenLoopController):
     """Route in proportion to configured bandwidths.
 
     Uses a deterministic largest-remainder schedule: over any window of W
@@ -46,8 +72,10 @@ class BwaController:
         a_p = math.floor((t + 1) * self.share) - math.floor(t * self.share)
         return SplitAction(a_p, 1 - a_p)
 
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
-        pass
+    def schedule(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        # The same IEEE products and floors as ``decide``, one per slot edge.
+        a_p = np.diff(np.floor(np.arange(n_slots + 1) * self.share)).astype(np.int8)
+        return a_p, 1 - a_p
 
 
 class LtrController:
@@ -62,6 +90,10 @@ class LtrController:
 
     def __init__(self, n_scc: int, d_xn: int, eps_rate: float = 0.05,
                  smoothing: float = 0.05):
+        if not eps_rate > 0:  # the delay estimates divide by it
+            raise ValueError("eps_rate must be positive")
+        if not 0.0 <= smoothing <= 1.0:
+            raise ValueError("smoothing must lie in [0, 1]")
         self.n_scc = n_scc
         self.d_xn = d_xn
         self.eps_rate = eps_rate
@@ -139,7 +171,9 @@ class QLearningController:
         if self.table.epsilon > 0 and self.rng.random() < self.table.epsilon:
             a = int(self.rng.integers(2))
         else:
-            a = int(np.argmax(self.table.values[s]))
+            # Python floats, not numpy scalars; ties go to action 0 (argmax).
+            q = self.table.values
+            a = 1 if q.item(s, 1) > q.item(s, 0) else 0
         self._pending = (s, a)
         return PCC_ONLY_ACTION if a == 0 else SCC_ONLY_ACTION
 
@@ -154,11 +188,12 @@ class QLearningController:
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:
         q = self.table.values
-        target = reward + self.table.discount * float(np.max(q[s_next]))
-        q[s, a] += self.table.learn_rate * (target - q[s, a])
+        target = reward + self.table.discount * max(q.item(s_next, 0), q.item(s_next, 1))
+        old = q.item(s, a)
+        q[s, a] = old + self.table.learn_rate * (target - old)
 
 
-class StationaryKController:
+class StationaryKController(OpenLoopController):
     """Fixed impulse pattern: the PCC fires every (k+1)-th slot."""
 
     name = "stationary_k"
@@ -172,11 +207,12 @@ class StationaryKController:
         a_p = 1 if t % (self.k + 1) == 0 else 0
         return SplitAction(a_p, 1 - a_p)
 
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
-        pass
+    def schedule(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        a_p = (np.arange(n_slots) % (self.k + 1) == 0).astype(np.int8)
+        return a_p, 1 - a_p
 
 
-class ForcedController:
+class ForcedController(OpenLoopController):
     """Emit one fixed action every slot (single-carrier reference modes)."""
 
     name = "forced"
@@ -187,5 +223,6 @@ class ForcedController:
     def decide(self, t: int, b: int) -> SplitAction:
         return self.action
 
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
-        pass
+    def schedule(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+        return (np.full(n_slots, self.action.a_p, dtype=np.int8),
+                np.full(n_slots, self.action.a_s, dtype=np.int8))

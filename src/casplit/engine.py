@@ -8,12 +8,13 @@ the loop itself is integer queue work plus one controller call per slot.
 The same loop serves the η runs, oracle witness replay and the
 window-identity check.
 
-A forced single-carrier run under per-slot arrivals that never let the
-PDCP buffer empty (the η reference runs) is one Lindley recursion per
-carrier, so ``Simulation.run`` computes it in closed form
-(``CountStack.run_saturated``) and skips the loop.  Every other run,
-including a controller that repeats one action, takes the loop, which is
-the reference the tests check the closed form against.
+An open-loop run, whose action in slot t depends on t alone (a forced
+action, or an ``OpenLoopController``: bwa, stationary_k, forced), feeds a
+fixed schedule through the queues.  The PDCP depth and every RLC count are
+then Lindley recursions, so ``Simulation.run`` computes such a run in
+closed form (``CountStack.run_schedule``) and skips the loop.  Every other
+run steps the loop, which stays the reference the tests check the closed
+form against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from casplit.fuzzy_pid import SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
+from casplit.baselines import ForcedController, OpenLoopController
+from casplit.fuzzy_pid import SplitAction
 from casplit.stack import CountStack
 
 BURST = "burst"
@@ -78,8 +80,8 @@ class Simulation:
                  preseed_rlc: list[int] | None = None, collect_trace: bool = False,
                  stop_on_complete: bool = True, mode: str = "ca",
                  policy: str = "", seed: int = 0):
-        if controller is None and forced_action is None:
-            raise ValueError("need a controller or a forced action")
+        if (controller is None) == (forced_action is None):
+            raise ValueError("need exactly one of a controller and a forced action")
         if arrival_mode not in (BURST, PER_SLOT):
             raise ValueError(f"unknown arrival mode {arrival_mode!r}")
         if caps.shape[0] != 1 + n_scc:
@@ -100,30 +102,36 @@ class Simulation:
         self.seed = seed
 
     def run(self) -> RunResult:
-        forced = self.forced_action
-        if (self.controller is None and self.arrival_mode == PER_SLOT
-                and forced in (PCC_ONLY_ACTION, SCC_ONLY_ACTION)
-                and self.arrival_rate >= (1 if forced.a_p else self.n_scc)
+        plan = (self.controller if self.forced_action is None
+                else ForcedController(self.forced_action))
+        if (isinstance(plan, OpenLoopController)
                 and np.issubdtype(self.caps.dtype, np.integer)):
-            return self._run_saturated()
+            return self._run_schedule(plan)
         return self._run_loop()
 
-    def _run_saturated(self) -> RunResult:
-        """A forced run that never empties the PDCP buffer, in closed form."""
+    def _run_schedule(self, plan: OpenLoopController) -> RunResult:
+        """An open-loop run in closed form; the same result as the loop."""
         n = self.max_slots
-        caps = self.caps[:, :n]
-        delivered, b, occupancy = self.stack.run_saturated(
-            caps, self.forced_action, self.arrival_rate, n,
-            keep_occupancy=self.collect_trace)
+        burst = self.arrival_mode == BURST
+        a_p, a_s = plan.schedule(n)
+        if burst:
+            arrivals = np.zeros(n, dtype=np.int64)
+            arrivals[:1] = self.l
+        else:  # a read-only view: one value for every slot, no per-slot storage
+            arrivals = np.broadcast_to(np.int64(self.arrival_rate), n)
+        delivered, b, occupancy, completion = self.stack.run_schedule(
+            self.caps, a_p, a_s, arrivals, target=self.l if burst else None,
+            stop_on_complete=self.stop_on_complete, keep_occupancy=self.collect_trace)
+        n = len(delivered)
         trace_extra = []
         if self.collect_trace:
-            trace_extra = [(occ, caps_t, (0.0, 0.0, 0.0), 0.0, 0, "forced")
-                           for occ, caps_t in zip(zip(*occupancy), zip(*caps.tolist()))]
+            gains, k = (0.0, 0.0, 0.0), plan.k
+            mode = "fixed" if self.forced_action is None else "forced"
+            trace_extra = [(occ, caps_t, gains, 0.0, k, mode) for occ, caps_t
+                           in zip(zip(*occupancy), zip(*self.caps[:, :n].tolist()))]
         return self._result(
-            delivered=delivered,
-            a_p=np.full(n, self.forced_action.a_p, dtype=np.int8),
-            a_s=np.full(n, self.forced_action.a_s, dtype=np.int8),
-            b=b, trace_extra=trace_extra, completed=False, completion_slot=None)
+            delivered=delivered, a_p=a_p[:n], a_s=a_s[:n], b=b, trace_extra=trace_extra,
+            completed=completion is not None, completion_slot=completion)
 
     def _run_loop(self) -> RunResult:
         stack = self.stack

@@ -108,6 +108,9 @@ class FuzzyConfig:
     def __post_init__(self) -> None:
         if self.b_max <= 0:
             raise ValueError("b_max must be positive")
+        if not self.gain_min <= self.gain_max:
+            raise ValueError(f"gain_min ({self.gain_min}) must not exceed "
+                             f"gain_max ({self.gain_max})")
 
 
 def membership(x: float, width: float = 1.0) -> float:
@@ -207,6 +210,11 @@ class FuzzyPidController:
         self.n = n
         self.n_scc = n_scc
         self.cfg = cfg if cfg is not None else FuzzyConfig()
+        if adapt_gains:  # fuzzify divides by both widths
+            if not self.cfg.membership_width > 0:
+                raise ValueError("membership_width must be positive")
+            if not self.cfg.membership_width_change > 0:
+                raise ValueError("membership_width_change must be positive")
         self.gains = gains
         self._gains0 = gains
         self.adapt_gains = adapt_gains

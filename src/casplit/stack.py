@@ -193,6 +193,18 @@ class ProtocolStack:
         return n == len(seqs) and seqs == set(range(self._tail))
 
 
+def _lindley(start: int, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x_t = max(0, x_{t-1} + steps_t)`` from ``x_{-1} = start >= 0``, as the
+    reflected walk ``S - min(0, cummin S)`` with ``S = start + cumsum(steps)``
+    (D. V. Lindley, 1952)."""
+    walk = np.cumsum(steps, out=out)
+    walk += start
+    floor = np.minimum.accumulate(walk)
+    np.minimum(floor, 0, out=floor)
+    walk -= floor
+    return walk
+
+
 class CountStack:
     """Count-level queue state of one simulated run.
 
@@ -200,8 +212,9 @@ class CountStack:
     ``ProtocolStack``, on counts instead of sequence numbers.  An SCC packet
     dispatched in slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn
     ring until ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in
-    order.  ``run_saturated`` replaces the phases for a whole forced
-    single-carrier run whose arrivals never let the PDCP buffer empty.
+    order.  ``run_schedule`` replaces the phases for a whole run whose
+    actions and arrivals are fixed in advance (an open-loop policy); the
+    phases stay the reference the tests check it against.
     """
 
     def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
@@ -277,82 +290,116 @@ class CountStack:
         """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
         return self.rlc[0] - sum(self.rlc[1:])
 
-    def run_saturated(self, caps, action, rate: int, n_slots: int,
-                      keep_occupancy: bool = False):
-        """Slots ``0..n_slots-1`` of one forced single-carrier action, in closed form.
+    def run_schedule(self, caps, a_p, a_s, arrivals, target: int | None = None,
+                     stop_on_complete: bool = True, keep_occupancy: bool = False):
+        """Slots ``0..n-1`` of a fixed action schedule, in closed form.
 
-        ``rate`` packets arrive per slot, at least the action's per-slot draw
-        (1 for the PCC, ``n_scc`` for the SCC group), so every dispatch is
-        full and each RLC count is a Lindley recursion
-        ``q_t = max(0, q_{t-1} + a_t - c_t)``: ``a_t`` is 1 on the PCC,
-        ``1[t >= d_xn]`` on each SCC and 0 on the idle side, and ``q_{-1}``
-        is the current count.  Its reflected-walk form is
-        ``q = S - min(0, cummin S)`` with ``S = q_{-1} + cumsum(a - c)``.
+        ``a_p``, ``a_s`` and ``arrivals`` give each slot's action and new
+        PDCP packets; none may depend on the queue state.  The PDCP depth is
+        then a Lindley recursion ``D_t = max(0, D_{t-1} + arr_t - draw_t)``
+        with ``draw_t = a_p_t + n_scc * a_s_t``, so slot t dispatches
+        ``disp_t = D_{t-1} + arr_t - D_t``: ``min(a_p_t, disp_t)`` to the PCC
+        and one packet to each SCC ``s < disp_t - pcc_t``, which surfaces in
+        its RLC buffer ``d_xn`` slots later.  Each RLC count is the same
+        recursion over its inflow, ``q_t = max(0, q_{t-1} + in_t - c_t)``,
+        and slot t serves ``q_{t-1} + in_t - q_t``.
 
-        Returns the packets served in each slot (all carriers), the buffer
-        difference seen before each slot, and, with ``keep_occupancy``, one
-        list of end-of-slot RLC counts per carrier (else None).  Carriers
-        are folded into the two per-slot arrays one at a time, so the work
-        memory is a few slot-length vectors, not a carriers-by-slots matrix.
-        Leaves the stack exactly where the per-slot phases leave it.  The
-        Xn ring must be empty.
+        With a ``target``, the completion slot is the first at which the
+        UE's total (``delivered`` included) reaches it, and
+        ``stop_on_complete`` ends the run after that slot.  Returns the
+        packets served in each slot (all carriers), the buffer difference
+        seen before each slot, with ``keep_occupancy`` one list of
+        end-of-slot RLC counts per carrier (else None), and the completion
+        slot (or None).  Carriers are folded into the per-slot vectors one
+        at a time, so the work memory is a few slot-length vectors, not a
+        carriers-by-slots matrix.  Leaves the stack exactly where the
+        per-slot phases leave it.  The Xn ring must be empty.
         """
-        pcc = action.a_p == 1
-        if pcc == (action.a_s == 1):
-            raise ValueError("closed form needs a single-carrier action")
-        draw = 1 if pcc else self.n_scc
-        if rate < draw:
-            raise ValueError(f"arrival rate {rate} does not saturate a draw of {draw}")
+        n = len(arrivals)
+        if len(a_p) != n or len(a_s) != n:
+            raise ValueError("the schedule must span the arrival slots")
+        caps = caps[:, :n]
+        if caps.shape[1] < n:
+            raise ValueError(f"capacities span fewer than {n} slots")
+        if n and caps.min() < 0:
+            raise ValueError("capacity must be non-negative")
         if any(map(any, self.xn)):
             raise ValueError("closed form starts from an empty Xn ring")
-        caps = caps[:, :n_slots]
-        if caps.shape[1] < n_slots:
-            raise ValueError(f"capacities span fewer than {n_slots} slots")
-        if n_slots and caps.min() < 0:
-            raise ValueError("capacity must be non-negative")
-        active = range(1) if pcc else range(1, self.n_carriers)
-        delay = 0 if pcc else self.d_xn
-        delivered = np.zeros(n_slots, dtype=np.int64)
-        b = np.zeros(n_slots, dtype=np.int64)
-        if n_slots:
-            b[0] = self.buffer_difference()
+        arrivals = np.asarray(arrivals, dtype=np.int64)
+        step = arrivals - a_p
+        step -= np.multiply(a_s, self.n_scc, dtype=np.int64)
+        depth = _lindley(self.pdcp_depth, step, out=step)
+        scc = arrivals - depth  # becomes disp_t = D_{t-1} + arr_t - D_t
+        scc[1:] += depth[:-1]
+        scc[:1] += self.pdcp_depth
+        del step, depth
+        pcc = a_p & (scc > 0)  # the PCC takes the first packet dispatched
+        scc -= pcc  # and the SCC group the rest, SCC 0 first
+        scc = scc.astype(np.min_scalar_type(self.n_scc))  # one byte a slot below 256 SCCs
+
+        delivered, b, occupancy, final_rlc = self._fold(caps, pcc, scc, keep_occupancy)
+        completion = None
+        if target is not None:
+            reached = np.flatnonzero(np.cumsum(delivered) >= target - self.delivered)
+            if reached.size:
+                completion = int(reached[0])
+                if stop_on_complete and completion < n - 1:
+                    n = completion + 1
+                    pcc, scc, arrivals = pcc[:n], scc[:n], arrivals[:n]
+                    delivered, b, occupancy, final_rlc = self._fold(
+                        caps[:, :n], pcc, scc, keep_occupancy)
+
+        ingested = int(arrivals.sum())
+        self.total_ingested += ingested
+        self.pdcp_depth += ingested - int(pcc.sum()) - int(scc.sum())
+        self.out_counts[0] += int(pcc.sum())
+        for s in range(self.n_scc):
+            self.out_counts[1 + s] += int(np.count_nonzero(scc > s))
+        # SCC dispatches of the last d_xn slots are still in flight.
+        d = self.d_xn
+        for t in range(max(0, n - d), n):
+            row = self.xn[(t + d) % (d + 1)]
+            for s in range(int(scc[t])):
+                row[s] += 1
+        self.rlc = final_rlc
+        self.delivered += int(delivered.sum())
+        return delivered, b, occupancy, completion
+
+    def _fold(self, caps, pcc, scc, keep_occupancy: bool):
+        """Per-slot deliveries and buffer differences of every carrier's RLC
+        recursion from the current counts, plus the occupancies (if kept)
+        and the final counts; leaves the stack unchanged."""
+        n = len(pcc)
+        d = self.d_xn
+        delivered = np.zeros(n, dtype=np.int64)
+        b = np.zeros(n, dtype=np.int64)
         occupancy = [] if keep_occupancy else None
-        q = np.empty(n_slots, dtype=np.int64)
+        final_rlc = []
+        q = np.empty(n, dtype=np.int64)
         for c in range(self.n_carriers):
-            np.negative(caps[c], out=q)
-            if c in active:
-                q[delay:] += 1
-                delivered[delay:] += 1
-            np.cumsum(q, out=q)
-            q += self.rlc[c]
-            floor = np.minimum.accumulate(q)
-            np.minimum(floor, 0, out=floor)
-            q -= floor
-            # served_t = q_{t-1} + a_t - q_t; a_t was added above.
+            if c == 0:
+                q[:] = pcc
+            else:
+                q[:d] = 0
+                np.greater(scc[:max(0, n - d)], c - 1, out=q[d:])
+            delivered += q  # the inflow in_t
+            q -= caps[c]
+            _lindley(self.rlc[c], q, out=q)
+            # served_t = q_{t-1} + in_t - q_t; in_t was added above.
             delivered -= q
             delivered[1:] += q[:-1]
             if c == 0:
                 b[1:] += q[:-1]
             else:
                 b[1:] -= q[:-1]
-            if n_slots:
+            if n:
                 delivered[0] += self.rlc[c]
-                self.rlc[c] = int(q[-1])
+            final_rlc.append(int(q[-1]) if n else self.rlc[c])
             if keep_occupancy:
                 occupancy.append(q.tolist())
-
-        self.pdcp_depth += n_slots * (rate - draw)
-        self.total_ingested += n_slots * rate
-        for c in active:
-            self.out_counts[c] += n_slots
-        if not pcc:
-            # SCC dispatches of the last d_xn slots are still in flight.
-            for t in range(max(0, n_slots - delay), n_slots):
-                row = self.xn[(t + delay) % (delay + 1)]
-                for i in range(self.n_scc):
-                    row[i] += 1
-        self.delivered += int(delivered.sum())
-        return delivered, b, occupancy
+        if n:
+            b[0] = self.buffer_difference()
+        return delivered, b, occupancy, final_rlc
 
     def snapshot(self) -> tuple:
         """Hashable queue state: PDCP depth, RLC counts and the Xn ring.

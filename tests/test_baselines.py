@@ -45,6 +45,20 @@ def test_bwa_window_deviation_below_one_slot():
             assert abs(count - width * share) < 1.0
 
 
+@pytest.mark.parametrize("pcc_bw, scc_bws", [
+    (0.0, [100.0]), (100.0, [100.0]), (100.0, [100.0] * 3), (70.0, [130.0]),
+    (70.0, [100.0, 30.0]),
+])
+def test_bwa_schedule_equals_decide(pcc_bw, scc_bws):
+    c = BwaController(pcc_bw, scc_bws)
+    n = 60_000
+    a_p, a_s = c.schedule(n)
+    want = [c.decide(t, 0) for t in range(n)]
+    assert a_p.dtype == a_s.dtype == np.int8
+    assert a_p.tolist() == [a.a_p for a in want]
+    assert a_s.tolist() == [a.a_s for a in want]
+
+
 def test_bwa_complementary():
     c = BwaController(100.0, [100.0, 100.0])
     assert all(c.decide(t, 0).complementary for t in range(64))
@@ -117,6 +131,49 @@ def test_qlearning_bucket_clamps():
 def test_qtable_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         QTable(**{field: value})
+
+
+class _NumpyScalarQLearning(QLearningController):
+    """The controller's arithmetic before it read the Q row as Python floats:
+    ``np.argmax``/``np.max`` on the row and an in-place element update."""
+
+    def decide(self, t, b):
+        s = self.table.bucket(b)
+        if self.table.epsilon > 0 and self.rng.random() < self.table.epsilon:
+            a = int(self.rng.integers(2))
+        else:
+            a = int(np.argmax(self.table.values[s]))
+        self._pending = (s, a)
+        return P if a == 0 else S
+
+    def update(self, s, a, reward, s_next):
+        q = self.table.values
+        target = reward + self.table.discount * float(np.max(q[s_next]))
+        q[s, a] += self.table.learn_rate * (target - q[s, a])
+
+
+@pytest.mark.parametrize("epsilon, learn_rate, discount", [
+    (0.0, 0.1, 0.9), (0.1, 0.1, 0.9), (0.3, 0.5, 0.99), (1.0, 0.05, 0.0),
+])
+def test_qlearning_float_arithmetic_is_bit_identical(epsilon, learn_rate, discount):
+    """The Python-float row reads and single element store give the same
+    actions and bit-identical final values as the numpy scalar arithmetic."""
+    rng = make_rng(3, "q-caps")
+    slots, n_scc = 5000, 3
+    caps = np.vstack([rng.integers(0, 3, slots)]
+                     + [rng.integers(0, 2, slots) * rng.integers(0, 4, slots)
+                        for _ in range(n_scc)]).astype(np.int64)
+    runs = []
+    for cls in (QLearningController, _NumpyScalarQLearning):
+        table = QTable(epsilon=epsilon, learn_rate=learn_rate, discount=discount, b_max=32)
+        sim = Simulation(l=1, arrival_mode="per_slot", arrival_rate=n_scc + 2, n_scc=n_scc,
+                         d_xn=1, caps=caps, controller=cls(table, make_rng(4, "q")),
+                         max_slots=slots, stop_on_complete=False)
+        runs.append((sim.run(), table.values))
+    (new, new_q), (old, old_q) = runs
+    assert np.array_equal(new.a_p, old.a_p) and np.array_equal(new.b, old.b)
+    assert new_q.dtype == old_q.dtype and new_q.tobytes() == old_q.tobytes()
+    assert np.count_nonzero(new_q) > 0
 
 
 def _window_throughput(controller, caps, n_scc, slots):

@@ -248,6 +248,11 @@ def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, sectio
     ("qlearning", "epsilon", "2"),
     ("qlearning", "n_bins", "0"),
     ("bwa", "k", "3"),
+    ("fuzzy_pid", "membership_width", "0"),
+    ("fuzzy_pid", "membership_width_change", "0"),
+    ("fuzzy_pid", "gain_min", "2"),
+    ("ltr", "eps_rate", "0"),
+    ("ltr", "smoothing", "1.5"),
 ])
 def test_run_rejects_malformed_controller_key(tmp_path, capsys, policy, key, value):
     path = tmp_path / "ctl.ini"
@@ -259,6 +264,17 @@ def test_run_rejects_malformed_controller_key(tmp_path, capsys, policy, key, val
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"controller.{key}" in err
+
+
+def test_nofuzzy_pid_accepts_zero_membership_widths(tmp_path):
+    """nofuzzy_pid never fuzzifies, so zero widths are harmless there."""
+    path = tmp_path / "ctl.ini"
+    sc.to_file(default_static_scenario(1).copy(l=20, max_slots=200, policy="nofuzzy_pid"), path)
+    text = path.read_text(encoding="utf-8")
+    widths = "membership_width = 0\nmembership_width_change = 0\n"
+    path.write_text(text.replace("n = 16\n", "n = 16\n" + widths, 1), encoding="utf-8")
+    assert run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", "ca", "--out", str(tmp_path / "o")) == 0
 
 
 def test_run_rejects_malformed_seeds(tiny_config, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from casplit import scenario as sc
+from casplit.fuzzy_pid import FuzzyConfig
 from casplit.scenario import (
     ConfigError,
     OutAndBackTrajectory,
@@ -92,7 +93,11 @@ def declared_params(draw):
     policy = draw(st.sampled_from(sc.POLICIES))
     takes = sc.POLICY_PARAMS[policy]
     keys = draw(st.lists(st.sampled_from(sorted(takes)), unique=True)) if takes else []
-    return policy, {key: draw(_DECLARED_VALUES[takes[key]]) for key in keys}
+    params = {key: draw(_DECLARED_VALUES[takes[key]]) for key in keys}
+    # The fuzzy policies refuse a gain range whose bounds are inverted.
+    assume(params.get("gain_min", FuzzyConfig.gain_min)
+           <= params.get("gain_max", FuzzyConfig.gain_max))
+    return policy, params
 
 
 @settings(max_examples=40, deadline=None)
