@@ -41,6 +41,7 @@ class OpenLoopController:
     form.  Such a policy observes nothing.
     """
 
+    observes = False
     k = 0  # the trace's spacing column
 
     def decide(self, t: int, b: int) -> SplitAction:
@@ -87,6 +88,7 @@ class LtrController:
     """
 
     name = "ltr"
+    observes = True
 
     def __init__(self, n_scc: int, d_xn: int, eps_rate: float = 0.05,
                  smoothing: float = 0.05):
@@ -160,6 +162,7 @@ class QLearningController:
     """
 
     name = "qlearning"
+    observes = True
 
     def __init__(self, table: QTable, rng: np.random.Generator):
         self.table = table

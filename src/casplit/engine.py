@@ -4,9 +4,12 @@ A run wires a workload, a count-level ``CountStack``, precomputed per-slot
 carrier capacities and one splitting policy (or a forced single-carrier
 action), then executes the fixed per-slot phase order.  Channel sampling is
 precomputed outside the loop (phase 1 logically, vectorized physically) so
-the loop itself is integer queue work plus one controller call per slot.
-The same loop serves the η runs, oracle witness replay and the
-window-identity check.
+each slot of the loop is one ``decide``, one ``CountStack.step`` (the whole
+queue transition) and, for a controller whose ``observes`` is true, one
+``observe``.  Capacity rows become Python numbers ``CAPS_CHUNK`` slots at a
+time, so a run that completes early converts only what it reaches.  The
+same loop serves the η runs, oracle witness replay and the window-identity
+check.
 
 An open-loop run, whose action in slot t depends on t alone (a forced
 action, or an ``OpenLoopController``: bwa, stationary_k, forced), feeds a
@@ -20,6 +23,7 @@ form against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from casplit.stack import CountStack
 
 BURST = "burst"
 PER_SLOT = "per_slot"
+CAPS_CHUNK = 1024  # capacity columns converted to Python rows at a time
 
 
 @dataclass
@@ -69,6 +74,14 @@ class RunResult:
             p = int(self.a_p[start:start + window].sum())
             out.append(s / p if p else float("inf"))
         return out
+
+
+def _cap_rows(caps: np.ndarray, n_slots: int):
+    """Each slot's carrier capacities as Python numbers, one chunk of
+    ``CAPS_CHUNK`` slots at a time, so a run that stops early converts only
+    the chunks it reaches."""
+    for start in range(0, n_slots, CAPS_CHUNK):
+        yield caps[:, start:min(n_slots, start + CAPS_CHUNK)].T.tolist()
 
 
 class Simulation:
@@ -134,10 +147,18 @@ class Simulation:
             completed=completion is not None, completion_slot=completion)
 
     def _run_loop(self) -> RunResult:
+        # The whole horizon is checked up front, as ``run_schedule`` checks it
+        # for the closed form, so where a run stops does not decide whether
+        # it raises.
+        if self.max_slots and self.caps[:, :self.max_slots].min() < 0:
+            raise ValueError("capacity must be non-negative")
         stack = self.stack
+        step = stack.step
+        buffer_difference = stack.buffer_difference
+        rlc = stack.rlc  # ``step`` updates it in place
         controller = self.controller
         forced = self.forced_action
-        caps_by_slot = self.caps.T.tolist()  # python ints for the hot loop
+        observes = controller is not None and controller.observes
         burst = self.arrival_mode == BURST
         rate = self.arrival_rate
         target = self.l
@@ -151,33 +172,25 @@ class Simulation:
         completed = False
         completion_slot: int | None = None
 
-        for t in range(self.max_slots):
-            caps_t = caps_by_slot[t]
-            b = stack.buffer_difference()
+        for t, caps_t in enumerate(chain.from_iterable(_cap_rows(self.caps, self.max_slots))):
+            b = buffer_difference()
             if forced is not None:
                 action = forced
             else:
                 action = controller.decide(t, b)
             arrivals = (target if t == 0 else 0) if burst else rate
-            if arrivals:
-                stack.pdcp_ingest(arrivals)
-            stack.pdcp_dispatch(action.a_p, action.a_s, t)
-            stack.xn_tick(t)
-            served = stack.rlc_serve(caps_t)
-            n_rx = stack.ue_receive(served)
-            occ = stack.rlc_occupancy()
-            inflight = stack.xn_inflight()
-            if controller is not None:
-                controller.observe(t, served, occ, inflight)
+            served = step(t, arrivals, action.a_p, action.a_s, caps_t)
+            if observes:
+                controller.observe(t, served, list(rlc), stack.xn_inflight())
 
-            delivered_hist.append(n_rx)
+            delivered_hist.append(sum(served))
             ap_hist.append(action.a_p)
             as_hist.append(action.a_s)
             b_hist.append(b)
             if self.collect_trace:
                 gains = getattr(controller, "gains", None)
                 trace_extra.append((
-                    tuple(occ),
+                    tuple(rlc),
                     tuple(caps_t),
                     (gains.kp, gains.ki, gains.kd) if gains else (0.0, 0.0, 0.0),
                     float(getattr(controller, "g", 0.0)),

@@ -202,6 +202,7 @@ class FuzzyPidController:
     """Stateful splitter; one instance drives one simulation run."""
 
     name = "fuzzy_pid"
+    observes = False  # it reads only the buffer difference handed to ``decide``
 
     def __init__(self, n: int, n_scc: int, cfg: FuzzyConfig | None = None,
                  gains: PidGains = DEFAULT_GAINS, adapt_gains: bool = True):
@@ -231,11 +232,6 @@ class FuzzyPidController:
     @property
     def phase(self) -> str:
         return "init" if self.mode == "init" else "adapt"
-
-    @property
-    def b_history(self) -> tuple[int, int]:
-        """Most recent two observed buffer differences (newest first)."""
-        return (self._b_prev, self._b_prev2)
 
     def _replan(self, t: int, b: int, b1: int, b2: int,
                 reset_k: bool = False) -> SplitAction:

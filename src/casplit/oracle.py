@@ -9,9 +9,10 @@ window-throughput bookkeeping identity (delivered equals available work
 minus the surviving one-sided backlog) on instances where exactly one side
 of the split stays saturated, and the strategy-ranking equivalence between
 window throughput and the drift objective.  Both the witness replay and
-the identity check are ordinary ``Simulation`` runs, so the search, the
-replay and the engine share one slot transition; the differential tests
-against ``ProtocolStack`` check that transition.
+the identity check are ordinary ``Simulation`` runs, so they step the
+engine's ``CountStack.step``; the search steps the ``CountStack`` phase
+methods, which the tests check ``step`` against (and both against
+``ProtocolStack``), so all three make the same slot transition.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ class ScriptedController:
     """Plays back a fixed action list (witness replay)."""
 
     name = "scripted"
+    observes = False
 
     def __init__(self, actions: list[SplitAction]):
         self.actions = actions

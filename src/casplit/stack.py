@@ -6,14 +6,18 @@ The splitter observes only buffer occupancies, so the simulation runs on
 PDCP buffer is a contiguous range, RLC buffers and the Xn pipeline are
 FIFOs) and is the reference that tests check the count-level stack, packet
 conservation and duplicate-free delivery against.  The per-slot ordering is
-fixed by the engine: dispatch and Xn arrivals land in the RLC buffers before
-service runs in the same slot.
+fixed: ingest, dispatch, Xn surfacing, service, UE count, so dispatch and Xn
+arrivals land in the RLC buffers before service runs in the same slot.
+``CountStack.step`` runs that whole slot in one call, which the engine's slot
+loop makes once per slot; the separate phase methods are the reference the
+tests check ``step`` against, and the oracle search steps them directly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -212,9 +216,10 @@ class CountStack:
     ``ProtocolStack``, on counts instead of sequence numbers.  An SCC packet
     dispatched in slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn
     ring until ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in
-    order.  ``run_schedule`` replaces the phases for a whole run whose
-    actions and arrivals are fixed in advance (an open-loop policy); the
-    phases stay the reference the tests check it against.
+    order.  ``step`` runs the five phases of one slot in a single call, and
+    ``run_schedule`` replaces them for a whole run whose actions and
+    arrivals are fixed in advance (an open-loop policy); the phases stay the
+    reference the tests check both against.
     """
 
     def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
@@ -280,11 +285,52 @@ class CountStack:
         self.delivered += total
         return total
 
+    def step(self, slot: int, arrivals: int, a_p: int, a_s: int, caps_t) -> list:
+        """One whole slot: the five phases above, fused.
+
+        ``pdcp_ingest(arrivals)``, ``pdcp_dispatch(a_p, a_s, slot)``,
+        ``xn_tick(slot)``, ``rlc_serve(caps_t)`` and ``ue_receive``, in that
+        order, with the same result; returns the packets served per carrier.
+        ``rlc`` is updated in place.  The capacities are not checked: the
+        engine refuses negative ones before their slot comes.
+        """
+        if arrivals:
+            if arrivals < 0:
+                raise ValueError("arrivals must be non-negative")
+            self.pdcp_depth += arrivals
+            self.total_ingested += arrivals
+        rlc = self.rlc
+        out = self.out_counts
+        depth = self.pdcp_depth
+        if a_p and depth:
+            depth -= 1
+            rlc[0] += 1
+            out[0] += 1
+        d = self.d_xn
+        due = self.xn[slot % (d + 1)]
+        if a_s and depth:
+            k = min(self.n_scc, depth)
+            depth -= k
+            # With d_xn = 0 this row is ``due``: the packets surface below.
+            row = self.xn[(slot + d) % (d + 1)]
+            for s in range(k):
+                row[s] += 1
+                out[1 + s] += 1
+        self.pdcp_depth = depth
+        for s, n in enumerate(due):
+            if n:
+                rlc[1 + s] += n
+                due[s] = 0
+        served = list(map(min, caps_t, rlc))
+        rlc[:] = map(sub, rlc, served)
+        self.delivered += sum(served)
+        return served
+
     def rlc_occupancy(self) -> list[int]:
         return list(self.rlc)
 
     def xn_inflight(self) -> list[int]:
-        return [sum(row[s] for row in self.xn) for s in range(self.n_scc)]
+        return list(map(sum, zip(*self.xn)))
 
     def buffer_difference(self) -> int:
         """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""

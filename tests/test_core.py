@@ -1,15 +1,21 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from casplit.baselines import BwaController, ForcedController, StationaryKController
+from casplit import engine
+from casplit.baselines import (BwaController, ForcedController, LtrController, QLearningController,
+                               QTable, StationaryKController)
 from casplit.core import make_rng
 from casplit.engine import RunResult, Simulation
-from casplit.fuzzy_pid import SCC_ONLY_ACTION, SplitAction
-from casplit.scenario import RunMode, build_caps, build_run, default_static_scenario
+from casplit.fuzzy_pid import (SCC_ONLY_ACTION, FuzzyPidController, NoFuzzyController,
+                               SplitAction)
+from casplit.oracle import ScriptedController
+from casplit.scenario import (RunMode, build_caps, build_run, default_static_scenario,
+                              make_controller)
 from casplit.stack import ProtocolStack
 
 
@@ -88,10 +94,10 @@ def _refuse_slot_phase(*args):
 
 
 def _closed_form(**kwargs):
-    """A run whose stack refuses the per-slot phases, so it must take the
-    closed form."""
+    """A run whose stack refuses ``step`` and the per-slot phases, so it must
+    take the closed form."""
     sim = Simulation(**kwargs)
-    for name in PHASES:
+    for name in PHASES + ("step",):
         setattr(sim.stack, name, _refuse_slot_phase)
     return sim
 
@@ -104,6 +110,7 @@ class _SlotLoopOnly:
     def __init__(self, policy, mode=None):
         self.decide = policy.decide
         self.observe = policy.observe
+        self.observes = policy.observes
         self.name = policy.name
         self.k = policy.k
         if mode is not None:  # the trace mode the engine gives forced actions
@@ -196,19 +203,158 @@ def test_open_loop_closed_form_matches_slot_loop(data, n_scc, d_xn, n_slots, bur
                   collect_trace=collect_trace)
     fast = _closed_form(**fast_policy, **kwargs)
     loop = Simulation(controller=loop_policy, **kwargs)
-    got, want = fast.run(), loop.run()
+    got = fast.run()
+    _assert_same_run(fast, got, loop, loop.run())
+    assert all(type(x) is int for x in got.final_rlc + got.final_inflight + got.served)
 
+
+def _assert_same_run(sim, got, ref, want):
+    """Equal ``RunResult``s, field by field, and equal end states."""
     for f in dataclasses.fields(RunResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         else:
             assert a == b, f.name
-    assert all(type(x) is int for x in got.final_rlc + got.final_inflight + got.served)
-    assert fast.stack.snapshot() == loop.stack.snapshot()
-    assert fast.stack.out_counts == loop.stack.out_counts
-    assert fast.stack.total_ingested == loop.stack.total_ingested
-    assert fast.stack.delivered == loop.stack.delivered
+    ends = ("final_rlc", "final_inflight", "served")
+    assert [type(x) for f in ends for x in getattr(got, f)] == \
+        [type(x) for f in ends for x in getattr(want, f)]
+    assert sim.stack.snapshot() == ref.stack.snapshot()
+    assert sim.stack.out_counts == ref.stack.out_counts
+    assert sim.stack.total_ingested == ref.stack.total_ingested
+    assert sim.stack.delivered == ref.stack.delivered
+
+
+class _PhaseLoop(Simulation):
+    """The slot loop as it stood before ``CountStack.step``: eight stack
+    calls per slot (the buffer difference, the five phases, occupancy and
+    in-flight counts), one whole-matrix capacity conversion, and ``observe``
+    called for every controller, so a controller whose ``observes`` is false
+    yet reads feedback makes the two loops differ."""
+
+    def _run_loop(self):
+        stack, controller, forced = self.stack, self.controller, self.forced_action
+        caps_by_slot = self.caps.T.tolist()
+        burst = self.arrival_mode == "burst"
+        delivered, a_p, a_s, bs, trace_extra = [], [], [], [], []
+        completed, completion_slot = False, None
+        for t in range(self.max_slots):
+            caps_t = caps_by_slot[t]
+            b = stack.buffer_difference()
+            action = forced if forced is not None else controller.decide(t, b)
+            arrivals = (self.l if t == 0 else 0) if burst else self.arrival_rate
+            if arrivals:
+                stack.pdcp_ingest(arrivals)
+            stack.pdcp_dispatch(action.a_p, action.a_s, t)
+            stack.xn_tick(t)
+            served = stack.rlc_serve(caps_t)
+            n_rx = stack.ue_receive(served)
+            occ = stack.rlc_occupancy()
+            inflight = stack.xn_inflight()
+            if controller is not None:
+                controller.observe(t, served, occ, inflight)
+            delivered.append(n_rx)
+            a_p.append(action.a_p)
+            a_s.append(action.a_s)
+            bs.append(b)
+            if self.collect_trace:
+                gains = getattr(controller, "gains", None)
+                trace_extra.append((
+                    tuple(occ), tuple(caps_t),
+                    (gains.kp, gains.ki, gains.kd) if gains else (0.0, 0.0, 0.0),
+                    float(getattr(controller, "g", 0.0)),
+                    int(getattr(controller, "k", 0) or 0),
+                    getattr(controller, "mode", "forced" if forced else "fixed"),
+                ))
+            if burst and not completed and stack.delivered >= self.l:
+                completed, completion_slot = True, t
+                if self.stop_on_complete:
+                    break
+        return self._result(
+            delivered=np.array(delivered, dtype=np.int64), a_p=np.array(a_p, dtype=np.int8),
+            a_s=np.array(a_s, dtype=np.int8), b=np.array(bs, dtype=np.int64),
+            trace_extra=trace_extra, completed=completed, completion_slot=completion_slot)
+
+
+LOOP_POLICIES = ("fuzzy_pid", "nofuzzy_pid", "ltr", "qlearning", "scripted")
+
+
+def _loop_controller(policy, n_scc, d_xn, horizon, actions):
+    """A fresh closed-loop controller (or a scripted replay) for one run."""
+    if policy == "fuzzy_pid":
+        return FuzzyPidController(horizon, n_scc)
+    if policy == "nofuzzy_pid":
+        return NoFuzzyController(horizon, n_scc)
+    if policy == "ltr":
+        return LtrController(n_scc, d_xn)
+    if policy == "qlearning":
+        return QLearningController(QTable(b_max=8, epsilon=0.2), make_rng(7, "q"))
+    return ScriptedController(actions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(LOOP_POLICIES), st.integers(1, 3), st.integers(0, 3),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.integers(1, 40))
+def test_slot_loop_matches_phase_reference(data, policy, n_scc, d_xn, burst, stop_on_complete,
+                                           collect_trace, float_caps, chunk):
+    """``Simulation.run`` stepping ``CountStack.step`` over capacity rows
+    converted ``chunk`` slots at a time, observing only where the controller
+    reads it, equals the per-phase reference loop: every ``RunResult`` field,
+    trace rows included, and the end state."""
+    n_car = 1 + n_scc
+    n_slots = data.draw(st.integers(0, 160))
+    values = (st.floats(0, 4, allow_nan=False) | st.sampled_from([0.5, 1.5, 2.0])
+              if float_caps else st.integers(0, 4))
+    caps = data.draw(arrays(np.float64 if float_caps else np.int64, (n_car, n_slots),
+                            elements=values))
+    horizon = data.draw(st.integers(2, 12))
+    actions = data.draw(st.lists(st.sampled_from([SplitAction(1, 0), SplitAction(0, 1),
+                                                  SplitAction(1, 1), SplitAction(0, 0)]),
+                                 min_size=1, max_size=30))
+    kwargs = dict(l=data.draw(st.integers(1, 80)),
+                  arrival_mode="burst" if burst else "per_slot",
+                  arrival_rate=data.draw(st.integers(0, n_scc + 2)), n_scc=n_scc, d_xn=d_xn,
+                  caps=caps, max_slots=n_slots,
+                  preseed_rlc=data.draw(st.none() | st.lists(
+                      st.integers(0, 6), min_size=n_car, max_size=n_car)),
+                  stop_on_complete=stop_on_complete, collect_trace=collect_trace)
+    sim = Simulation(controller=_loop_controller(policy, n_scc, d_xn, horizon, actions),
+                     **kwargs)
+    ref = _PhaseLoop(controller=_loop_controller(policy, n_scc, d_xn, horizon, actions),
+                     **kwargs)
+    with mock.patch.object(engine, "CAPS_CHUNK", chunk):
+        got = sim.run()
+    _assert_same_run(sim, got, ref, ref.run())
+
+
+@pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
+def test_slot_loop_matches_phase_reference_across_chunks(policy):
+    """A static burst run of each closed-loop policy completes several
+    ``CAPS_CHUNK`` slots in and matches the per-phase reference loop."""
+    cfg = default_static_scenario(2).copy(l=2500, max_slots=8 * engine.CAPS_CHUNK)
+    caps = build_caps(cfg)
+    kwargs = dict(l=cfg.l, arrival_mode="burst", arrival_rate=0, n_scc=2, d_xn=cfg.d_xn,
+                  caps=caps, max_slots=cfg.max_slots, collect_trace=True)
+    sim = Simulation(controller=make_controller(cfg, policy=policy), **kwargs)
+    ref = _PhaseLoop(controller=make_controller(cfg, policy=policy), **kwargs)
+    got = sim.run()
+    assert got.completed and got.completion_slot > 2 * engine.CAPS_CHUNK
+    assert got.completion_slot % engine.CAPS_CHUNK  # mid-chunk, not on an edge
+    _assert_same_run(sim, got, ref, ref.run())
+
+
+@pytest.mark.parametrize("slot", [5, engine.CAPS_CHUNK + 5])
+@pytest.mark.parametrize("l", [200, 200_000])
+def test_negative_capacity_is_refused(slot, l):
+    """A negative capacity anywhere in the horizon stops a loop run with
+    ``ValueError``, as it stops a closed-form run: also when it sits in a
+    later chunk, and also after a burst of ``l = 200`` has completed."""
+    cfg = default_static_scenario(2).copy(l=l, max_slots=2 * engine.CAPS_CHUNK)
+    caps = build_caps(cfg)
+    caps[1, slot] = -1
+    for policy in ("fuzzy_pid", "bwa"):
+        with pytest.raises(ValueError, match="capacity must be non-negative"):
+            build_run(cfg, RunMode.CA, caps=caps, policy=policy).run()
 
 
 @pytest.mark.parametrize("policy, closed_form", [
@@ -216,8 +362,9 @@ def test_open_loop_closed_form_matches_slot_loop(data, n_scc, d_xn, n_slots, bur
     ("fuzzy_pid", False), ("nofuzzy_pid", False), ("ltr", False), ("qlearning", False),
 ])
 def test_only_open_loop_runs_skip_the_slot_loop(policy, closed_form):
-    """bwa, stationary_k and forced runs call no per-slot phase, in burst and
-    per-slot mode alike; the closed-loop policies step the loop."""
+    """bwa, stationary_k and forced runs call neither ``step`` nor a per-slot
+    phase, in burst and per-slot mode alike; the closed-loop policies step
+    the loop through ``step`` alone."""
     for mode in ("burst", "per_slot"):
         cfg = default_static_scenario(2).copy(l=200, max_slots=300, arrival_mode=mode)
         caps = build_caps(cfg)
@@ -229,10 +376,15 @@ def test_only_open_loop_runs_skip_the_slot_loop(policy, closed_form):
             sim = Simulation(controller=ForcedController(SplitAction(0, 1)), **kwargs)
         else:
             sim = build_run(cfg, RunMode.CA, caps=caps, policy=policy)
-        calls = []
-        for name in PHASES:
-            phase = getattr(sim.stack, name)
-            setattr(sim.stack, name, lambda *a, _phase=phase: calls.append(1) or _phase(*a))
+        calls = {name: 0 for name in PHASES + ("step",)}
+        for name in calls:
+            method = getattr(sim.stack, name)
+
+            def counted(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+            setattr(sim.stack, name, counted)
         result = sim.run()
         assert result.t_slots > 0
-        assert (not calls) == closed_form, (policy, mode)
+        steps = 0 if closed_form else result.t_slots
+        assert calls == {**dict.fromkeys(PHASES, 0), "step": steps}, (policy, mode)

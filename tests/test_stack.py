@@ -191,12 +191,14 @@ def test_conservation_property(seed, d_xn):
 @given(st.data(), st.integers(1, 3), st.integers(0, 3), st.booleans())
 def test_count_stack_matches_protocol_stack(data, n_scc, d_xn, preseeded):
     """The count-level stack is the sequence-level stack with the sequence
-    numbers forgotten: every phase agrees on every count, slot by slot."""
+    numbers forgotten: every phase agrees on every count, slot by slot, and
+    so does a count-level stack driven by the fused ``step``."""
     n_car = 1 + n_scc
     preseed = (data.draw(st.lists(st.integers(0, 4), min_size=n_car, max_size=n_car))
                if preseeded else None)
     ref = ProtocolStack(n_scc, d_xn, preseed)
     fast = CountStack(n_scc, d_xn, preseed)
+    fused = CountStack(n_scc, d_xn, preseed)
     for t in range(data.draw(st.integers(1, 40))):
         assert fast.buffer_difference() == ref.buffer_difference()
         arrivals = data.draw(st.integers(0, 4))
@@ -217,3 +219,12 @@ def test_count_stack_matches_protocol_stack(data, n_scc, d_xn, preseeded):
         assert fast.out_counts == ref.out_counts
         assert fast.pdcp_depth == ref.pdcp_depth
         assert (fast.total_ingested, fast.delivered) == (ref.total_ingested, ref.ue.count)
+        assert fused.step(t, arrivals, a_p, a_s, caps) == served
+        assert fused.snapshot() == fast.snapshot()
+        assert fused.out_counts == fast.out_counts
+        assert (fused.total_ingested, fused.delivered) == (fast.total_ingested, fast.delivered)
+
+
+def test_step_refuses_negative_arrivals():
+    with pytest.raises(ValueError, match="arrivals must be non-negative"):
+        CountStack(n_scc=1).step(0, -1, 1, 1, [1, 1])
