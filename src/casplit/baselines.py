@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from casplit.fuzzy_pid import (
+    Controller,
     SplitAction,
     PCC_ONLY_ACTION,
     SCC_ONLY_ACTION,
@@ -32,26 +33,17 @@ __all__ = [
 ]
 
 
-class OpenLoopController:
+class OpenLoopController(Controller):
     """A policy whose action in slot t depends on t alone.
 
     ``schedule(n)`` returns the actions of slots ``0..n-1`` as two int8
     vectors (``a_p``, ``a_s``), the same actions ``decide`` returns one slot
     at a time, so ``Simulation.run`` can compute the whole run in closed
-    form.  Such a policy observes nothing.
+    form.  Such a policy observes nothing and keeps one ``trace_state``.
     """
-
-    observes = False
-    k = 0  # the trace's spacing column
-
-    def decide(self, t: int, b: int) -> SplitAction:
-        raise NotImplementedError
 
     def schedule(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
-        pass
 
 
 class BwaController(OpenLoopController):
@@ -79,7 +71,7 @@ class BwaController(OpenLoopController):
         return a_p, 1 - a_p
 
 
-class LtrController:
+class LtrController(Controller):
     """Send to the carrier with the lowest estimated end-to-end delay.
 
     The estimate uses only state visible at the PDCP host: per-carrier RLC
@@ -153,7 +145,7 @@ class QTable:
         return min(int(frac * self.n_bins), self.n_bins - 1)
 
 
-class QLearningController:
+class QLearningController(Controller):
     """One-step tabular Q-learning over the buffer difference.
 
     Action 0 feeds the PCC, action 1 the SCC group; the reward is the
@@ -214,6 +206,9 @@ class StationaryKController(OpenLoopController):
         a_p = (np.arange(n_slots) % (self.k + 1) == 0).astype(np.int8)
         return a_p, 1 - a_p
 
+    def trace_state(self) -> tuple[float, float, float, float, int, str]:
+        return (0.0, 0.0, 0.0, 0.0, self.k, "fixed")
+
 
 class ForcedController(OpenLoopController):
     """Emit one fixed action every slot (single-carrier reference modes)."""
@@ -229,3 +224,6 @@ class ForcedController(OpenLoopController):
     def schedule(self, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
         return (np.full(n_slots, self.action.a_p, dtype=np.int8),
                 np.full(n_slots, self.action.a_s, dtype=np.int8))
+
+    def trace_state(self) -> tuple[float, float, float, float, int, str]:
+        return (0.0, 0.0, 0.0, 0.0, 0, "forced")

@@ -11,7 +11,7 @@ gives flat deterministic channels for oracle runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class CarrierConfig:
     pl_model: str = "uma-nlos"
     pl_fixed_db: float = 0.0
     rx_calibration_db: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Every message starts with the field name; the config parser

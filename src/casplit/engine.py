@@ -1,23 +1,23 @@
 """Single-run simulation loop.
 
 A run wires a workload, a count-level ``CountStack``, precomputed per-slot
-carrier capacities and one splitting policy (or a forced single-carrier
-action), then executes the fixed per-slot phase order.  Channel sampling is
-precomputed outside the loop (phase 1 logically, vectorized physically) so
-each slot of the loop is one ``decide``, one ``CountStack.step`` (the whole
-queue transition) and, for a controller whose ``observes`` is true, one
-``observe``.  Capacity rows become Python numbers ``CAPS_CHUNK`` slots at a
-time, so a run that completes early converts only what it reaches.  The
-same loop serves the η runs, oracle witness replay and the window-identity
-check.
+carrier capacities and one ``fuzzy_pid.Controller`` (a forced action runs
+as a ``ForcedController``), then executes the fixed per-slot phase order.
+Channel sampling is precomputed outside the loop (phase 1 logically,
+vectorized physically) so each slot of the loop is one ``decide``, one
+``CountStack.step`` (the whole queue transition) and, for a controller
+whose ``observes`` is true, one ``observe``.  Capacity rows become Python
+numbers ``CAPS_CHUNK`` slots at a time, so a run that completes early
+converts only what it reaches.  The same loop serves the η runs, oracle
+witness replay and the window-identity check.
 
-An open-loop run, whose action in slot t depends on t alone (a forced
-action, or an ``OpenLoopController``: bwa, stationary_k, forced), feeds a
-fixed schedule through the queues.  The PDCP depth and every RLC count are
-then Lindley recursions, so ``Simulation.run`` computes such a run in
-closed form (``CountStack.run_schedule``) and skips the loop.  Every other
-run steps the loop, which stays the reference the tests check the closed
-form against.
+An open-loop run, whose action in slot t depends on t alone (an
+``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
+schedule through the queues.  The PDCP depth and every RLC count are then
+Lindley recursions, so ``Simulation.run`` computes such a run in closed
+form (``CountStack.run_schedule``) and skips the loop.  Every other run
+steps the loop, which stays the reference the tests check the closed form
+against.  Both fill the same trace columns.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from itertools import chain
 import numpy as np
 
 from casplit.baselines import ForcedController, OpenLoopController
-from casplit.fuzzy_pid import SplitAction
+from casplit.fuzzy_pid import Controller, SplitAction
 from casplit.stack import CountStack
 
 BURST = "burst"
 PER_SLOT = "per_slot"
 CAPS_CHUNK = 1024  # capacity columns converted to Python rows at a time
+STATE_DTYPES = (np.float64,) * 4 + (np.int64, object)  # of the trace_state columns
 
 
 @dataclass
@@ -53,7 +54,12 @@ class RunResult:
     a_p: np.ndarray
     a_s: np.ndarray
     b: np.ndarray  # buffer difference observed at decision time
-    trace_extra: list[tuple] = field(default_factory=list, repr=False)
+    # The trace columns, kept with ``collect_trace``: end-of-slot RLC counts
+    # and a slice of the capacities (carriers by slots, PCC first), and the
+    # controller's ``trace_state`` columns.
+    occupancy: np.ndarray | None = field(default=None, repr=False)
+    capacity: np.ndarray | None = field(default=None, repr=False)
+    state: list[np.ndarray] | None = field(default=None, repr=False)
     final_rlc: list[int] = field(default_factory=list)
     final_inflight: list[int] = field(default_factory=list)
     served: list[int] = field(default_factory=list)  # per-carrier totals, preseed included
@@ -85,10 +91,11 @@ def _cap_rows(caps: np.ndarray, n_slots: int):
 
 
 class Simulation:
-    """One deterministic run over at most ``max_slots`` slots."""
+    """One deterministic run over at most ``max_slots`` slots; ``controller``
+    stays None for a forced action."""
 
     def __init__(self, *, l: int, arrival_mode: str, arrival_rate: int,
-                 n_scc: int, d_xn: int, caps: np.ndarray, controller=None,
+                 n_scc: int, d_xn: int, caps: np.ndarray, controller: Controller | None = None,
                  forced_action: SplitAction | None = None, max_slots: int,
                  preseed_rlc: list[int] | None = None, collect_trace: bool = False,
                  stop_on_complete: bool = True, mode: str = "ca",
@@ -106,20 +113,18 @@ class Simulation:
         self.stack = CountStack(n_scc, d_xn, preseed_rlc)
         self.caps = caps
         self.controller = controller
-        self.forced_action = forced_action
+        self.plan = controller if forced_action is None else ForcedController(forced_action)
         self.max_slots = min(max_slots, caps.shape[1])
         self.collect_trace = collect_trace
         self.stop_on_complete = stop_on_complete
         self.mode = mode
-        self.policy = policy if policy else getattr(controller, "name", "forced")
+        self.policy = policy if policy else self.plan.name
         self.seed = seed
 
     def run(self) -> RunResult:
-        plan = (self.controller if self.forced_action is None
-                else ForcedController(self.forced_action))
-        if (isinstance(plan, OpenLoopController)
+        if (isinstance(self.plan, OpenLoopController)
                 and np.issubdtype(self.caps.dtype, np.integer)):
-            return self._run_schedule(plan)
+            return self._run_schedule(self.plan)
         return self._run_loop()
 
     def _run_schedule(self, plan: OpenLoopController) -> RunResult:
@@ -136,15 +141,13 @@ class Simulation:
             self.caps, a_p, a_s, arrivals, target=self.l if burst else None,
             stop_on_complete=self.stop_on_complete, keep_occupancy=self.collect_trace)
         n = len(delivered)
-        trace_extra = []
-        if self.collect_trace:
-            gains, k = (0.0, 0.0, 0.0), plan.k
-            mode = "fixed" if self.forced_action is None else "forced"
-            trace_extra = [(occ, caps_t, gains, 0.0, k, mode) for occ, caps_t
-                           in zip(zip(*occupancy), zip(*self.caps[:, :n].tolist()))]
+        state = None
+        if self.collect_trace:  # one state for every slot: read-only views, no storage
+            state = [np.broadcast_to(np.array(v, dtype=d), n)
+                     for v, d in zip(plan.trace_state(), STATE_DTYPES)]
         return self._result(
-            delivered=delivered, a_p=a_p[:n], a_s=a_s[:n], b=b, trace_extra=trace_extra,
-            completed=completion is not None, completion_slot=completion)
+            delivered=delivered, a_p=a_p[:n], a_s=a_s[:n], b=b, occupancy=occupancy,
+            state=state, completed=completion is not None, completion_slot=completion)
 
     def _run_loop(self) -> RunResult:
         # The whole horizon is checked up front, as ``run_schedule`` checks it
@@ -156,9 +159,9 @@ class Simulation:
         step = stack.step
         buffer_difference = stack.buffer_difference
         rlc = stack.rlc  # ``step`` updates it in place
-        controller = self.controller
-        forced = self.forced_action
-        observes = controller is not None and controller.observes
+        decide = self.plan.decide
+        observe = self.plan.observe if self.plan.observes else None
+        trace_state = self.plan.trace_state
         burst = self.arrival_mode == BURST
         rate = self.arrival_rate
         target = self.l
@@ -167,53 +170,50 @@ class Simulation:
         ap_hist: list[int] = []
         as_hist: list[int] = []
         b_hist: list[int] = []
-        trace_extra: list[tuple] = []
+        occ_rows: list[tuple] = []
+        states: list[tuple] = []
 
         completed = False
         completion_slot: int | None = None
 
         for t, caps_t in enumerate(chain.from_iterable(_cap_rows(self.caps, self.max_slots))):
             b = buffer_difference()
-            if forced is not None:
-                action = forced
-            else:
-                action = controller.decide(t, b)
+            action = decide(t, b)
             arrivals = (target if t == 0 else 0) if burst else rate
             served = step(t, arrivals, action.a_p, action.a_s, caps_t)
-            if observes:
-                controller.observe(t, served, list(rlc), stack.xn_inflight())
+            if observe is not None:
+                observe(t, served, list(rlc), stack.xn_inflight())
 
             delivered_hist.append(sum(served))
             ap_hist.append(action.a_p)
             as_hist.append(action.a_s)
             b_hist.append(b)
             if self.collect_trace:
-                gains = getattr(controller, "gains", None)
-                trace_extra.append((
-                    tuple(rlc),
-                    tuple(caps_t),
-                    (gains.kp, gains.ki, gains.kd) if gains else (0.0, 0.0, 0.0),
-                    float(getattr(controller, "g", 0.0)),
-                    int(getattr(controller, "k", 0) or 0),
-                    getattr(controller, "mode", "forced" if forced else "fixed"),
-                ))
+                occ_rows.append(tuple(rlc))
+                states.append(trace_state())
             if burst and not completed and stack.delivered >= target:
                 completed = True
                 completion_slot = t
                 if self.stop_on_complete:
                     break
 
+        occupancy = state = None
+        if self.collect_trace:  # float capacities leave float counts
+            occupancy = np.array(occ_rows, dtype=np.result_type(self.caps.dtype, np.int64))
+            occupancy = occupancy.reshape(-1, len(rlc)).T
+            state = [np.array(col, dtype=d)
+                     for col, d in zip(zip(*states) if states else [()] * 6, STATE_DTYPES)]
         return self._result(
             delivered=np.array(delivered_hist, dtype=np.int64),
             a_p=np.array(ap_hist, dtype=np.int8),
             a_s=np.array(as_hist, dtype=np.int8),
             b=np.array(b_hist, dtype=np.int64),
-            trace_extra=trace_extra, completed=completed,
+            occupancy=occupancy, state=state, completed=completed,
             completion_slot=completion_slot)
 
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,
-                b: np.ndarray, trace_extra: list, completed: bool,
-                completion_slot: int | None) -> RunResult:
+                b: np.ndarray, occupancy: np.ndarray | None, state: list | None,
+                completed: bool, completion_slot: int | None) -> RunResult:
         stack = self.stack
         final_rlc = stack.rlc_occupancy()
         final_inflight = stack.xn_inflight()
@@ -232,7 +232,9 @@ class Simulation:
             a_p=a_p,
             a_s=a_s,
             b=b,
-            trace_extra=trace_extra,
+            occupancy=occupancy,
+            capacity=None if state is None else self.caps[:, :len(delivered)],
+            state=state,
             final_rlc=final_rlc,
             final_inflight=final_inflight,
             served=[o - q - x for o, q, x in zip(stack.out_counts, final_rlc, in_flight)],

@@ -48,9 +48,25 @@ class SplitAction:
         if self.a_p not in (0, 1) or self.a_s not in (0, 1):
             raise ValueError("action components must be 0 or 1")
 
-    @property
-    def complementary(self) -> bool:
-        return self.a_s == 1 - self.a_p
+
+class Controller:
+    """A splitting policy as the engine drives it: ``decide`` each slot from
+    the buffer difference; ``observe`` the slot's served, RLC and Xn
+    in-flight counts, only if ``observes`` is true; ``trace_state``, the
+    trace's controller columns (PID gains, PID value, spacing k, mode)."""
+
+    name: str
+    observes = False
+
+    def decide(self, t: int, b: int) -> SplitAction:
+        raise NotImplementedError
+
+    def observe(self, t: int, delivered: list[int], rlc_occ: list[int],
+                inflight: list[int]) -> None:
+        pass
+
+    def trace_state(self) -> tuple[float, float, float, float, int, str]:
+        return (0.0, 0.0, 0.0, 0.0, 0, "fixed")
 
 
 ACTIVE_BOTH = SplitAction(1, 1)
@@ -198,11 +214,10 @@ def schedule_action(t: int, n: int, k: int, g: float) -> SplitAction:
     return SplitAction(a_p, 1 - a_p)
 
 
-class FuzzyPidController:
+class FuzzyPidController(Controller):
     """Stateful splitter; one instance drives one simulation run."""
 
     name = "fuzzy_pid"
-    observes = False  # it reads only the buffer difference handed to ``decide``
 
     def __init__(self, n: int, n_scc: int, cfg: FuzzyConfig | None = None,
                  gains: PidGains = DEFAULT_GAINS, adapt_gains: bool = True):
@@ -228,10 +243,6 @@ class FuzzyPidController:
         self._zero_streak = 0
         self._escape = self.cfg.b_max / 16
         self.b_target = self.cfg.b_target
-
-    @property
-    def phase(self) -> str:
-        return "init" if self.mode == "init" else "adapt"
 
     def _replan(self, t: int, b: int, b1: int, b2: int,
                 reset_k: bool = False) -> SplitAction:
@@ -295,9 +306,9 @@ class FuzzyPidController:
         self.history.append(action)
         return action
 
-    def observe(self, t: int, delivered: list[int], rlc_occ: list[int],
-                inflight: list[int]) -> None:
-        """No feedback beyond the buffer difference is used."""
+    def trace_state(self) -> tuple[float, float, float, float, int, str]:
+        gains = self.gains
+        return (gains.kp, gains.ki, gains.kd, float(self.g), self.k or 0, self.mode)
 
 
 class NoFuzzyController(FuzzyPidController):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from casplit.engine import Simulation
-from casplit.fuzzy_pid import SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
+from casplit.fuzzy_pid import Controller, SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
 from casplit.stack import CountStack
 
 MAX_L = 14
@@ -85,20 +85,16 @@ class OracleResult:
     states_explored: int = 0
 
 
-class ScriptedController:
+class ScriptedController(Controller):
     """Plays back a fixed action list (witness replay)."""
 
     name = "scripted"
-    observes = False
 
     def __init__(self, actions: list[SplitAction]):
         self.actions = actions
 
     def decide(self, t: int, b: int) -> SplitAction:
         return self.actions[t] if t < len(self.actions) else self.actions[-1]
-
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
-        pass
 
 
 def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) -> OracleResult:

@@ -109,17 +109,6 @@ class OutAndBackTrajectory:
 PCC_RX_CALIBRATION_DB = 98.2
 SCC_RX_CALIBRATION_DB = 86.3
 
-# Inert descriptive rows carried alongside the radio parameters; nothing in
-# the simulator consumes them.
-TRANSPORT_METADATA = {
-    "tcp_congestion_control": "NewReno",
-    "ue_tcp_receive_window": "512KB",
-    "rlc_transport_mode": "AM",
-    "rlc_polling_pdu_threshold": "100",
-    "xn_link_data_rate": "1Gbps",
-}
-
-
 def default_carriers(n_scc: int = 3) -> list[CarrierConfig]:
     carriers = [CarrierConfig(
         kind=PCC, name="pcc", frequency_ghz=4.9, bandwidth_mhz=100.0,
@@ -158,7 +147,6 @@ class ScenarioConfig:
     carriers: list[CarrierConfig] = field(default_factory=default_carriers)
     trajectory: object = field(default_factory=StaticTrajectory)
     scc_distance_offset_m: float = 0.0
-    metadata: dict = field(default_factory=lambda: dict(TRANSPORT_METADATA))
 
     def __post_init__(self) -> None:
         self.validate()
@@ -235,8 +223,6 @@ class ScenarioConfig:
             dup.carriers = [dataclasses.replace(c) for c in self.carriers]
         if "policy_params" not in changes:
             dup.policy_params = dict(self.policy_params)
-        if "metadata" not in changes:
-            dup.metadata = dict(self.metadata)
         return dup
 
 
@@ -348,8 +334,7 @@ def build_run(cfg: ScenarioConfig, mode: RunMode | str = RunMode.CA,
         seed=seed,
     )
     if mode is RunMode.CA:
-        controller = make_controller(cfg, seed, policy=policy)
-        return Simulation(controller=controller, policy=controller.name, **kwargs)
+        return Simulation(controller=make_controller(cfg, seed, policy=policy), **kwargs)
     forced = PCC_ONLY_ACTION if mode is RunMode.PCC_ONLY else SCC_ONLY_ACTION
     kwargs.update(
         arrival_mode=PER_SLOT,
@@ -411,8 +396,6 @@ def to_file(cfg: ScenarioConfig, path) -> None:
     for carrier in cfg.carriers:
         section = f"carriers.{carrier.name}"
         parser[section] = {k: _fmt(getattr(carrier, k)) for k in _CARRIER_FIELDS}
-    if cfg.metadata:
-        parser["metadata"] = {k: str(v) for k, v in cfg.metadata.items()}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -521,8 +504,6 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     params = {key: _read_param(key, raw, takes.get(key))
               for key, raw in controller.items() if key not in ("policy", "n")}
 
-    metadata = dict(parser["metadata"]) if parser.has_section("metadata") else {}
-
     return ScenarioConfig(
         name=run.get("name", "scenario"),
         l=_get(workload, "l", int, "1"),
@@ -539,5 +520,4 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         carriers=carriers,
         trajectory=traj,
         scc_distance_offset_m=_get(channel, "scc_distance_offset_m", float, "0.0"),
-        metadata=metadata,
     )

@@ -354,12 +354,12 @@ class CountStack:
         UE's total (``delivered`` included) reaches it, and
         ``stop_on_complete`` ends the run after that slot.  Returns the
         packets served in each slot (all carriers), the buffer difference
-        seen before each slot, with ``keep_occupancy`` one list of
-        end-of-slot RLC counts per carrier (else None), and the completion
-        slot (or None).  Carriers are folded into the per-slot vectors one
-        at a time, so the work memory is a few slot-length vectors, not a
-        carriers-by-slots matrix.  Leaves the stack exactly where the
-        per-slot phases leave it.  The Xn ring must be empty.
+        seen before each slot, with ``keep_occupancy`` the end-of-slot RLC
+        counts, carriers by slots (else None), and the completion slot (or
+        None).  Carriers are folded into the per-slot vectors one at a time,
+        so the work memory is a few slot-length vectors.  Leaves the stack
+        exactly where the per-slot phases leave it.  The Xn ring must be
+        empty.
         """
         n = len(arrivals)
         if len(a_p) != n or len(a_s) != n:
@@ -372,6 +372,8 @@ class CountStack:
         if any(map(any, self.xn)):
             raise ValueError("closed form starts from an empty Xn ring")
         arrivals = np.asarray(arrivals, dtype=np.int64)
+        if n and arrivals.min() < 0:
+            raise ValueError("arrivals must be non-negative")
         step = arrivals - a_p
         step -= np.multiply(a_s, self.n_scc, dtype=np.int64)
         depth = _lindley(self.pdcp_depth, step, out=step)
@@ -419,7 +421,7 @@ class CountStack:
         d = self.d_xn
         delivered = np.zeros(n, dtype=np.int64)
         b = np.zeros(n, dtype=np.int64)
-        occupancy = [] if keep_occupancy else None
+        occupancy = np.empty((self.n_carriers, n), dtype=np.int64) if keep_occupancy else None
         final_rlc = []
         q = np.empty(n, dtype=np.int64)
         for c in range(self.n_carriers):
@@ -442,7 +444,7 @@ class CountStack:
                 delivered[0] += self.rlc[c]
             final_rlc.append(int(q[-1]) if n else self.rlc[c])
             if keep_occupancy:
-                occupancy.append(q.tolist())
+                occupancy[c] = q
         if n:
             b[0] = self.buffer_difference()
         return delivered, b, occupancy, final_rlc

@@ -8,6 +8,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from casplit import __version__
 from casplit.engine import RunResult
 from casplit.metrics import EtaReport, RunSummary
@@ -28,20 +30,27 @@ def trace_columns(n_scc: int) -> list[str]:
     return cols
 
 
+def _formatted(column: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of each entry, called once per value; a float is told apart
+    by its bits, so 0.0 from -0.0."""
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([fmt(x) for x in column[first].tolist()], dtype=object)[index].tolist()
+
+
 def write_trace(path, result: RunResult, n_scc: int) -> None:
-    """One CSV row per simulated slot; requires a trace-collecting run."""
-    if len(result.trace_extra) != result.t_slots:
+    """One CSV row per simulated slot; requires a trace-collecting run.
+    Each column is formatted whole, then the columns are joined by row."""
+    if result.state is None:
         raise ValueError("run was not executed with collect_trace=True")
-    lines = [",".join(trace_columns(n_scc))]
-    for t in range(result.t_slots):
-        occ, caps, gains, g, k, mode = result.trace_extra[t]
-        row = [str(t), str(int(result.b[t])), str(int(result.a_p[t])),
-               str(int(result.a_s[t]))]
-        row += [str(int(x)) for x in occ]
-        row += [str(int(x)) for x in caps]
-        row += [str(int(result.delivered[t]))]
-        row += [_f(gains[0]), _f(gains[1]), _f(gains[2]), _f(g), str(k), mode]
-        lines.append(",".join(row))
+    kp, ki, kd, g, k, mode = result.state
+    ints = (result.b, result.a_p, result.a_s, *result.occupancy, *result.capacity,
+            result.delivered)
+    columns = [list(map(str, range(result.t_slots))),
+               *(_formatted(c.astype(np.int64, copy=False), str) for c in ints),
+               *(_formatted(c, _f) for c in (kp, ki, kd, g)), _formatted(k, str),
+               mode.tolist()]
+    lines = [",".join(trace_columns(n_scc)), *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

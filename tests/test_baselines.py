@@ -61,7 +61,7 @@ def test_bwa_schedule_equals_decide(pcc_bw, scc_bws):
 
 def test_bwa_complementary():
     c = BwaController(100.0, [100.0, 100.0])
-    assert all(c.decide(t, 0).complementary for t in range(64))
+    assert all(a.a_s == 1 - a.a_p for a in (c.decide(t, 0) for t in range(64)))
 
 
 def test_ltr_prefers_lowest_delay():

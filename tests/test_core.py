@@ -1,4 +1,6 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -6,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from casplit import engine
+from casplit import engine, trace
 from casplit.baselines import (BwaController, ForcedController, LtrController, QLearningController,
                                QTable, StationaryKController)
 from casplit.core import make_rng
 from casplit.engine import RunResult, Simulation
-from casplit.fuzzy_pid import (SCC_ONLY_ACTION, FuzzyPidController, NoFuzzyController,
-                               SplitAction)
+from casplit.fuzzy_pid import (SCC_ONLY_ACTION, Controller, FuzzyPidController,
+                               NoFuzzyController, SplitAction)
 from casplit.oracle import ScriptedController
 from casplit.scenario import (RunMode, build_caps, build_run, default_static_scenario,
                               make_controller)
@@ -102,19 +104,24 @@ def _closed_form(**kwargs):
     return sim
 
 
-class _SlotLoopOnly:
-    """An open-loop policy seen only through ``decide``/``observe`` (plus the
-    name and spacing the trace reports): with no ``schedule`` it steps the
-    slot loop, the reference the closed form is checked against."""
+class _SlotLoopOnly(Controller):
+    """An open-loop policy seen only through the ``Controller`` interface:
+    with no ``schedule`` it steps the slot loop, the reference the closed
+    form is checked against."""
 
-    def __init__(self, policy, mode=None):
-        self.decide = policy.decide
-        self.observe = policy.observe
-        self.observes = policy.observes
+    def __init__(self, policy):
+        self.policy = policy
         self.name = policy.name
-        self.k = policy.k
-        if mode is not None:  # the trace mode the engine gives forced actions
-            self.mode = mode
+        self.observes = policy.observes
+
+    def decide(self, t, b):
+        return self.policy.decide(t, b)
+
+    def observe(self, *feedback):
+        self.policy.observe(*feedback)
+
+    def trace_state(self):
+        return self.policy.trace_state()
 
 
 def test_forced_scc_closed_form_by_hand():
@@ -132,8 +139,10 @@ def test_forced_scc_closed_form_by_hand():
     assert result.delivered.tolist() == [1, 1, 0, 1, 2]
     assert result.b.tolist() == [1, 0, -1, -2, -2]
     assert result.a_p.tolist() == [0] * 5 and result.a_s.tolist() == [1] * 5
-    assert [occ for occ, *_ in result.trace_extra] == [(1, 1), (0, 1), (0, 2), (0, 2), (0, 1)]
-    assert result.trace_extra[0][1:] == ((1, 0), (0.0, 0.0, 0.0), 0.0, 0, "forced")
+    rows = _trace_rows(result)
+    assert [occ for occ, *_ in rows] == [(1, 1), (0, 1), (0, 2), (0, 2), (0, 1)]
+    assert rows[0][1:] == ((1, 0), (0.0, 0.0, 0.0), 0.0, 0, "forced")
+    assert result.capacity.base is caps  # a slice, not a copy
     assert (result.final_rlc, result.final_inflight, result.served) == ([0, 1], [2], [2, 3])
     assert result.total_delivered == 5 and not result.completed
     # Xn ring rows: slot 3 lands in row (3 + 2) % 3, slot 4 in row (4 + 2) % 3.
@@ -165,21 +174,22 @@ PCC_BW = {"zero": 0.0, "equal": 100.0, "70:130": 70.0}
 
 @st.composite
 def open_loop_policies(draw, n_scc):
-    """(fast-side kwargs, loop-side controller) for one open-loop policy."""
+    """(fast-side kwargs, loop-side controller, reference kwargs) for one
+    open-loop policy.  The reference for a ``ForcedController`` is the
+    forced action it plays, which the engine runs the same way."""
     kind = draw(st.sampled_from(["bwa", "stationary_k", "forced", "forced_action"]))
     if kind == "bwa":
         pcc_bw = PCC_BW[draw(st.sampled_from(sorted(PCC_BW)))]
         scc_bw = 130.0 if pcc_bw == 70.0 else 100.0
         policy = BwaController(pcc_bw, [scc_bw / n_scc] * n_scc)
-        return {"controller": policy}, _SlotLoopOnly(policy)
+        return {"controller": policy}, _SlotLoopOnly(policy), {"controller": policy}
     if kind == "stationary_k":
         policy = StationaryKController(draw(st.integers(0, 4)))
-        return {"controller": policy}, _SlotLoopOnly(policy)
+        return {"controller": policy}, _SlotLoopOnly(policy), {"controller": policy}
     action = SplitAction(draw(st.integers(0, 1)), draw(st.integers(0, 1)))
-    if kind == "forced":
-        policy = ForcedController(action)
-        return {"controller": policy}, _SlotLoopOnly(policy)
-    return {"forced_action": action}, _SlotLoopOnly(ForcedController(action), "forced")
+    fast = {"controller": ForcedController(action)} if kind == "forced" else \
+        {"forced_action": action}
+    return fast, _SlotLoopOnly(ForcedController(action)), {"forced_action": action}
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,8 +199,9 @@ def test_open_loop_closed_form_matches_slot_loop(data, n_scc, d_xn, n_slots, bur
                                                  stop_on_complete, collect_trace):
     """Every open-loop run (bwa, stationary_k, a forced action or controller)
     computed in closed form equals the same policy stepped through the slot
-    loop, field by field, trace row by trace row, end state included."""
-    fast_policy, loop_policy = data.draw(open_loop_policies(n_scc))
+    loop, field by field, trace column by trace column, end state included,
+    and its trace columns give the per-phase reference loop's rows."""
+    fast_policy, loop_policy, ref_policy = data.draw(open_loop_policies(n_scc))
     n_car = 1 + n_scc
     caps = data.draw(arrays(np.int64, (n_car, n_slots), elements=st.integers(0, 4)))
     preseed = data.draw(st.none() | st.lists(st.integers(0, 6), min_size=n_car,
@@ -203,19 +214,43 @@ def test_open_loop_closed_form_matches_slot_loop(data, n_scc, d_xn, n_slots, bur
                   collect_trace=collect_trace)
     fast = _closed_form(**fast_policy, **kwargs)
     loop = Simulation(controller=loop_policy, **kwargs)
+    ref = _PhaseLoop(**ref_policy, **kwargs)
     got = fast.run()
     _assert_same_run(fast, got, loop, loop.run())
+    _assert_same_run(fast, got, ref, ref.run())
     assert all(type(x) is int for x in got.final_rlc + got.final_inflight + got.served)
 
 
+def _trace_rows(result: RunResult) -> list[tuple]:
+    """The trace columns as the per-slot tuples ``_PhaseLoop`` records."""
+    states = zip(*(col.tolist() for col in result.state))
+    return [(tuple(occ), tuple(cap), (kp, ki, kd), g, k, mode)
+            for occ, cap, (kp, ki, kd, g, k, mode)
+            in zip(result.occupancy.T.tolist(), result.capacity.T.tolist(), states)]
+
+
+def _assert_same_arrays(a, b, name):
+    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
 def _assert_same_run(sim, got, ref, want):
-    """Equal ``RunResult``s, field by field, and equal end states."""
+    """Equal ``RunResult``s, field by field, and equal end states.  Trace
+    columns are compared by dtype and value; against a ``_PhaseLoop``, which
+    keeps its trace as per-slot rows, slot by slot."""
     for f in dataclasses.fields(RunResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        if f.name in ("occupancy", "capacity", "state") and isinstance(ref, _PhaseLoop):
+            assert b is None and (a is None) == (ref.rows is None), f.name
+        elif f.name == "state" and b is not None:
+            assert len(a) == len(b) == 6
+            for i, (x, y) in enumerate(zip(a, b)):
+                _assert_same_arrays(x, y, f"state[{i}]")
+        elif isinstance(b, np.ndarray):
+            _assert_same_arrays(a, b, f.name)
         else:
             assert a == b, f.name
+    if isinstance(ref, _PhaseLoop) and ref.rows is not None:
+        assert _trace_rows(got) == ref.rows
     ends = ("final_rlc", "final_inflight", "served")
     assert [type(x) for f in ends for x in getattr(got, f)] == \
         [type(x) for f in ends for x in getattr(want, f)]
@@ -226,17 +261,26 @@ def _assert_same_run(sim, got, ref, want):
 
 
 class _PhaseLoop(Simulation):
-    """The slot loop as it stood before ``CountStack.step``: eight stack
-    calls per slot (the buffer difference, the five phases, occupancy and
-    in-flight counts), one whole-matrix capacity conversion, and ``observe``
-    called for every controller, so a controller whose ``observes`` is false
-    yet reads feedback makes the two loops differ."""
+    """The slot loop as it stood before ``CountStack.step`` and the
+    ``Controller`` interface: eight stack calls per slot (the buffer
+    difference, the five phases, occupancy and in-flight counts), one
+    whole-matrix capacity conversion, ``observe`` called for every
+    controller (so a controller whose ``observes`` is false yet reads
+    feedback makes the two loops differ), a branch for a forced action, and
+    the trace kept in ``rows`` as one tuple per slot, read off the
+    controller by ``getattr``.  ``run`` always steps this loop, open-loop
+    policies included."""
+
+    def run(self):
+        return self._run_loop()
 
     def _run_loop(self):
-        stack, controller, forced = self.stack, self.controller, self.forced_action
+        stack, controller = self.stack, self.controller
+        forced = self.plan.action if controller is None else None
         caps_by_slot = self.caps.T.tolist()
         burst = self.arrival_mode == "burst"
-        delivered, a_p, a_s, bs, trace_extra = [], [], [], [], []
+        delivered, a_p, a_s, bs = [], [], [], []
+        self.rows = [] if self.collect_trace else None
         completed, completion_slot = False, None
         for t in range(self.max_slots):
             caps_t = caps_by_slot[t]
@@ -259,7 +303,7 @@ class _PhaseLoop(Simulation):
             bs.append(b)
             if self.collect_trace:
                 gains = getattr(controller, "gains", None)
-                trace_extra.append((
+                self.rows.append((
                     tuple(occ), tuple(caps_t),
                     (gains.kp, gains.ki, gains.kd) if gains else (0.0, 0.0, 0.0),
                     float(getattr(controller, "g", 0.0)),
@@ -273,58 +317,120 @@ class _PhaseLoop(Simulation):
         return self._result(
             delivered=np.array(delivered, dtype=np.int64), a_p=np.array(a_p, dtype=np.int8),
             a_s=np.array(a_s, dtype=np.int8), b=np.array(bs, dtype=np.int64),
-            trace_extra=trace_extra, completed=completed, completion_slot=completion_slot)
+            occupancy=None, state=None, completed=completed, completion_slot=completion_slot)
 
 
 LOOP_POLICIES = ("fuzzy_pid", "nofuzzy_pid", "ltr", "qlearning", "scripted")
+ALL_POLICIES = LOOP_POLICIES + ("forced", "bwa", "stationary_k")
 
 
-def _loop_controller(policy, n_scc, d_xn, horizon, actions):
-    """A fresh closed-loop controller (or a scripted replay) for one run."""
+def _policy(policy, n_scc, d_xn, horizon, actions):
+    """Fresh ``Simulation`` policy arguments for one run: a closed-loop
+    controller, a scripted replay, an open-loop policy or a forced action
+    (the script's first)."""
+    if policy == "forced":
+        return {"forced_action": actions[0]}
     if policy == "fuzzy_pid":
-        return FuzzyPidController(horizon, n_scc)
-    if policy == "nofuzzy_pid":
-        return NoFuzzyController(horizon, n_scc)
-    if policy == "ltr":
-        return LtrController(n_scc, d_xn)
-    if policy == "qlearning":
-        return QLearningController(QTable(b_max=8, epsilon=0.2), make_rng(7, "q"))
-    return ScriptedController(actions)
+        controller = FuzzyPidController(horizon, n_scc)
+    elif policy == "nofuzzy_pid":
+        controller = NoFuzzyController(horizon, n_scc)
+    elif policy == "ltr":
+        controller = LtrController(n_scc, d_xn)
+    elif policy == "qlearning":
+        controller = QLearningController(QTable(b_max=8, epsilon=0.2), make_rng(7, "q"))
+    elif policy == "bwa":
+        controller = BwaController(70.0, [130.0 / n_scc] * n_scc)
+    elif policy == "stationary_k":
+        controller = StationaryKController(horizon % 5)
+    else:
+        controller = ScriptedController(actions)
+    return {"controller": controller}
+
+
+@st.composite
+def loop_runs(draw, n_scc, float_caps, collect_trace):
+    """``Simulation`` arguments, the policy's aside: capacities, arrivals,
+    Xn delay, preseed and stop; plus a horizon and an action script."""
+    n_car = 1 + n_scc
+    n_slots = draw(st.integers(0, 160))
+    values = (st.floats(0, 4, allow_nan=False) | st.sampled_from([0.5, 1.5, 2.0])
+              if float_caps else st.integers(0, 4))
+    caps = draw(arrays(np.float64 if float_caps else np.int64, (n_car, n_slots),
+                       elements=values))
+    kwargs = dict(l=draw(st.integers(1, 80)),
+                  arrival_mode=draw(st.sampled_from(["burst", "per_slot"])),
+                  arrival_rate=draw(st.integers(0, n_scc + 2)), n_scc=n_scc,
+                  d_xn=draw(st.integers(0, 3)), caps=caps, max_slots=n_slots,
+                  preseed_rlc=draw(st.none() | st.lists(
+                      st.integers(0, 6), min_size=n_car, max_size=n_car)),
+                  stop_on_complete=draw(st.booleans()), collect_trace=collect_trace)
+    horizon = draw(st.integers(2, 12))
+    actions = draw(st.lists(st.sampled_from([SplitAction(1, 0), SplitAction(0, 1),
+                                             SplitAction(1, 1), SplitAction(0, 0)]),
+                            min_size=1, max_size=30))
+    return kwargs, horizon, actions
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.sampled_from(LOOP_POLICIES), st.integers(1, 3), st.integers(0, 3),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.integers(1, 40))
-def test_slot_loop_matches_phase_reference(data, policy, n_scc, d_xn, burst, stop_on_complete,
-                                           collect_trace, float_caps, chunk):
+@given(st.data(), st.sampled_from(LOOP_POLICIES + ("forced",)), st.integers(1, 3),
+       st.booleans(), st.booleans(), st.integers(1, 40))
+def test_slot_loop_matches_phase_reference(data, policy, n_scc, collect_trace, float_caps,
+                                           chunk):
     """``Simulation.run`` stepping ``CountStack.step`` over capacity rows
     converted ``chunk`` slots at a time, observing only where the controller
     reads it, equals the per-phase reference loop: every ``RunResult`` field,
-    trace rows included, and the end state."""
-    n_car = 1 + n_scc
-    n_slots = data.draw(st.integers(0, 160))
-    values = (st.floats(0, 4, allow_nan=False) | st.sampled_from([0.5, 1.5, 2.0])
-              if float_caps else st.integers(0, 4))
-    caps = data.draw(arrays(np.float64 if float_caps else np.int64, (n_car, n_slots),
-                            elements=values))
-    horizon = data.draw(st.integers(2, 12))
-    actions = data.draw(st.lists(st.sampled_from([SplitAction(1, 0), SplitAction(0, 1),
-                                                  SplitAction(1, 1), SplitAction(0, 0)]),
-                                 min_size=1, max_size=30))
-    kwargs = dict(l=data.draw(st.integers(1, 80)),
-                  arrival_mode="burst" if burst else "per_slot",
-                  arrival_rate=data.draw(st.integers(0, n_scc + 2)), n_scc=n_scc, d_xn=d_xn,
-                  caps=caps, max_slots=n_slots,
-                  preseed_rlc=data.draw(st.none() | st.lists(
-                      st.integers(0, 6), min_size=n_car, max_size=n_car)),
-                  stop_on_complete=stop_on_complete, collect_trace=collect_trace)
-    sim = Simulation(controller=_loop_controller(policy, n_scc, d_xn, horizon, actions),
-                     **kwargs)
-    ref = _PhaseLoop(controller=_loop_controller(policy, n_scc, d_xn, horizon, actions),
-                     **kwargs)
+    trace rows included, and the end state.  A forced action steps the loop
+    as a ``ForcedController`` on float capacities and takes the closed form
+    on integer ones."""
+    kwargs, horizon, actions = data.draw(loop_runs(n_scc, float_caps, collect_trace))
+    d_xn = kwargs["d_xn"]
+    sim = Simulation(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
+    ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
     with mock.patch.object(engine, "CAPS_CHUNK", chunk):
         got = sim.run()
     _assert_same_run(sim, got, ref, ref.run())
+
+
+def _write_trace_rows(path, result, rows, n_scc):
+    """``trace.write_trace`` as it stood when a run kept its trace as one
+    tuple per slot: the reference the column writer is checked against."""
+    lines = [",".join(trace.trace_columns(n_scc))]
+    for t in range(result.t_slots):
+        occ, caps, gains, g, k, mode = rows[t]
+        row = [str(t), str(int(result.b[t])), str(int(result.a_p[t])),
+               str(int(result.a_s[t]))]
+        row += [str(int(x)) for x in occ]
+        row += [str(int(x)) for x in caps]
+        row += [str(int(result.delivered[t]))]
+        row += [trace._f(gains[0]), trace._f(gains[1]), trace._f(gains[2]), trace._f(g),
+                str(k), mode]
+        lines.append(",".join(row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(ALL_POLICIES), st.integers(1, 3), st.booleans())
+def test_column_writer_matches_row_writer(data, policy, n_scc, float_caps):
+    """For a run of every policy, forced actions, open-loop closed forms and
+    float capacities included, ``trace.write_trace`` formatting whole
+    columns writes the same bytes as the row-by-row writer over the per-phase
+    reference loop's trace rows."""
+    kwargs, horizon, actions = data.draw(loop_runs(n_scc, float_caps, True))
+    d_xn = kwargs["d_xn"]
+    got = Simulation(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs).run()
+    ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
+    want = ref.run()
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+        trace.write_trace(new, got, n_scc)
+        _write_trace_rows(old, want, ref.rows, n_scc)
+        assert new.read_bytes() == old.read_bytes()
+
+
+def test_float_column_tells_values_apart_by_bits():
+    """Each float is formatted as itself: 0.0 and -0.0, and NaN, included."""
+    values = [0.1, 0.0, -0.0, float("nan"), 0.1 + 0.2, 1e-7, -0.0, 123456789.0, 0.1]
+    assert trace._formatted(np.array(values), trace._f) == [trace._f(x) for x in values]
 
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
@@ -355,6 +461,21 @@ def test_negative_capacity_is_refused(slot, l):
     for policy in ("fuzzy_pid", "bwa"):
         with pytest.raises(ValueError, match="capacity must be non-negative"):
             build_run(cfg, RunMode.CA, caps=caps, policy=policy).run()
+
+
+@pytest.mark.parametrize("policy", ["forced", "bwa", "fuzzy_pid"])
+@pytest.mark.parametrize("arrivals", [dict(arrival_mode="burst", l=-3, arrival_rate=0),
+                                      dict(arrival_mode="per_slot", l=1, arrival_rate=-1)])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_negative_arrivals_are_refused(policy, arrivals, dtype):
+    """A negative burst or per-slot rate raises on every path: forced and
+    bwa runs take the closed form on integer capacities and the loop on
+    float ones, fuzzy_pid always steps the loop."""
+    run = _policy(policy, 1, 0, 4, [SplitAction(1, 1)])
+    sim = Simulation(n_scc=1, d_xn=0, caps=np.ones((2, 5), dtype=dtype), max_slots=5,
+                     **run, **arrivals)
+    with pytest.raises(ValueError, match="arrivals must be non-negative"):
+        sim.run()
 
 
 @pytest.mark.parametrize("policy, closed_form", [

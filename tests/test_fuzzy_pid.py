@@ -135,7 +135,7 @@ def fresh(n=8, n_scc=2, **cfg_overrides):
 def test_stage_one_both_active():
     c = fresh(n=8)
     assert c.decide(3, 55) == ACTIVE_BOTH
-    assert c.phase == "init"
+    assert c.mode == "init"
 
 
 def test_stage_one_regardless_of_buffer():
@@ -174,7 +174,7 @@ def test_complementarity_after_stage_one():
         b = int(rng.integers(-60, 8))
         action = c.decide(t, b)
         if t > 8:
-            assert action.complementary
+            assert action.a_s == 1 - action.a_p
 
 
 def test_gain_update_cadence_only_window_boundaries():

@@ -135,13 +135,18 @@ def test_missing_section_is_config_error(tmp_path):
         sc.from_file(path)
 
 
-def test_metadata_rows_survive_round_trip(tmp_path):
+def test_old_metadata_section_is_ignored(tmp_path):
+    """``to_file`` writes no ``[metadata]`` section, and a file from before
+    that still has one loads to the same config as the file without it."""
     cfg = default_static_scenario(1)
-    path = tmp_path / "meta.ini"
+    path = tmp_path / "scenario.ini"
     sc.to_file(cfg, path)
-    loaded = sc.from_file(path)
-    assert loaded.metadata["tcp_congestion_control"] == "NewReno"
-    assert loaded.metadata["xn_link_data_rate"] == "1Gbps"
+    text = path.read_text(encoding="utf-8")
+    assert "[metadata]" not in text
+    old = tmp_path / "old.ini"
+    old.write_text(text + "[metadata]\ntcp_congestion_control = NewReno\n"
+                   "xn_link_data_rate = 1Gbps\n", encoding="utf-8")
+    assert sc.from_file(old) == sc.from_file(path) == cfg
 
 
 def test_config_round_trip_orders_sccs_numerically(tmp_path):
