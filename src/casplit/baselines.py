@@ -20,6 +20,7 @@ from casplit.fuzzy_pid import (
     SCC_ONLY_ACTION,
     NoFuzzyController,
 )
+from casplit.stack import CountStack
 
 __all__ = [
     "BwaController",
@@ -76,7 +77,10 @@ class LtrController(Controller):
 
     The estimate uses only state visible at the PDCP host: per-carrier RLC
     occupancy, packets in flight on the Xn link, the known Xn delay, and an
-    exponentially averaged recent service rate.  Ties go to the PCC.
+    exponentially averaged recent service rate.  ``observe`` updates the
+    rates from the slot's served counts, reads the counts off the stack and
+    picks the next slot's action, which ``decide`` returns.  Ties go to the
+    PCC, so before any feedback (all queues empty) the action is the PCC.
     """
 
     name = "ltr"
@@ -92,28 +96,28 @@ class LtrController(Controller):
         self.d_xn = d_xn
         self.eps_rate = eps_rate
         self.smoothing = smoothing
+        self._keep = 1 - smoothing
         self.rates = [1.0] * (1 + n_scc)
-        self._occ = [0] * (1 + n_scc)
-        self._inflight = [0] * n_scc
-
-    def delay_estimates(self) -> list[float]:
-        est = [self._occ[0] / max(self.rates[0], self.eps_rate)]
-        for s in range(self.n_scc):
-            backlog = self._occ[1 + s] + self._inflight[s] + self.d_xn
-            est.append(backlog / max(self.rates[1 + s], self.eps_rate))
-        return est
+        self._action = PCC_ONLY_ACTION
 
     def decide(self, t: int, b: int) -> SplitAction:
-        est = self.delay_estimates()
-        a_p = 1 if est[0] <= min(est[1:]) else 0
-        return SplitAction(a_p, 1 - a_p)
+        return self._action
 
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
-        a = self.smoothing
-        for c, served in enumerate(delivered):
-            self.rates[c] = (1 - a) * self.rates[c] + a * served
-        self._occ = list(rlc_occ)
-        self._inflight = list(inflight)
+    def observe(self, t: int, served: list, stack: CountStack) -> None:
+        a, keep, eps, d = self.smoothing, self._keep, self.eps_rate, self.d_xn
+        rates = self.rates
+        for c, n in enumerate(served):
+            rates[c] = keep * rates[c] + a * n
+        rlc = stack.rlc
+        # The smallest SCC estimate as ``min`` finds it (the first, replaced
+        # only on ``<``), so the choice is ``pcc <= min(scc_estimates)``.
+        best = None
+        for s, n in enumerate(stack.xn_inflight(), 1):
+            est = (rlc[s] + n + d) / max(rates[s], eps)
+            if best is None or est < best:
+                best = est
+        self._action = (PCC_ONLY_ACTION if rlc[0] / max(rates[0], eps) <= best
+                        else SCC_ONLY_ACTION)
 
 
 @dataclass
@@ -139,10 +143,23 @@ class QTable:
         if self.values is None:
             self.values = np.zeros((self.n_bins, 2))
 
-    def bucket(self, b: int) -> int:
+        # The bucket of every integer in [-b_max, b_max], by the formula.
+        self._buckets = [self._bucket(x) for x in range(-self.b_max, self.b_max + 1)]
+
+    def _bucket(self, b) -> int:
+        """The bucket formula, for any real ``b``."""
         x = min(max(b, -self.b_max), self.b_max)
         frac = (x + self.b_max) / (2 * self.b_max)
         return min(int(frac * self.n_bins), self.n_bins - 1)
+
+    def bucket(self, b: int | float) -> int:
+        """The state of buffer difference ``b``, clamped to ``[-b_max, b_max]``:
+        a lookup for an ``int``, the formula for anything else (float counts
+        under float capacities)."""
+        if type(b) is not int:
+            return self._bucket(b)
+        bm = self.b_max
+        return self._buckets[min(max(b, -bm), bm) + bm]
 
 
 class QLearningController(Controller):
@@ -172,13 +189,11 @@ class QLearningController(Controller):
         self._pending = (s, a)
         return PCC_ONLY_ACTION if a == 0 else SCC_ONLY_ACTION
 
-    def observe(self, t, delivered, rlc_occ, inflight) -> None:
+    def observe(self, t: int, served: list, stack: CountStack) -> None:
         if self._pending is None:
             return
         s, a = self._pending
-        reward = sum(delivered)
-        b_next = rlc_occ[0] - sum(rlc_occ[1:])
-        self.update(s, a, reward, self.table.bucket(b_next))
+        self.update(s, a, sum(served), self.table.bucket(stack.buffer_difference()))
         self._pending = None
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:

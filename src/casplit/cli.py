@@ -61,6 +61,15 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _check_list(option: str, values: list, text: str) -> None:
+    """A comma separated option names at least one value, each once: a
+    repeated one would write its summary rows twice and overwrite its traces."""
+    if not values:
+        raise sc.ConfigError(f"{option}: expected at least one value, got {text!r}")
+    if len(set(values)) != len(values):
+        raise sc.ConfigError(f"{option}: each value may appear once, got {text!r}")
+
+
 def _cmd_run(args) -> int:
     cfg = sc.from_file(args.config)
     try:
@@ -68,6 +77,9 @@ def _cmd_run(args) -> int:
     except ValueError:
         raise sc.ConfigError(f"--seeds: expected comma separated integers, "
                              f"got {args.seeds!r}") from None
+    _check_list("--seeds", seeds, args.seeds)
+    if min(seeds) < 0:
+        raise sc.ConfigError(f"--seeds: seeds must be non-negative, got {args.seeds!r}")
     modes = []
     for m in args.mode.split(","):
         m = m.strip()
@@ -77,6 +89,7 @@ def _cmd_run(args) -> int:
             modes.append(RunMode(m))
         except ValueError:
             raise sc.ConfigError(f"--mode: unknown mode {m!r} (use ca,pcc,scc)")
+    _check_list("--mode", modes, args.mode)
     policies = [args.policy] if args.policy else None
     if policies and policies[0] not in sc.POLICIES:
         raise sc.ConfigError(f"--policy: unknown policy {policies[0]!r}")

@@ -6,10 +6,11 @@ as a ``ForcedController``), then executes the fixed per-slot phase order.
 Channel sampling is precomputed outside the loop (phase 1 logically,
 vectorized physically) so each slot of the loop is one ``decide``, one
 ``CountStack.step`` (the whole queue transition) and, for a controller
-whose ``observes`` is true, one ``observe``.  Capacity rows become Python
-numbers ``CAPS_CHUNK`` slots at a time, so a run that completes early
-converts only what it reaches.  The same loop serves the η runs, oracle
-witness replay and the window-identity check.
+whose ``observes`` is true, one ``observe`` given the slot's served counts
+and the stack itself, so a controller pays only for the state it reads.
+Capacity rows become Python numbers ``CAPS_CHUNK`` slots at a time, so a
+run that completes early converts only what it reaches.  The same loop
+serves the η runs, oracle witness replay and the window-identity check.
 
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
@@ -182,7 +183,7 @@ class Simulation:
             arrivals = (target if t == 0 else 0) if burst else rate
             served = step(t, arrivals, action.a_p, action.a_s, caps_t)
             if observe is not None:
-                observe(t, served, list(rlc), stack.xn_inflight())
+                observe(t, served, stack)
 
             delivered_hist.append(sum(served))
             ap_hist.append(action.a_p)

@@ -36,6 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+from casplit.stack import CountStack
+
 
 @dataclass(frozen=True)
 class SplitAction:
@@ -51,9 +53,10 @@ class SplitAction:
 
 class Controller:
     """A splitting policy as the engine drives it: ``decide`` each slot from
-    the buffer difference; ``observe`` the slot's served, RLC and Xn
-    in-flight counts, only if ``observes`` is true; ``trace_state``, the
-    trace's controller columns (PID gains, PID value, spacing k, mode)."""
+    the buffer difference; ``observe(t, served, stack)`` after the slot, only
+    if ``observes`` is true, with the packets served per carrier and the
+    run's ``CountStack``, which it reads and never writes; ``trace_state``,
+    the trace's controller columns (PID gains, PID value, spacing k, mode)."""
 
     name: str
     observes = False
@@ -61,8 +64,7 @@ class Controller:
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError
 
-    def observe(self, t: int, delivered: list[int], rlc_occ: list[int],
-                inflight: list[int]) -> None:
+    def observe(self, t: int, served: list, stack: CountStack) -> None:
         pass
 
     def trace_state(self) -> tuple[float, float, float, float, int, str]:
@@ -199,7 +201,8 @@ def schedule_action(t: int, n: int, k: int, g: float) -> SplitAction:
     rounded impulse count ``g_int = clamp(round(g), 0, (n-1)//k)``.  In the
     first segment (``r <= g_int*k``) the PCC fires on multiples of ``k``;
     beyond it the PCC fires on multiples of ``k+1``.  All other slots go to
-    the SCC group.
+    the SCC group.  Returns the shared ``PCC_ONLY_ACTION`` or
+    ``SCC_ONLY_ACTION``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -211,7 +214,7 @@ def schedule_action(t: int, n: int, k: int, g: float) -> SplitAction:
         a_p = 1 if (r % k == 0 and 1 <= r // k <= g_int) else 0
     else:
         a_p = 1 if (r % (k + 1) == 0 and r >= k + 1) else 0
-    return SplitAction(a_p, 1 - a_p)
+    return PCC_ONLY_ACTION if a_p else SCC_ONLY_ACTION
 
 
 class FuzzyPidController(Controller):

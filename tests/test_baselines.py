@@ -12,6 +12,7 @@ from casplit.baselines import (
 from casplit.core import make_rng
 from casplit.engine import Simulation
 from casplit.fuzzy_pid import SplitAction
+from casplit.stack import CountStack
 
 P = SplitAction(1, 0)
 S = SplitAction(0, 1)
@@ -65,30 +66,43 @@ def test_bwa_complementary():
 
 
 def test_ltr_prefers_lowest_delay():
-    c = LtrController(n_scc=2, d_xn=2)
-    c._occ = [3, 5, 5]
-    c.rates = [1.0, 1.0, 1.0]
-    assert c.decide(0, 0) == P  # 3 < 5+2
+    c = LtrController(n_scc=2, d_xn=2, smoothing=0.0)  # rates stay 1.0
+    c.observe(0, [0, 0, 0], CountStack(2, 2, preseed_rlc=[3, 5, 5]))
+    assert c.rates == [1.0, 1.0, 1.0]
+    assert c.decide(1, 0) == P  # 3 < 5+2
 
 
 def test_ltr_tie_goes_to_pcc():
-    c = LtrController(n_scc=1, d_xn=0)
-    c._occ = [2, 2]
-    c.rates = [1.0, 1.0]
-    assert c.decide(0, 0) == P
+    c = LtrController(n_scc=1, d_xn=0, smoothing=0.0)
+    assert c.decide(0, 0) == P  # no feedback yet: every queue empty
+    c.observe(0, [0, 0], CountStack(1, 0, preseed_rlc=[2, 2]))
+    assert c.decide(1, 0) == P
 
 
 def test_ltr_pcc_outage_pushes_to_scc():
-    c = LtrController(n_scc=1, d_xn=0, eps_rate=0.05)
-    c._occ = [4, 1]
-    c.rates = [0.0, 1.0]  # PCC service collapsed
-    assert c.decide(0, 0) == S
+    c = LtrController(n_scc=1, d_xn=0, eps_rate=0.05, smoothing=1.0)
+    c.observe(0, [0, 1], CountStack(1, 0, preseed_rlc=[4, 1]))
+    assert c.rates == [0.0, 1.0]  # PCC service collapsed
+    assert c.decide(1, 0) == S
+
+
+def test_ltr_counts_xn_inflight_packets():
+    """SCC packets still on the Xn link count toward the SCC's backlog."""
+    stack = CountStack(1, 3, preseed_rlc=[2, 0])
+    stack.pdcp_ingest(3)
+    for t in range(3):
+        stack.pdcp_dispatch(0, 1, t)
+    assert stack.xn_inflight() == [3]
+    c = LtrController(n_scc=1, d_xn=0, smoothing=0.0)
+    c.observe(0, [0, 0], stack)
+    assert c.decide(1, 0) == P  # 2 < 0 + 3
 
 
 def test_ltr_rate_tracking():
     c = LtrController(n_scc=1, d_xn=0, smoothing=0.5)
-    c.observe(0, [2, 0], [0, 0], [0])
-    c.observe(1, [2, 0], [0, 0], [0])
+    stack = CountStack(1, 0)
+    c.observe(0, [2, 0], stack)
+    c.observe(1, [2, 0], stack)
     assert c.rates[0] > 1.0 and c.rates[1] < 1.0
 
 
@@ -109,12 +123,14 @@ def test_qlearning_values_bounded():
     table = QTable(epsilon=0.2, learn_rate=0.5, discount=0.9)
     c = QLearningController(table, make_rng(1, "q"))
     rng = make_rng(2, "env")
+    stack = CountStack(2, 0)
     r_max = 5.0
     for t in range(5000):
         c.decide(t, int(rng.integers(-96, 97)))
         delivered = [int(rng.integers(0, 3)), int(rng.integers(0, 2)),
                      int(rng.integers(0, 2))]
-        c.observe(t, delivered, [int(rng.integers(0, 9)) for _ in range(3)], [0, 0])
+        stack.rlc[:] = [int(rng.integers(0, 9)) for _ in range(3)]
+        c.observe(t, delivered, stack)
     assert np.max(np.abs(table.values)) <= r_max / (1 - table.discount) + 1e-9
 
 

@@ -278,8 +278,26 @@ def test_nofuzzy_pid_accepts_zero_membership_widths(tmp_path):
 
 
 def test_run_rejects_malformed_seeds(tiny_config, tmp_path, capsys):
+    """Not an integer, negative, repeated or none at all: exit 1 naming
+    ``--seeds``, before any file is written."""
     path, _ = tiny_config
-    code = run_cli("run", "--config", str(path), "--seeds", "1,x",
-                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    out = tmp_path / "o"
+    for seeds in ("1,x", "-1", "1,1", ",", ""):
+        code = run_cli("run", "--config", str(path), "--seeds", seeds,
+                       "--mode", "ca", "--out", str(out))
+        assert code == 1, seeds
+        assert "--seeds" in capsys.readouterr().err, seeds
+        assert not out.exists(), seeds
+
+
+@pytest.mark.parametrize("mode", [",", "", "ca,ca", "ca,pcc,ca"])
+def test_run_rejects_empty_or_repeated_modes(tiny_config, tmp_path, capsys, mode):
+    """No mode or a repeated one exits 1 naming ``--mode``, before any file
+    is written; a header-only ``summary.csv`` is not a result."""
+    path, _ = tiny_config
+    out = tmp_path / "o"
+    code = run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", mode, "--out", str(out))
     assert code == 1
-    assert "--seeds" in capsys.readouterr().err
+    assert "--mode" in capsys.readouterr().err
+    assert not out.exists()

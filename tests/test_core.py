@@ -13,7 +13,7 @@ from casplit.baselines import (BwaController, ForcedController, LtrController, Q
                                QTable, StationaryKController)
 from casplit.core import make_rng
 from casplit.engine import RunResult, Simulation
-from casplit.fuzzy_pid import (SCC_ONLY_ACTION, Controller, FuzzyPidController,
+from casplit.fuzzy_pid import (PCC_ONLY_ACTION, SCC_ONLY_ACTION, Controller, FuzzyPidController,
                                NoFuzzyController, SplitAction)
 from casplit.oracle import ScriptedController
 from casplit.scenario import (RunMode, build_caps, build_run, default_static_scenario,
@@ -269,7 +269,9 @@ class _PhaseLoop(Simulation):
     feedback makes the two loops differ), a branch for a forced action, and
     the trace kept in ``rows`` as one tuple per slot, read off the
     controller by ``getattr``.  ``run`` always steps this loop, open-loop
-    policies included."""
+    policies included.  The test-side ltr and qlearning references
+    (``_reference``) get the old ``observe(t, served, occ, inflight)``;
+    every other controller gets ``observe(t, served, stack)``."""
 
     def run(self):
         return self._run_loop()
@@ -295,8 +297,10 @@ class _PhaseLoop(Simulation):
             n_rx = stack.ue_receive(served)
             occ = stack.rlc_occupancy()
             inflight = stack.xn_inflight()
-            if controller is not None:
+            if isinstance(controller, LEGACY_OBSERVERS):
                 controller.observe(t, served, occ, inflight)
+            elif controller is not None:
+                controller.observe(t, served, stack)
             delivered.append(n_rx)
             a_p.append(action.a_p)
             a_s.append(action.a_s)
@@ -320,14 +324,119 @@ class _PhaseLoop(Simulation):
             occupancy=None, state=None, completed=completed, completion_slot=completion_slot)
 
 
+def _bucket_formula(table, b):
+    """``QTable.bucket`` as it stood before the lookup list: the formula."""
+    x = min(max(b, -table.b_max), table.b_max)
+    frac = (x + table.b_max) / (2 * table.b_max)
+    return min(int(frac * table.n_bins), table.n_bins - 1)
+
+
+class _LegacyLtr(Controller):
+    """``LtrController`` as it stood before ``observe`` read the stack: the
+    engine handed it copies of the RLC and Xn in-flight counts, and
+    ``decide`` built the delay estimates and a new action every slot."""
+
+    name = "ltr"
+    observes = True
+
+    def __init__(self, n_scc, d_xn, eps_rate=0.05, smoothing=0.05):
+        self.n_scc = n_scc
+        self.d_xn = d_xn
+        self.eps_rate = eps_rate
+        self.smoothing = smoothing
+        self.rates = [1.0] * (1 + n_scc)
+        self._occ = [0] * (1 + n_scc)
+        self._inflight = [0] * n_scc
+
+    def delay_estimates(self):
+        est = [self._occ[0] / max(self.rates[0], self.eps_rate)]
+        for s in range(self.n_scc):
+            backlog = self._occ[1 + s] + self._inflight[s] + self.d_xn
+            est.append(backlog / max(self.rates[1 + s], self.eps_rate))
+        return est
+
+    def decide(self, t, b):
+        est = self.delay_estimates()
+        a_p = 1 if est[0] <= min(est[1:]) else 0
+        return SplitAction(a_p, 1 - a_p)
+
+    def observe(self, t, delivered, rlc_occ, inflight):
+        a = self.smoothing
+        for c, served in enumerate(delivered):
+            self.rates[c] = (1 - a) * self.rates[c] + a * served
+        self._occ = list(rlc_occ)
+        self._inflight = list(inflight)
+
+
+class _LegacyQLearning(QLearningController):
+    """``QLearningController`` as it stood before the bucket lookup list and
+    ``observe`` reading the stack: the formula twice a slot, and the next
+    state from a copy of the RLC counts."""
+
+    def decide(self, t, b):
+        s = _bucket_formula(self.table, b)
+        if self.table.epsilon > 0 and self.rng.random() < self.table.epsilon:
+            a = int(self.rng.integers(2))
+        else:
+            q = self.table.values
+            a = 1 if q.item(s, 1) > q.item(s, 0) else 0
+        self._pending = (s, a)
+        return PCC_ONLY_ACTION if a == 0 else SCC_ONLY_ACTION
+
+    def observe(self, t, delivered, rlc_occ, inflight):
+        if self._pending is None:
+            return
+        s, a = self._pending
+        reward = sum(delivered)
+        b_next = rlc_occ[0] - sum(rlc_occ[1:])
+        self.update(s, a, reward, _bucket_formula(self.table, b_next))
+        self._pending = None
+
+
+LEGACY_OBSERVERS = (_LegacyLtr, _LegacyQLearning)
+
+
+def _reference(controller):
+    """The test-side reference of an observing controller, in the same state
+    and with the same parameters, table and random stream; any other
+    controller as it is."""
+    if isinstance(controller, LtrController):
+        return _LegacyLtr(controller.n_scc, controller.d_xn, controller.eps_rate,
+                          controller.smoothing)
+    if isinstance(controller, QLearningController):
+        return _LegacyQLearning(controller.table, controller.rng)
+    return controller
+
+
+def _assert_same_learning(new, old):
+    """Bit-equal learned state: ltr's rates, qlearning's Q table."""
+    if isinstance(new, LtrController):
+        assert [x.hex() for x in new.rates] == [x.hex() for x in old.rates]
+    if isinstance(new, QLearningController):
+        assert new.table.values.tobytes() == old.table.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 200), st.data())
+def test_bucket_lookup_matches_formula(n_bins, b_max, data):
+    """The lookup list gives the formula's bucket for every integer in
+    ``[-3 b_max, 3 b_max]``, and a float takes the formula itself."""
+    table = QTable(n_bins=n_bins, b_max=b_max)
+    for b in range(-3 * b_max, 3 * b_max + 1):
+        assert table.bucket(b) == _bucket_formula(table, b), b
+    x = data.draw(st.floats(-4.0 * b_max, 4.0 * b_max, allow_nan=False))
+    assert table.bucket(x) == _bucket_formula(table, x), x
+
+
 LOOP_POLICIES = ("fuzzy_pid", "nofuzzy_pid", "ltr", "qlearning", "scripted")
 ALL_POLICIES = LOOP_POLICIES + ("forced", "bwa", "stationary_k")
 
 
-def _policy(policy, n_scc, d_xn, horizon, actions):
+def _policy(policy, n_scc, d_xn, horizon, actions, reference=False):
     """Fresh ``Simulation`` policy arguments for one run: a closed-loop
     controller, a scripted replay, an open-loop policy or a forced action
-    (the script's first)."""
+    (the script's first); with ``reference``, ltr and qlearning as their
+    test-side references."""
     if policy == "forced":
         return {"forced_action": actions[0]}
     if policy == "fuzzy_pid":
@@ -344,7 +453,7 @@ def _policy(policy, n_scc, d_xn, horizon, actions):
         controller = StationaryKController(horizon % 5)
     else:
         controller = ScriptedController(actions)
-    return {"controller": controller}
+    return {"controller": _reference(controller) if reference else controller}
 
 
 @st.composite
@@ -379,16 +488,20 @@ def test_slot_loop_matches_phase_reference(data, policy, n_scc, collect_trace, f
     """``Simulation.run`` stepping ``CountStack.step`` over capacity rows
     converted ``chunk`` slots at a time, observing only where the controller
     reads it, equals the per-phase reference loop: every ``RunResult`` field,
-    trace rows included, and the end state.  A forced action steps the loop
+    trace rows included, and the end state.  ltr and qlearning read the stack
+    in ``observe`` and are checked against their test-side references, fed
+    copied counts, learned state included.  A forced action steps the loop
     as a ``ForcedController`` on float capacities and takes the closed form
     on integer ones."""
     kwargs, horizon, actions = data.draw(loop_runs(n_scc, float_caps, collect_trace))
     d_xn = kwargs["d_xn"]
     sim = Simulation(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
-    ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
+    ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions, reference=True),
+                     **kwargs)
     with mock.patch.object(engine, "CAPS_CHUNK", chunk):
         got = sim.run()
     _assert_same_run(sim, got, ref, ref.run())
+    _assert_same_learning(sim.controller, ref.controller)
 
 
 def _write_trace_rows(path, result, rows, n_scc):
@@ -418,7 +531,8 @@ def test_column_writer_matches_row_writer(data, policy, n_scc, float_caps):
     kwargs, horizon, actions = data.draw(loop_runs(n_scc, float_caps, True))
     d_xn = kwargs["d_xn"]
     got = Simulation(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs).run()
-    ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
+    ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions, reference=True),
+                     **kwargs)
     want = ref.run()
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
@@ -436,17 +550,19 @@ def test_float_column_tells_values_apart_by_bits():
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_slot_loop_matches_phase_reference_across_chunks(policy):
     """A static burst run of each closed-loop policy completes several
-    ``CAPS_CHUNK`` slots in and matches the per-phase reference loop."""
+    ``CAPS_CHUNK`` slots in and matches the per-phase reference loop, ltr
+    and qlearning against their test-side references."""
     cfg = default_static_scenario(2).copy(l=2500, max_slots=8 * engine.CAPS_CHUNK)
     caps = build_caps(cfg)
     kwargs = dict(l=cfg.l, arrival_mode="burst", arrival_rate=0, n_scc=2, d_xn=cfg.d_xn,
                   caps=caps, max_slots=cfg.max_slots, collect_trace=True)
     sim = Simulation(controller=make_controller(cfg, policy=policy), **kwargs)
-    ref = _PhaseLoop(controller=make_controller(cfg, policy=policy), **kwargs)
+    ref = _PhaseLoop(controller=_reference(make_controller(cfg, policy=policy)), **kwargs)
     got = sim.run()
     assert got.completed and got.completion_slot > 2 * engine.CAPS_CHUNK
     assert got.completion_slot % engine.CAPS_CHUNK  # mid-chunk, not on an edge
     _assert_same_run(sim, got, ref, ref.run())
+    _assert_same_learning(sim.controller, ref.controller)
 
 
 @pytest.mark.parametrize("slot", [5, engine.CAPS_CHUNK + 5])
@@ -509,3 +625,22 @@ def test_only_open_loop_runs_skip_the_slot_loop(policy, closed_form):
         assert result.t_slots > 0
         steps = 0 if closed_form else result.t_slots
         assert calls == {**dict.fromkeys(PHASES, 0), "step": steps}, (policy, mode)
+
+
+@pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
+def test_only_ltr_sums_the_xn_ring_per_slot(policy):
+    """``stack.xn_inflight`` sums the Xn ring columns.  ltr reads it once a
+    slot in ``observe``; the other closed-loop policies never do, so only
+    the end-of-run call in ``_result`` is left."""
+    cfg = default_static_scenario(2).copy(l=300, max_slots=400)
+    sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
+    calls = []
+    method = sim.stack.xn_inflight
+
+    def counted():
+        calls.append(None)
+        return method()
+    sim.stack.xn_inflight = counted
+    result = sim.run()
+    assert result.t_slots > 100
+    assert len(calls) == (result.t_slots if policy == "ltr" else 0) + 1
