@@ -17,7 +17,7 @@ from casplit.fuzzy_pid import (
     update_gains,
 )
 from casplit.scenario import ScenarioConfig, RunMode, build_run
-from casplit.metrics import RunSummary, EtaReport, utilization_ratio, buffer_throughput_correlation
+from casplit.metrics import EtaReport, utilization_ratio, buffer_throughput_correlation
 
 __all__ = [
     "make_rng",
@@ -40,7 +40,6 @@ __all__ = [
     "ScenarioConfig",
     "RunMode",
     "build_run",
-    "RunSummary",
     "EtaReport",
     "utilization_ratio",
     "buffer_throughput_correlation",

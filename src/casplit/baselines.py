@@ -143,21 +143,14 @@ class QTable:
         if self.values is None:
             self.values = np.zeros((self.n_bins, 2))
 
-        # The bucket of every integer in [-b_max, b_max], by the formula.
-        self._buckets = [self._bucket(x) for x in range(-self.b_max, self.b_max + 1)]
+        # The bucket of every integer x in [-b_max, b_max]: n_bins equal
+        # bins over the range, the top edge in the last.
+        bm, n = self.b_max, self.n_bins
+        self._buckets = [min(int((x + bm) / (2 * bm) * n), n - 1) for x in range(-bm, bm + 1)]
 
-    def _bucket(self, b) -> int:
-        """The bucket formula, for any real ``b``."""
-        x = min(max(b, -self.b_max), self.b_max)
-        frac = (x + self.b_max) / (2 * self.b_max)
-        return min(int(frac * self.n_bins), self.n_bins - 1)
-
-    def bucket(self, b: int | float) -> int:
-        """The state of buffer difference ``b``, clamped to ``[-b_max, b_max]``:
-        a lookup for an ``int``, the formula for anything else (float counts
-        under float capacities)."""
-        if type(b) is not int:
-            return self._bucket(b)
+    def bucket(self, b: int) -> int:
+        """The state of integer buffer difference ``b``, clamped to
+        ``[-b_max, b_max]``: one lookup in the list built at construction."""
         bm = self.b_max
         return self._buckets[min(max(b, -bm), bm) + bm]
 

@@ -51,6 +51,11 @@ class CarrierConfig:
         # prefixes it with the carrier section.
         if self.kind not in (PCC, SCC):
             raise ValueError(f"kind must be 'pcc' or 'scc', got {self.kind!r}")
+        # ``not x > 0`` refuses NaN too.
+        if not self.frequency_ghz > 0:
+            raise ValueError(f"frequency_ghz must be positive, got {self.frequency_ghz!r}")
+        if not self.bandwidth_mhz > 0:
+            raise ValueError(f"bandwidth_mhz must be positive, got {self.bandwidth_mhz!r}")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.sigma2 < 0:

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from casplit import scenario as sc
-from casplit.experiments import ExperimentSpec, figure_suites, run_experiment
+from casplit.experiments import FIGURE_SUITES, ExperimentSpec, run_experiment
 from casplit.fuzzy_pid import SplitAction
 from casplit.oracle import TinyInstance, brute_force_min_T, replay_witness, \
     verify_nstep_identity
@@ -51,7 +51,7 @@ def _parse_args(argv):
 
     p_suite = sub.add_parser("suite", help="run a named figure preset")
     p_suite.add_argument("--name", required=True,
-                         help="|".join(sorted(figure_suites())))
+                         help="|".join(sorted(FIGURE_SUITES)))
     p_suite.add_argument("--out", required=True)
 
     p_oracle = sub.add_parser("oracle", help="brute-force a tiny instance file")
@@ -101,13 +101,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    suites = figure_suites()
-    if args.name not in suites:
+    if args.name not in FIGURE_SUITES:
         raise sc.ConfigError(
-            f"--name: unknown suite {args.name!r} (known: {sorted(suites)})")
+            f"--name: unknown suite {args.name!r} (known: {sorted(FIGURE_SUITES)})")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    suites[args.name](out)
+    FIGURE_SUITES[args.name](out)
     return EXIT_OK
 
 

@@ -1,14 +1,15 @@
 """Single-run simulation loop.
 
 A run wires a workload, a count-level ``CountStack``, precomputed per-slot
-carrier capacities and one ``fuzzy_pid.Controller`` (a forced action runs
-as a ``ForcedController``), then executes the fixed per-slot phase order.
+carrier capacities (integer packet counts; ``Simulation`` refuses any other
+dtype) and one ``fuzzy_pid.Controller`` (a forced action runs as a
+``ForcedController``), then executes the fixed per-slot phase order.
 Channel sampling is precomputed outside the loop (phase 1 logically,
 vectorized physically) so each slot of the loop is one ``decide``, one
 ``CountStack.step`` (the whole queue transition) and, for a controller
 whose ``observes`` is true, one ``observe`` given the slot's served counts
 and the stack itself, so a controller pays only for the state it reads.
-Capacity rows become Python numbers ``CAPS_CHUNK`` slots at a time, so a
+Capacity rows become Python ints ``CAPS_CHUNK`` slots at a time, so a
 run that completes early converts only what it reaches.  The same loop
 serves the η runs, oracle witness replay and the window-identity check.
 
@@ -45,6 +46,7 @@ class RunResult:
     mode: str
     policy: str
     seed: int
+    scenario: str  # the run label η pairs runs by, with the seed
     l: int
     arrival_mode: str
     t_slots: int
@@ -84,7 +86,7 @@ class RunResult:
 
 
 def _cap_rows(caps: np.ndarray, n_slots: int):
-    """Each slot's carrier capacities as Python numbers, one chunk of
+    """Each slot's carrier capacities as Python ints, one chunk of
     ``CAPS_CHUNK`` slots at a time, so a run that stops early converts only
     the chunks it reaches."""
     for start in range(0, n_slots, CAPS_CHUNK):
@@ -93,20 +95,23 @@ def _cap_rows(caps: np.ndarray, n_slots: int):
 
 class Simulation:
     """One deterministic run over at most ``max_slots`` slots; ``controller``
-    stays None for a forced action."""
+    stays None for a forced action.  ``mode``, ``policy``, ``seed`` and
+    ``scenario`` label the result."""
 
     def __init__(self, *, l: int, arrival_mode: str, arrival_rate: int,
                  n_scc: int, d_xn: int, caps: np.ndarray, controller: Controller | None = None,
                  forced_action: SplitAction | None = None, max_slots: int,
                  preseed_rlc: list[int] | None = None, collect_trace: bool = False,
                  stop_on_complete: bool = True, mode: str = "ca",
-                 policy: str = "", seed: int = 0):
+                 policy: str = "", seed: int = 0, scenario: str = ""):
         if (controller is None) == (forced_action is None):
             raise ValueError("need exactly one of a controller and a forced action")
         if arrival_mode not in (BURST, PER_SLOT):
             raise ValueError(f"unknown arrival mode {arrival_mode!r}")
         if caps.shape[0] != 1 + n_scc:
             raise ValueError("capacity array must cover every carrier")
+        if not np.issubdtype(caps.dtype, np.integer):
+            raise ValueError(f"capacity must be integer packet counts, got {caps.dtype}")
         self.l = l
         self.arrival_mode = arrival_mode
         self.arrival_rate = arrival_rate
@@ -121,10 +126,10 @@ class Simulation:
         self.mode = mode
         self.policy = policy if policy else self.plan.name
         self.seed = seed
+        self.scenario = scenario
 
     def run(self) -> RunResult:
-        if (isinstance(self.plan, OpenLoopController)
-                and np.issubdtype(self.caps.dtype, np.integer)):
+        if isinstance(self.plan, OpenLoopController):
             return self._run_schedule(self.plan)
         return self._run_loop()
 
@@ -199,8 +204,8 @@ class Simulation:
                     break
 
         occupancy = state = None
-        if self.collect_trace:  # float capacities leave float counts
-            occupancy = np.array(occ_rows, dtype=np.result_type(self.caps.dtype, np.int64))
+        if self.collect_trace:
+            occupancy = np.array(occ_rows, dtype=np.int64)
             occupancy = occupancy.reshape(-1, len(rlc)).T
             state = [np.array(col, dtype=d)
                      for col, d in zip(zip(*states) if states else [()] * 6, STATE_DTYPES)]
@@ -223,6 +228,7 @@ class Simulation:
             mode=self.mode,
             policy=self.policy,
             seed=self.seed,
+            scenario=self.scenario,
             l=self.l,
             arrival_mode=self.arrival_mode,
             t_slots=len(delivered),

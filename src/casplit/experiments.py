@@ -14,8 +14,8 @@ from casplit import scenario as sc
 from casplit import trace as tr
 from casplit.baselines import StationaryKController
 from casplit.engine import Simulation, RunResult, PER_SLOT
-from casplit.metrics import EtaReport, RunSummary, utilization_ratio, \
-    buffer_throughput_correlation, utilization_window
+from casplit.metrics import EtaReport, utilization_ratio, buffer_throughput_correlation, \
+    utilization_window
 from casplit.scenario import RunMode, ScenarioConfig, build_caps, build_run
 
 ETA_POLICIES = ("fuzzy_pid", "bwa", "ltr", "nofuzzy_pid", "qlearning")
@@ -36,7 +36,7 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentOutcome:
-    summaries: list[RunSummary]
+    summaries: list[RunResult]  # every run, in run order
     etas: list[EtaReport]
     results: dict  # (seed, label) -> RunResult
     files: list[Path] = field(default_factory=list)
@@ -57,55 +57,35 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     cfg = spec.config
     policies = spec.policies if spec.policies is not None else [cfg.policy]
     collect = spec.out_dir is not None
-    summaries: list[RunSummary] = []
+    runs: list[RunResult] = []
     etas: list[EtaReport] = []
-    results: dict = {}
     timings: list[dict] = []
 
     for seed in spec.seeds:
         caps = build_caps(cfg, seed)
-        per_seed: dict[str, RunSummary] = {}
-        ca_windows: dict[str, int] = {}
-        if RunMode.CA in spec.modes:
-            for policy in policies:
-                result = _timed_run(
-                    build_run(cfg, RunMode.CA, seed, caps=caps,
-                              collect_trace=collect, policy=policy),
-                    cfg, timings)
-                summary = RunSummary.from_result(result, cfg.name)
-                summaries.append(summary)
-                per_seed[f"ca:{result.policy}"] = summary
-                ca_windows[result.policy] = utilization_window(summary)
-                results[(seed, result.policy)] = result
-        window_needed = max(ca_windows.values(), default=cfg.max_slots)
-        for mode in (RunMode.PCC_ONLY, RunMode.SCC_ONLY):
-            if mode not in spec.modes:
-                continue
-            result = _timed_run(
-                build_run(cfg, mode, seed, caps=caps, collect_trace=collect,
-                          max_slots=window_needed),
-                cfg, timings)
-            summary = RunSummary.from_result(result, cfg.name)
-            summaries.append(summary)
-            per_seed[mode.value] = summary
-            results[(seed, result.policy)] = result
-        if RunMode.PCC_ONLY.value in per_seed and RunMode.SCC_ONLY.value in per_seed:
-            for key, summary in per_seed.items():
-                if key.startswith("ca:"):
-                    etas.append(utilization_ratio(
-                        summary, per_seed["pcc"], per_seed["scc"]))
+        cas = [_timed_run(build_run(cfg, RunMode.CA, seed, caps=caps, collect_trace=collect,
+                                    policy=policy), timings)
+               for policy in (policies if RunMode.CA in spec.modes else [])]
+        window = max(map(utilization_window, cas), default=cfg.max_slots)
+        refs = [_timed_run(build_run(cfg, mode, seed, caps=caps, collect_trace=collect,
+                                     max_slots=window), timings)
+                for mode in (RunMode.PCC_ONLY, RunMode.SCC_ONLY) if mode in spec.modes]
+        if len(refs) == 2:
+            etas += [utilization_ratio(ca, *refs) for ca in cas]
+        runs += cas + refs
 
-    outcome = ExperimentOutcome(summaries, etas, results)
+    results = {(r.seed, r.policy): r for r in runs}
+    outcome = ExperimentOutcome(runs, etas, results)
     if spec.out_dir is not None:
-        outcome.files = _emit(spec, cfg, summaries, etas, results, timings)
+        outcome.files = _emit(spec, cfg, runs, etas, results, timings)
     return outcome
 
 
-def _timed_run(sim: Simulation, cfg: ScenarioConfig, timings: list[dict]) -> RunResult:
+def _timed_run(sim: Simulation, timings: list[dict]) -> RunResult:
     t0 = time.perf_counter()
     result = sim.run()
     timings.append({
-        "scenario": cfg.name,
+        "scenario": result.scenario,
         "seed": result.seed,
         "mode": result.mode,
         "policy": result.policy,
@@ -115,7 +95,7 @@ def _timed_run(sim: Simulation, cfg: ScenarioConfig, timings: list[dict]) -> Run
     return result
 
 
-def _emit(spec, cfg, summaries, etas, results, timings) -> list[Path]:
+def _emit(spec, cfg, runs, etas, results, timings) -> list[Path]:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -124,7 +104,7 @@ def _emit(spec, cfg, summaries, etas, results, timings) -> list[Path]:
         tr.write_trace(path, result, cfg.n_scc)
         files.append(path)
     summary_path = out / "summary.csv"
-    tr.write_summary(summary_path, summaries, etas)
+    tr.write_summary(summary_path, runs, etas)
     files.append(summary_path)
     cfg_path = out / "scenario.ini"
     sc.to_file(cfg, cfg_path)
@@ -255,14 +235,10 @@ def mobile_eta_suite(out_dir: Path | None = None, seeds=tuple(range(1, 11)),
     return {"rows": rows, "series": series}
 
 
+# Named experiment presets; each expands to runs plus a tidy table.
 FIGURE_SUITES = {
     "fig4": convergence_suite,
     "fig5": stationary_sweep_suite,
     "fig6": static_eta_suite,
     "fig7": mobile_eta_suite,
 }
-
-
-def figure_suites() -> dict:
-    """Named experiment presets; each expands to runs plus a tidy table."""
-    return dict(FIGURE_SUITES)

@@ -1,4 +1,4 @@
-"""Link-resource-utilization ratio, throughput summaries and the
+"""Link-resource-utilization ratio of ``RunResult``s and the
 buffer-difference/throughput correlation analysis."""
 
 from __future__ import annotations
@@ -9,39 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from casplit.engine import RunResult, BURST
-
-
-@dataclass
-class RunSummary:
-    """Aggregate view of one run, keeping a reference to its slot data."""
-
-    mode: str
-    policy: str
-    seed: int
-    scenario_id: str
-    l: int
-    t_slots: int
-    total_delivered: int
-    mean_throughput: float
-    mean_abs_b: float
-    completed: bool
-    run: RunResult | None = None
-
-    @classmethod
-    def from_result(cls, result: RunResult, scenario_id: str) -> "RunSummary":
-        return cls(
-            mode=result.mode,
-            policy=result.policy,
-            seed=result.seed,
-            scenario_id=scenario_id,
-            l=result.l,
-            t_slots=result.t_slots,
-            total_delivered=result.total_delivered,
-            mean_throughput=result.mean_throughput,
-            mean_abs_b=result.mean_abs_b,
-            completed=result.completed,
-            run=result,
-        )
 
 
 @dataclass
@@ -59,15 +26,15 @@ class EtaReport:
     policy: str
 
 
-def utilization_window(ca: RunSummary) -> int:
+def utilization_window(ca: RunResult) -> int:
     """Comparison window: a finished burst is scored over its completion
     time, a saturated run over its whole horizon."""
-    if ca.run is not None and ca.run.arrival_mode == BURST and ca.completed:
-        return ca.run.completion_slot + 1
+    if ca.arrival_mode == BURST and ca.completed:
+        return ca.completion_slot + 1
     return ca.t_slots
 
 
-def utilization_ratio(ca: RunSummary, pcc_only: RunSummary, scc_only: RunSummary,
+def utilization_ratio(ca: RunResult, pcc_only: RunResult, scc_only: RunResult,
                       window: int | None = None) -> EtaReport:
     """CA deliveries over the summed single-carrier deliveries.
 
@@ -77,15 +44,15 @@ def utilization_ratio(ca: RunSummary, pcc_only: RunSummary, scc_only: RunSummary
     undefined rather than raised.
     """
     for ref in (pcc_only, scc_only):
-        if (ref.scenario_id, ref.seed) != (ca.scenario_id, ca.seed):
+        if (ref.scenario, ref.seed) != (ca.scenario, ca.seed):
             raise ValueError("utilization compares runs of one scenario and seed")
     if window is None:
         window = utilization_window(ca)
     if pcc_only.t_slots < window or scc_only.t_slots < window:
         raise ValueError("single-carrier runs shorter than the comparison window")
-    num = int(ca.run.delivered[:window].sum())
-    den_p = int(pcc_only.run.delivered[:window].sum())
-    den_s = int(scc_only.run.delivered[:window].sum())
+    num = int(ca.delivered[:window].sum())
+    den_p = int(pcc_only.delivered[:window].sum())
+    den_s = int(scc_only.delivered[:window].sum())
     den = den_p + den_s
     return EtaReport(
         eta=(num / den) if den else None,
@@ -95,7 +62,7 @@ def utilization_ratio(ca: RunSummary, pcc_only: RunSummary, scc_only: RunSummary
         denominator_scc=den_s,
         window=window,
         seed=ca.seed,
-        scenario_id=ca.scenario_id,
+        scenario_id=ca.scenario,
         policy=ca.policy,
     )
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -52,7 +52,7 @@ POLICY_PARAMS = {
     "stationary_k": {"k": int},
 }
 POLICIES = tuple(POLICY_PARAMS)
-_NOUN = {int: "an integer", float: "a number", TABLE: "4 comma-separated numbers"}
+_NOUN = {int: "an integer", float: "a finite number", TABLE: "4 comma-separated finite numbers"}
 
 
 class RunMode(str, Enum):
@@ -100,6 +100,9 @@ class OutAndBackTrajectory:
         out = self.d0_m + self.speed_mps * np.minimum(elapsed, self.turn_time_s)
         back = self.speed_mps * np.clip(elapsed - self.turn_time_s, 0.0, self.turn_time_s)
         return out - back
+
+
+TRAJECTORIES = {cls.kind: cls for cls in (StaticTrajectory, OutAndBackTrajectory)}
 
 
 # Calibrated receive offsets (antenna gains and noise normalization) such
@@ -181,6 +184,8 @@ class ScenarioConfig:
             raise ConfigError("channel.d_xn must be >= 0")
         if self.max_slots < 1:
             raise ConfigError("run.max_slots must be >= 1")
+        if not self.slot_duration > 0:
+            raise ConfigError(f"run.slot_duration must be > 0, got {self.slot_duration!r}")
         if self.arrival_mode not in (BURST, PER_SLOT):
             raise ConfigError("workload.arrival_mode must be burst or per_slot")
         if self.arrival_mode == PER_SLOT and self.arrival_rate < 1:
@@ -201,10 +206,15 @@ class ScenarioConfig:
             raise ConfigError("carriers.scc*.rho: all SCCs must share one rho")
         if pccs[0].rho < rho_s:
             raise ConfigError("carriers.pcc.rho must be >= the SCC rho")
-        if isinstance(self.trajectory, StaticTrajectory) and self.trajectory.distance_m < 1:
+        traj = self.trajectory
+        if isinstance(traj, StaticTrajectory) and not traj.distance_m >= 1:
             raise ConfigError("trajectory.distance_m must be >= 1")
-        if isinstance(self.trajectory, OutAndBackTrajectory) and self.trajectory.d0_m < 1:
-            raise ConfigError("trajectory.d0_m must be >= 1")
+        if isinstance(traj, OutAndBackTrajectory):
+            if not traj.d0_m >= 1:
+                raise ConfigError("trajectory.d0_m must be >= 1")
+            for key in ("speed_mps", "turn_time_s"):
+                if not getattr(traj, key) >= 0:
+                    raise ConfigError(f"trajectory.{key} must be >= 0")
         takes = POLICY_PARAMS[self.policy]
         for key, value in self.policy_params.items():
             if key not in takes:
@@ -332,6 +342,7 @@ def build_run(cfg: ScenarioConfig, mode: RunMode | str = RunMode.CA,
         collect_trace=collect_trace,
         mode=mode.value,
         seed=seed,
+        scenario=cfg.name,
     )
     if mode is RunMode.CA:
         return Simulation(controller=make_controller(cfg, seed, policy=policy), **kwargs)
@@ -377,15 +388,8 @@ def to_file(cfg: ScenarioConfig, path) -> None:
             controller[key] = _fmt(value)
     parser["controller"] = controller
     traj = cfg.trajectory
-    if isinstance(traj, StaticTrajectory):
-        parser["trajectory"] = {"kind": "static", "distance_m": _fmt(traj.distance_m)}
-    else:
-        parser["trajectory"] = {
-            "kind": "out_and_back",
-            "d0_m": _fmt(traj.d0_m),
-            "speed_mps": _fmt(traj.speed_mps),
-            "turn_time_s": _fmt(traj.turn_time_s),
-        }
+    parser["trajectory"] = {k: _fmt(v) for k, v in
+                            {"kind": traj.kind, **dataclasses.asdict(traj)}.items()}
     parser["run"] = {
         "name": cfg.name,
         "seed": str(cfg.seed),
@@ -408,16 +412,13 @@ def from_file(path) -> ScenarioConfig:
     return _from_parser(parser)
 
 
-def from_string(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser()
-    parser.read_file(io.StringIO(text))
-    return _from_parser(parser)
-
-
 def _typed(where: str, raw: str, kind):
-    """``raw`` parsed as ``kind`` (int or float); the error names ``where``."""
+    """``raw`` parsed as ``kind`` (int or finite float); the error names ``where``."""
     try:
-        return kind(raw)
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError
+        return value
     except ValueError:
         raise ConfigError(f"{where}: expected {_NOUN[kind]}, got {raw!r}") from None
 
@@ -433,7 +434,8 @@ def _read_param(key: str, raw: str, kind):
 def _check_kind(key: str, value, kind) -> None:
     """``value`` is of the declared ``kind``; the error names the key."""
     def number(x) -> bool:
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
+        return not isinstance(x, bool) and (
+            isinstance(x, int) or isinstance(x, float) and math.isfinite(x))
     if kind is TABLE:
         ok = isinstance(value, tuple) and len(value) == 4 and all(map(number, value))
     else:
@@ -488,16 +490,11 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     carriers.sort(key=_carrier_order)
 
     kind = trajectory.get("kind", "static")
-    if kind == "static":
-        traj = StaticTrajectory(_get(trajectory, "distance_m", float, "100.0"))
-    elif kind == "out_and_back":
-        traj = OutAndBackTrajectory(
-            d0_m=_get(trajectory, "d0_m", float, "70.0"),
-            speed_mps=_get(trajectory, "speed_mps", float, "10.0"),
-            turn_time_s=_get(trajectory, "turn_time_s", float, "10.0"),
-        )
-    else:
+    traj_cls = TRAJECTORIES.get(kind)
+    if traj_cls is None:
         raise ConfigError(f"trajectory.kind: unknown kind {kind!r}")
+    traj = traj_cls(**{f.name: _get(trajectory, f.name, float, _fmt(f.default))
+                       for f in dataclasses.fields(traj_cls)})
 
     policy = controller.get("policy", "fuzzy_pid")
     takes = POLICY_PARAMS.get(policy, {})

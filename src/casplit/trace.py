@@ -12,7 +12,7 @@ import numpy as np
 
 from casplit import __version__
 from casplit.engine import RunResult
-from casplit.metrics import EtaReport, RunSummary
+from casplit.metrics import EtaReport
 
 FLOAT_FMT = "{:.6g}"
 
@@ -61,11 +61,11 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def summary_lines(summaries: list[RunSummary], etas: list[EtaReport]) -> list[str]:
+def summary_lines(runs: list[RunResult], etas: list[EtaReport]) -> list[str]:
     lines = [",".join(SUMMARY_COLUMNS)]
-    for s in summaries:
+    for s in runs:
         lines.append(",".join([
-            "run", s.scenario_id, str(s.seed), s.mode, s.policy, str(s.l),
+            "run", s.scenario, str(s.seed), s.mode, s.policy, str(s.l),
             str(s.t_slots), str(s.total_delivered), _f(s.mean_throughput),
             _f(s.mean_abs_b), str(int(s.completed)), "", "", "", "", "", "",
         ]))
@@ -79,8 +79,8 @@ def summary_lines(summaries: list[RunSummary], etas: list[EtaReport]) -> list[st
     return lines
 
 
-def write_summary(path, summaries: list[RunSummary], etas: list[EtaReport]) -> None:
-    Path(path).write_text("\n".join(summary_lines(summaries, etas)) + "\n",
+def write_summary(path, runs: list[RunResult], etas: list[EtaReport]) -> None:
+    Path(path).write_text("\n".join(summary_lines(runs, etas)) + "\n",
                           encoding="utf-8")
 
 

@@ -221,14 +221,32 @@ def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("section, key, value", [
     ("workload", "l", "fifty"),
     ("carriers.pcc", "fading_family", "rayleigh"),
+    ("carriers.pcc", "frequency_ghz", "0"),
+    ("carriers.pcc", "frequency_ghz", "-1"),
+    ("carriers.scc1", "bandwidth_mhz", "0"),
+    ("carriers.pcc", "rho", "nan"),
+    ("carriers.pcc", "n_th", "nan"),
+    ("carriers.scc1", "sigma2", "nan"),
+    ("controller", "kp", "nan"),
+    ("trajectory", "distance_m", "nan"),
+    ("trajectory", "distance_m", "inf"),
+    ("run", "slot_duration", "-0.001"),
+    ("trajectory", "kind", "spiral"),
 ])
 def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, section, key, value):
+    """A malformed, non-finite or out-of-range value exits 1 naming its key;
+    a key the file leaves out is added to its section."""
     path, _ = tiny_config
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     start = lines.index(f"[{section}]")
-    at = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
-    lines[at] = f"{key} = {value}"
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    at = next((i for i in range(start, end) if lines[i].startswith(f"{key} = ")), None)
+    if at is None:
+        lines.insert(start + 1, f"{key} = {value}")
+    else:
+        lines[at] = f"{key} = {value}"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = run_cli("run", "--config", str(path), "--seeds", "1",
                    "--mode", "ca", "--out", str(tmp_path / "o"))

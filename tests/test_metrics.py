@@ -3,7 +3,6 @@ import pytest
 
 from casplit.engine import RunResult
 from casplit.metrics import (
-    RunSummary,
     buffer_throughput_correlation,
     pearson,
     utilization_ratio,
@@ -11,11 +10,11 @@ from casplit.metrics import (
 
 
 def stub_run(mode, deliveries, arrival_mode="per_slot", completed=False,
-             completion_slot=None, policy="x", seed=1):
+             completion_slot=None, policy="x", seed=1, scenario="scn"):
     d = np.array(deliveries, dtype=np.int64)
     n = len(d)
     return RunResult(
-        mode=mode, policy=policy, seed=seed, l=int(d.sum()),
+        mode=mode, policy=policy, seed=seed, scenario=scenario, l=int(d.sum()),
         arrival_mode=arrival_mode, t_slots=n, completed=completed,
         completion_slot=completion_slot, total_delivered=int(d.sum()),
         delivered=d, a_p=np.zeros(n, dtype=np.int8),
@@ -23,46 +22,42 @@ def stub_run(mode, deliveries, arrival_mode="per_slot", completed=False,
     )
 
 
-def summary(mode, deliveries, **kw):
-    return RunSummary.from_result(stub_run(mode, deliveries, **kw), "scn")
-
-
 def test_eta_direct_arithmetic():
-    ca = summary("ca", [1350])
-    p = summary("pcc", [500])
-    s = summary("scc", [1000])
+    ca = stub_run("ca", [1350])
+    p = stub_run("pcc", [500])
+    s = stub_run("scc", [1000])
     report = utilization_ratio(ca, p, s, window=1)
     assert report.eta == pytest.approx(0.90)
 
 
 def test_eta_upper_bound_when_ca_matches_sum():
-    ca = summary("ca", [30, 30])
-    p = summary("pcc", [10, 10])
-    s = summary("scc", [20, 20])
+    ca = stub_run("ca", [30, 30])
+    p = stub_run("pcc", [10, 10])
+    s = stub_run("scc", [20, 20])
     assert utilization_ratio(ca, p, s).eta == pytest.approx(1.0)
 
 
 def test_eta_zero_denominator_is_undefined_not_crash():
-    report = utilization_ratio(summary("ca", [0, 0]), summary("pcc", [0, 0]),
-                               summary("scc", [0, 0]))
+    report = utilization_ratio(stub_run("ca", [0, 0]), stub_run("pcc", [0, 0]),
+                               stub_run("scc", [0, 0]))
     assert report.undefined and report.eta is None
 
 
 def test_eta_burst_window_is_completion_time():
-    ca = summary("ca", [5, 5, 0, 0], arrival_mode="burst", completed=True,
+    ca = stub_run("ca", [5, 5, 0, 0], arrival_mode="burst", completed=True,
                  completion_slot=1)
-    p = summary("pcc", [3, 3, 3, 3])
-    s = summary("scc", [3, 3, 3, 3])
+    p = stub_run("pcc", [3, 3, 3, 3])
+    s = stub_run("scc", [3, 3, 3, 3])
     report = utilization_ratio(ca, p, s)
     assert report.window == 2
     assert report.eta == pytest.approx(10 / 12)
 
 
 def test_eta_rejects_mismatched_runs():
-    ca = summary("ca", [1])
-    other = RunSummary.from_result(stub_run("pcc", [1], seed=2), "scn")
-    with pytest.raises(ValueError):
-        utilization_ratio(ca, other, summary("scc", [1]))
+    ca = stub_run("ca", [1])
+    for other in (stub_run("pcc", [1], seed=2), stub_run("pcc", [1], scenario="other")):
+        with pytest.raises(ValueError, match="one scenario and seed"):
+            utilization_ratio(ca, other, stub_run("scc", [1]))
 
 
 def test_pearson_perfect_anticorrelation():

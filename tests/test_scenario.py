@@ -78,6 +78,10 @@ def test_validation_messages_name_fields():
         bad = default_static_scenario(1)
         bad.carriers[0].rho = 0.5  # below the SCC rho
         bad.validate()
+    for key in ("speed_mps", "turn_time_s"):
+        traj = OutAndBackTrajectory(**{key: -1.0})
+        with pytest.raises(ConfigError, match=f"trajectory.{key}"):
+            default_mobile_scenario(1).copy(trajectory=traj)
 
 
 _DECLARED_VALUES = {
@@ -109,7 +113,7 @@ def test_config_round_trip_identical_run(tmp_path_factory, drawn):
                                           policy=policy, policy_params=params)
     path = tmp_path_factory.mktemp("round-trip") / "scenario.ini"
     sc.to_file(cfg, path)
-    loaded = sc.from_string(path.read_text(encoding="utf-8"))
+    loaded = sc.from_file(path)
     assert loaded == cfg
     r1 = build_run(cfg, RunMode.CA).run()
     r2 = build_run(loaded, RunMode.CA).run()
@@ -123,7 +127,7 @@ def test_config_round_trip_mobile(tmp_path):
     sc.to_file(cfg, path)
     loaded = sc.from_file(path)
     assert isinstance(loaded.trajectory, OutAndBackTrajectory)
-    assert loaded.trajectory.d0_m == cfg.trajectory.d0_m
+    assert loaded.trajectory == cfg.trajectory
     assert loaded.n == 32
     assert loaded.policy_params["t_i"] == (-0.02, -0.08, 0.1, 0.05)
 
@@ -165,6 +169,8 @@ def test_config_round_trip_orders_sccs_numerically(tmp_path):
     ("fuzzy_pid", {"t_p": ((-0.1, -0.5), (0.3, 0.2))}, "controller.t_p"),
     ("stationary_k", {"k": True}, "controller.k"),
     ("qlearning", {"epsilon": 2.0}, "controller.epsilon"),
+    ("fuzzy_pid", {"kp": float("nan")}, "controller.kp"),
+    ("fuzzy_pid", {"t_p": (0.1, float("inf"), 0.3, 0.2)}, "controller.t_p"),
 ])
 def test_validate_names_rejected_controller_key(policy, params, key):
     with pytest.raises(ConfigError, match=key):
