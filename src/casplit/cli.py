@@ -42,7 +42,7 @@ def _parse_args(argv):
 
     p_run = sub.add_parser("run", help="run a scenario over seeds and modes")
     p_run.add_argument("--config", required=True, help="scenario .ini file")
-    p_run.add_argument("--seeds", default="1", help="comma separated seed list")
+    p_run.add_argument("--seeds", help="comma separated seed list (default: [run] seed)")
     p_run.add_argument("--mode", default="ca,pcc,scc",
                        help="comma separated subset of ca,pcc,scc")
     p_run.add_argument("--out", required=True, help="output directory")
@@ -72,14 +72,15 @@ def _check_list(option: str, values: list, text: str) -> None:
 
 def _cmd_run(args) -> int:
     cfg = sc.from_file(args.config)
+    text = str(cfg.seed) if args.seeds is None else args.seeds
     try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
+        seeds = [int(s) for s in text.split(",") if s]
     except ValueError:
         raise sc.ConfigError(f"--seeds: expected comma separated integers, "
-                             f"got {args.seeds!r}") from None
-    _check_list("--seeds", seeds, args.seeds)
+                             f"got {text!r}") from None
+    _check_list("--seeds", seeds, text)
     if min(seeds) < 0:
-        raise sc.ConfigError(f"--seeds: seeds must be non-negative, got {args.seeds!r}")
+        raise sc.ConfigError(f"--seeds: seeds must be non-negative, got {text!r}")
     modes = []
     for m in args.mode.split(","):
         m = m.strip()

@@ -32,6 +32,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise sc.ConfigError("run.seeds: need at least one seed")
+        for name in ("seeds", "modes", "policies"):  # a repeated run overwrites its traces
+            values = getattr(self, name) or []
+            if len(set(values)) != len(values):
+                raise sc.ConfigError(f"{name}: each value may appear once, got {values!r}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ import configparser
 import dataclasses
 import math
 import re
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,7 +53,8 @@ POLICY_PARAMS = {
     "stationary_k": {"k": int},
 }
 POLICIES = tuple(POLICY_PARAMS)
-_NOUN = {int: "an integer", float: "a finite number", TABLE: "4 comma-separated finite numbers"}
+_NOUN = {int: "an integer", float: "a finite number", str: "a string",
+         TABLE: "4 comma-separated finite numbers"}
 
 
 class RunMode(str, Enum):
@@ -176,12 +178,23 @@ class ScenarioConfig:
         return 2 * self.n * max(self.capacity_ratio, self.n_scc)
 
     def validate(self) -> None:
+        for section, kinds in _SECTIONS.items():
+            for key, kind in kinds.items():
+                _check_kind(f"{section}.{key}", getattr(self, key), kind)
+        for c in self.carriers:
+            for key, kind in _KINDS[CarrierConfig].items():
+                _check_kind(f"carriers.{c.name}.{key}", getattr(c, key), kind)
+        traj = self.trajectory
+        for key, kind in _KINDS.get(type(traj), {}).items():
+            _check_kind(f"trajectory.{key}", getattr(traj, key), kind)
         if self.n < 2:
             raise ConfigError("controller.n must be >= 2")
         if self.n_scc < 1:
             raise ConfigError("run.n_scc must be >= 1")
         if self.d_xn < 0:
             raise ConfigError("channel.d_xn must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("run.seed must be >= 0")
         if self.max_slots < 1:
             raise ConfigError("run.max_slots must be >= 1")
         if not self.slot_duration > 0:
@@ -192,8 +205,7 @@ class ScenarioConfig:
             raise ConfigError("workload.arrival_rate must be >= 1 in per_slot mode")
         if self.l < 1:
             raise ConfigError("workload.l must be >= 1")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"controller.policy must be one of {POLICIES}")
+        takes = _policy_keys(self.policy)
         pccs = [c for c in self.carriers if c.kind == PCC]
         sccs = [c for c in self.carriers if c.kind == SCC]
         if len(pccs) != 1:
@@ -206,7 +218,6 @@ class ScenarioConfig:
             raise ConfigError("carriers.scc*.rho: all SCCs must share one rho")
         if pccs[0].rho < rho_s:
             raise ConfigError("carriers.pcc.rho must be >= the SCC rho")
-        traj = self.trajectory
         if isinstance(traj, StaticTrajectory) and not traj.distance_m >= 1:
             raise ConfigError("trajectory.distance_m must be >= 1")
         if isinstance(traj, OutAndBackTrajectory):
@@ -215,12 +226,11 @@ class ScenarioConfig:
             for key in ("speed_mps", "turn_time_s"):
                 if not getattr(traj, key) >= 0:
                     raise ConfigError(f"trajectory.{key} must be >= 0")
-        takes = POLICY_PARAMS[self.policy]
         for key, value in self.policy_params.items():
             if key not in takes:
                 raise ConfigError(f"controller.{key}: not a parameter of policy "
                                   f"{self.policy} (it takes: {', '.join(takes) or 'none'})")
-            _check_kind(key, value, takes[key])
+            _check_kind(f"controller.{key}", value, takes[key])
         if self.policy_params:  # the controllers' own defaults always pass
             try:
                 make_controller(self)
@@ -234,6 +244,36 @@ class ScenarioConfig:
         if "policy_params" not in changes:
             dup.policy_params = dict(self.policy_params)
         return dup
+
+
+def _kinds(cls) -> dict:
+    """The scalar fields of dataclass ``cls`` with their kinds (int, float or str)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
+            if hints[f.name] in (int, float, str)}
+
+
+_KINDS = {cls: _kinds(cls) for cls in (ScenarioConfig, CarrierConfig, *TRAJECTORIES.values())}
+# A carrier's name is its section's name, not a key.
+_CARRIER_KEYS = {k: kind for k, kind in _KINDS[CarrierConfig].items() if k != "name"}
+# ScenarioConfig's scalar fields by config-file section, in the order
+# ``to_file`` writes them, with their kinds.  [controller] also holds the
+# policy's own keys (POLICY_PARAMS) and [trajectory] the fields of the
+# trajectory's class.
+_SECTIONS = {section: {k: _KINDS[ScenarioConfig][k] for k in keys} for section, keys in (
+    ("workload", ("l", "arrival_mode", "arrival_rate")),
+    ("channel", ("d_xn", "scc_distance_offset_m")),
+    ("controller", ("policy", "n")),
+    ("trajectory", ()),
+    ("run", ("name", "seed", "max_slots", "n_scc", "slot_duration")),
+)}
+
+
+def _policy_keys(policy: str) -> dict:
+    """The ``[controller]`` keys ``policy`` takes, with their kinds."""
+    if policy not in POLICY_PARAMS:
+        raise ConfigError(f"controller.policy: unknown policy {policy!r}, use one of {POLICIES}")
+    return POLICY_PARAMS[policy]
 
 
 def default_static_scenario(n_scc: int = 3, **changes) -> ScenarioConfig:
@@ -278,11 +318,7 @@ def build_caps(cfg: ScenarioConfig, seed: int | None = None) -> np.ndarray:
     d_s = np.maximum(1.0, d_p + cfg.scc_distance_offset_m)
     rows = []
     for carrier in cfg.carriers:
-        rng = make_rng(seed, f"fading/{carrier.name}")
-        if carrier.sigma2 == 0.0:
-            alphas = np.ones(n_slots)
-        else:
-            alphas = sample_fading(carrier, rng, size=n_slots)
+        alphas = sample_fading(carrier, make_rng(seed, f"fading/{carrier.name}"), size=n_slots)
         dist = d_p if carrier.kind == PCC else d_s
         rows.append(capacity_series(carrier, dist, alphas, cfg.rho_s))
     return np.vstack(rows)
@@ -295,9 +331,7 @@ def make_controller(cfg: ScenarioConfig, seed: int | None = None,
     ``cfg.default_b_max()``, every other default is the controller's own."""
     seed = cfg.seed if seed is None else seed
     policy = cfg.policy if policy is None else policy
-    takes = POLICY_PARAMS.get(policy)
-    if takes is None:
-        raise ConfigError(f"controller.policy: unknown policy {policy!r}")
+    takes = _policy_keys(policy)
     params = {k: v for k, v in cfg.policy_params.items() if k in takes}
     if policy in ("fuzzy_pid", "nofuzzy_pid"):
         gains = PidGains(params.pop("kp", DEFAULT_GAINS.kp),
@@ -357,12 +391,10 @@ def build_run(cfg: ScenarioConfig, mode: RunMode | str = RunMode.CA,
 
 # -- config file round trip ---------------------------------------------------
 
-_CARRIER_FIELDS = ("kind", "frequency_ghz", "bandwidth_mhz", "tx_power_dbm", "rho",
-                   "sigma2", "n_th", "fading_family", "pl_model", "pl_fixed_db",
-                   "rx_calibration_db")
-
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):  # a TABLE
+        return ",".join(repr(float(x)) for x in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -370,82 +402,72 @@ def _fmt(value) -> str:
 
 def to_file(cfg: ScenarioConfig, path) -> None:
     parser = configparser.ConfigParser()
-    parser["workload"] = {
-        "l": str(cfg.l),
-        "arrival_mode": cfg.arrival_mode,
-        "arrival_rate": str(cfg.arrival_rate),
-    }
-    parser["channel"] = {
-        "d_xn": str(cfg.d_xn),
-        "scc_distance_offset_m": _fmt(cfg.scc_distance_offset_m),
-    }
-    controller = {"policy": cfg.policy, "n": str(cfg.n)}
-    takes = POLICY_PARAMS[cfg.policy]
-    for key, value in sorted(cfg.policy_params.items()):
-        if takes[key] is TABLE:
-            controller[key] = ",".join(_fmt(float(x)) for x in value)
-        else:
-            controller[key] = _fmt(value)
-    parser["controller"] = controller
+    for section, keys in _SECTIONS.items():
+        parser[section] = {k: _fmt(getattr(cfg, k)) for k in keys}
+    parser["controller"].update({k: _fmt(v) for k, v in sorted(cfg.policy_params.items())})
     traj = cfg.trajectory
-    parser["trajectory"] = {k: _fmt(v) for k, v in
-                            {"kind": traj.kind, **dataclasses.asdict(traj)}.items()}
-    parser["run"] = {
-        "name": cfg.name,
-        "seed": str(cfg.seed),
-        "max_slots": str(cfg.max_slots),
-        "n_scc": str(cfg.n_scc),
-        "slot_duration": _fmt(cfg.slot_duration),
-    }
+    parser["trajectory"].update({k: _fmt(getattr(traj, k))
+                                 for k in ("kind", *_KINDS[type(traj)])})
     for carrier in cfg.carriers:
-        section = f"carriers.{carrier.name}"
-        parser[section] = {k: _fmt(getattr(carrier, k)) for k in _CARRIER_FIELDS}
+        parser[f"carriers.{carrier.name}"] = {k: _fmt(getattr(carrier, k)) for k in _CARRIER_KEYS}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
 
 def from_file(path) -> ScenarioConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{exc.section}.{exc.option}: repeated key (line {exc.lineno})") from None
+    except configparser.Error as exc:  # no section header, a repeated section
+        raise ConfigError(f"malformed config file: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
     return _from_parser(parser)
 
 
 def _typed(where: str, raw: str, kind):
-    """``raw`` parsed as ``kind`` (int or finite float); the error names ``where``."""
+    """``raw`` converted to ``kind``; ``ScenarioConfig.validate`` checks the value."""
     try:
-        value = kind(raw)
-        if kind is float and not math.isfinite(value):
-            raise ValueError
-        return value
+        if kind is TABLE:
+            return tuple(float(x) for x in raw.split(","))
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: expected {_NOUN[kind]}, got {raw!r}") from None
 
 
-def _read_param(key: str, raw: str, kind):
-    """A ``[controller]`` value read as its declared kind; an undeclared key
-    (``kind`` None) stays text for ``ScenarioConfig.validate`` to reject."""
-    if kind is TABLE:
-        return tuple(_typed(f"controller.{key}", x, float) for x in raw.split(","))
-    return raw if kind is None else _typed(f"controller.{key}", raw, kind)
+def _is_number(x, kind=float) -> bool:
+    """``x`` is an int (not a bool) or, for kind float, also a finite float."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            or kind is float and isinstance(x, float) and math.isfinite(x))
 
 
-def _check_kind(key: str, value, kind) -> None:
-    """``value`` is of the declared ``kind``; the error names the key."""
-    def number(x) -> bool:
-        return not isinstance(x, bool) and (
-            isinstance(x, int) or isinstance(x, float) and math.isfinite(x))
-    if kind is TABLE:
-        ok = isinstance(value, tuple) and len(value) == 4 and all(map(number, value))
+def _check_kind(where: str, value, kind) -> None:
+    """``value`` is of the declared ``kind``; the error names ``where``."""
+    if kind is str:
+        ok = isinstance(value, str)
+    elif kind is TABLE:
+        ok = isinstance(value, tuple) and len(value) == 4 and all(map(_is_number, value))
     else:
-        ok = number(value) and (kind is float or isinstance(value, int))
+        ok = _is_number(value, kind)
     if not ok:
-        raise ConfigError(f"controller.{key}: expected {_NOUN[kind]}, got {value!r}")
+        raise ConfigError(f"{where}: expected {_NOUN[kind]}, got {value!r}")
 
 
-def _get(section: configparser.SectionProxy, key: str, kind, default: str):
-    return _typed(f"{section.name}.{key}", section.get(key, default), kind)
+def _read(section: configparser.SectionProxy, kinds: dict, optional: dict | None = None) -> dict:
+    """Every key of ``section`` converted to its kind.  Each key of ``kinds``
+    is required, one of ``optional`` may be left out, any other is refused."""
+    name, values = section.name, dict(section)
+    for key in kinds:
+        if key not in values:
+            raise ConfigError(f"{name}.{key}: missing key")
+    takes = {**kinds, **(optional or {})}
+    for key, raw in values.items():
+        if key not in takes:
+            raise ConfigError(f"{name}.{key} = {raw}: unknown key; "
+                              f"[{name}] takes {', '.join(takes)}")
+    return {key: _typed(f"{name}.{key}", raw, takes[key]) for key, raw in values.items()}
 
 
 def _carrier_order(carrier: CarrierConfig) -> tuple:
@@ -455,66 +477,36 @@ def _carrier_order(carrier: CarrierConfig) -> tuple:
     return carrier.kind != PCC, [int(p) if i % 2 else p for i, p in enumerate(parts)]
 
 
-def _require(parser, section: str) -> configparser.SectionProxy:
-    if not parser.has_section(section):
-        raise ConfigError(f"missing config section [{section}]")
-    return parser[section]
-
-
 def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
-    workload = _require(parser, "workload")
-    channel = _require(parser, "channel")
-    controller = _require(parser, "controller")
-    trajectory = _require(parser, "trajectory")
-    run = _require(parser, "run")
+    for section in _SECTIONS:
+        if not parser.has_section(section):
+            raise ConfigError(f"missing config section [{section}]")
 
     carriers = []
     for section in parser.sections():
-        if not section.startswith("carriers."):
-            continue
-        name = section.split(".", 1)[1]
-        raw = dict(parser[section])
-        missing = [k for k in _CARRIER_FIELDS if k not in raw]
-        if missing:
-            raise ConfigError(f"[{section}] missing key {missing[0]}")
-        floats = {k: _typed(f"{section}.{k}", raw[k], float) for k in _CARRIER_FIELDS
-                  if k not in ("kind", "fading_family", "pl_model")}
-        try:
-            carriers.append(CarrierConfig(
-                kind=raw["kind"], name=name, fading_family=raw["fading_family"],
-                pl_model=raw["pl_model"], **floats))
-        except ValueError as exc:  # CarrierConfig messages start with the field
-            raise ConfigError(f"{section}.{exc}") from None
+        if section.startswith("carriers."):
+            values = _read(parser[section], _CARRIER_KEYS)
+            try:
+                carriers.append(CarrierConfig(name=section.split(".", 1)[1], **values))
+            except ValueError as exc:  # CarrierConfig messages start with the field
+                raise ConfigError(f"{section}.{exc}") from None
     if not carriers:
         raise ConfigError("missing config section [carriers.pcc]")
     carriers.sort(key=_carrier_order)
 
-    kind = trajectory.get("kind", "static")
+    kind = parser["trajectory"].get("kind")
     traj_cls = TRAJECTORIES.get(kind)
     if traj_cls is None:
-        raise ConfigError(f"trajectory.kind: unknown kind {kind!r}")
-    traj = traj_cls(**{f.name: _get(trajectory, f.name, float, _fmt(f.default))
-                       for f in dataclasses.fields(traj_cls)})
+        raise ConfigError(f"trajectory.kind: unknown kind {kind!r}, "
+                          f"use one of {', '.join(TRAJECTORIES)}")
+    traj = _read(parser["trajectory"], {"kind": str, **_KINDS[traj_cls]})
+    del traj["kind"]
 
-    policy = controller.get("policy", "fuzzy_pid")
-    takes = POLICY_PARAMS.get(policy, {})
-    params = {key: _read_param(key, raw, takes.get(key))
-              for key, raw in controller.items() if key not in ("policy", "n")}
-
-    return ScenarioConfig(
-        name=run.get("name", "scenario"),
-        l=_get(workload, "l", int, "1"),
-        arrival_mode=workload.get("arrival_mode", BURST),
-        arrival_rate=_get(workload, "arrival_rate", int, "5"),
-        n=_get(controller, "n", int, "16"),
-        n_scc=_get(run, "n_scc", int, str(sum(1 for c in carriers if c.kind == SCC))),
-        d_xn=_get(channel, "d_xn", int, "2"),
-        seed=_get(run, "seed", int, "1"),
-        max_slots=_get(run, "max_slots", int, "60000"),
-        slot_duration=_get(run, "slot_duration", float, "0.001"),
-        policy=policy,
-        policy_params=params,
-        carriers=carriers,
-        trajectory=traj,
-        scc_distance_offset_m=_get(channel, "scc_distance_offset_m", float, "0.0"),
-    )
+    fields = {}
+    for section in ("workload", "channel", "run"):
+        fields.update(_read(parser[section], _SECTIONS[section]))
+    params = _read(parser["controller"], _SECTIONS["controller"],
+                   _policy_keys(parser["controller"].get("policy")))
+    fields.update((k, params.pop(k)) for k in _SECTIONS["controller"])
+    return ScenarioConfig(**fields, policy_params=params, carriers=carriers,
+                          trajectory=traj_cls(**traj))

@@ -159,6 +159,16 @@ def test_trace_schema_is_stable():
     ]
 
 
+def test_run_defaults_to_config_seed(tmp_path):
+    """Without ``--seeds`` the run uses the config's ``[run] seed``."""
+    path = tmp_path / "cfg.ini"
+    sc.to_file(default_static_scenario(1).copy(l=4, max_slots=50, seed=7), path)
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(path), "--mode", "ca,pcc", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == [
+        "trace_static-nscc1_forced-pcc_7.csv", "trace_static-nscc1_fuzzy_pid_7.csv"]
+
+
 def test_trace_file_golden_prefix(tmp_path):
     cfg = default_static_scenario(1).copy(l=4, max_slots=50, seed=1)
     path = tmp_path / "cfg.ini"
@@ -232,10 +242,18 @@ def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
     ("trajectory", "distance_m", "inf"),
     ("run", "slot_duration", "-0.001"),
     ("trajectory", "kind", "spiral"),
+    ("workload", "arrival_rat", "5"),
+    ("channel", "d_x", "2"),
+    ("run", "max_slot", "200"),
+    ("trajectory", "distance", "100.0"),
+    ("carriers.pcc", "sigma_2", "0.0004"),
+    ("carriers.scc1", "sigma_2", "0.27"),
+    ("workload", "l", None),
 ])
 def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, section, key, value):
-    """A malformed, non-finite or out-of-range value exits 1 naming its key;
-    a key the file leaves out is added to its section."""
+    """A malformed, non-finite or out-of-range value, an unknown key or a
+    missing one (``value`` None) exits 1 naming its key; a key the file
+    leaves out is added to its section."""
     path, _ = tiny_config
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -243,7 +261,9 @@ def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, sectio
     end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
                len(lines))
     at = next((i for i in range(start, end) if lines[i].startswith(f"{key} = ")), None)
-    if at is None:
+    if value is None:
+        del lines[at]
+    elif at is None:
         lines.insert(start + 1, f"{key} = {value}")
     else:
         lines[at] = f"{key} = {value}"
@@ -252,7 +272,23 @@ def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, sectio
                    "--mode", "ca", "--out", str(tmp_path / "o"))
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and f"{section}.{key}" in err and value in err
+    assert err.startswith("config error: ") and f"{section}.{key}" in err
+    assert (value or "missing key") in err
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda text: "l = 60\n" + text, "no section headers"),
+    (lambda text: text + "[run]\nseed = 2\n", "section 'run' already exists"),
+    (lambda text: text.replace("l = 60\n", "l = 60\nl = 70\n"), "workload.l"),
+], ids=["no-section-header", "repeated-section", "repeated-key"])
+def test_run_rejects_malformed_ini(tiny_config, tmp_path, capsys, edit, names):
+    path, _ = tiny_config
+    path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    code = run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err
 
 
 @pytest.mark.parametrize("policy, key, value", [

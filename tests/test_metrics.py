@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from casplit.engine import RunResult
+from casplit.experiments import ExperimentSpec
 from casplit.metrics import (
     buffer_throughput_correlation,
     pearson,
     utilization_ratio,
 )
+from casplit.scenario import ConfigError, RunMode, default_static_scenario
 
 
 def stub_run(mode, deliveries, arrival_mode="per_slot", completed=False,
@@ -83,3 +85,16 @@ def test_stationary_sweep_negative_correlation_and_antimonotone():
     rows = sorted(out["rows"], key=lambda r: -r[2])  # mean |B| descending
     throughputs = [r[1] for r in rows]
     assert all(b >= a - 1e-9 for a, b in zip(throughputs, throughputs[1:]))
+
+
+@pytest.mark.parametrize("field, values", [
+    ("seeds", [1, 1]),
+    ("policies", ["ltr", "ltr"]),
+    ("modes", [RunMode.CA, RunMode.PCC_ONLY, RunMode.CA]),
+])
+def test_experiment_spec_refuses_repeated_values(field, values):
+    """A repeated seed, policy or mode would repeat summary and eta rows and
+    overwrite traces, so the spec refuses it."""
+    spec = {"config": default_static_scenario(1), "seeds": [1], field: values}
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        ExperimentSpec(**spec)

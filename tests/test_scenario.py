@@ -1,8 +1,12 @@
+import configparser
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from casplit import scenario as sc
+from casplit.channel import CarrierConfig
 from casplit.fuzzy_pid import FuzzyConfig
 from casplit.scenario import (
     ConfigError,
@@ -82,6 +86,32 @@ def test_validation_messages_name_fields():
         traj = OutAndBackTrajectory(**{key: -1.0})
         with pytest.raises(ConfigError, match=f"trajectory.{key}"):
             default_mobile_scenario(1).copy(trajectory=traj)
+    for changes, key in (({"max_slots": 2.5}, "run.max_slots"), ({"l": True}, "workload.l"),
+                         ({"n": 16.0}, "controller.n"), ({"name": 3}, "run.name"),
+                         ({"trajectory": StaticTrajectory("100")}, "trajectory.distance_m")):
+        with pytest.raises(ConfigError, match=rf"{key}: expected"):
+            default_static_scenario(1).copy(**changes)
+    bad = default_static_scenario(1)
+    bad.carriers[0].rho = "2.0"
+    with pytest.raises(ConfigError, match=r"carriers\.pcc\.rho: expected"):
+        bad.validate()
+
+
+def test_to_file_writes_every_field(tmp_path):
+    """Every scalar field of the config, of its carriers and of its
+    trajectory is a key of the written file, so none can be left out of it."""
+    def names(cls, *skip):
+        return {f.name for f in dataclasses.fields(cls)} - set(skip)
+    for cfg in (default_static_scenario(2), default_mobile_scenario(2)):
+        path = tmp_path / "scenario.ini"
+        sc.to_file(cfg, path)
+        parser = configparser.ConfigParser()
+        parser.read(path)
+        scalars = {k for s in ("workload", "channel", "controller", "run") for k in parser[s]}
+        assert names(ScenarioConfig, "policy_params", "carriers", "trajectory") <= scalars
+        assert names(type(cfg.trajectory)) <= set(parser["trajectory"])
+        for carrier in cfg.carriers:
+            assert names(CarrierConfig, "name") <= set(parser[f"carriers.{carrier.name}"])
 
 
 _DECLARED_VALUES = {
