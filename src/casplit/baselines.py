@@ -161,6 +161,9 @@ class QLearningController(Controller):
     Action 0 feeds the PCC, action 1 the SCC group; the reward is the
     number of packets the UE received in the slot.  Exploration draws come
     from the controller's own stream so channel noise is untouched.
+    ``observe`` buckets the buffer difference of the stack it reads, and
+    the next ``decide`` takes that state: the engine's ``b`` for that slot
+    is read from the same, unchanged stack.
     """
 
     name = "qlearning"
@@ -170,9 +173,13 @@ class QLearningController(Controller):
         self.table = table
         self.rng = rng
         self._pending: tuple[int, int] | None = None
+        self._state: int | None = None  # the bucket ``observe`` found
 
     def decide(self, t: int, b: int) -> SplitAction:
-        s = self.table.bucket(b)
+        s = self._state
+        if s is None:
+            s = self.table.bucket(b)
+        self._state = None
         if self.table.epsilon > 0 and self.rng.random() < self.table.epsilon:
             a = int(self.rng.integers(2))
         else:
@@ -186,7 +193,8 @@ class QLearningController(Controller):
         if self._pending is None:
             return
         s, a = self._pending
-        self.update(s, a, sum(served), self.table.bucket(stack.buffer_difference()))
+        self._state = self.table.bucket(stack.buffer_difference())
+        self.update(s, a, sum(served), self._state)
         self._pending = None
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:

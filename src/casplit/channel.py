@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from casplit.core import ConfigError, check_kind, field_kinds
+
 PCC = "pcc"
 SCC = "scc"
 
@@ -47,29 +49,37 @@ class CarrierConfig:
     rx_calibration_db: float = 0.0
 
     def __post_init__(self) -> None:
-        # Every message starts with the field name; the config parser
-        # prefixes it with the carrier section.
+        # Every message names the key as a config file does
+        # (``carriers.<name>.<key>``), and every field's kind is checked, as
+        # ``ScenarioConfig.validate`` checks it, before any value is compared.
+        where = f"carriers.{self.name or self.kind}"
+        for key, kind in _CARRIER_KINDS.items():
+            check_kind(f"{where}.{key}", getattr(self, key), kind)
         if self.kind not in (PCC, SCC):
-            raise ValueError(f"kind must be 'pcc' or 'scc', got {self.kind!r}")
-        # ``not x > 0`` refuses NaN too.
+            raise ConfigError(f"{where}.kind must be 'pcc' or 'scc', got {self.kind!r}")
         if not self.frequency_ghz > 0:
-            raise ValueError(f"frequency_ghz must be positive, got {self.frequency_ghz!r}")
+            raise ConfigError(f"{where}.frequency_ghz must be positive, "
+                              f"got {self.frequency_ghz!r}")
         if not self.bandwidth_mhz > 0:
-            raise ValueError(f"bandwidth_mhz must be positive, got {self.bandwidth_mhz!r}")
+            raise ConfigError(f"{where}.bandwidth_mhz must be positive, "
+                              f"got {self.bandwidth_mhz!r}")
         if self.rho <= 0:
-            raise ValueError("rho must be positive")
+            raise ConfigError(f"{where}.rho must be positive")
         if self.sigma2 < 0:
-            raise ValueError("sigma2 must be non-negative")
+            raise ConfigError(f"{where}.sigma2 must be non-negative")
         if self.n_th <= 0:
-            raise ValueError("n_th must be positive")
+            raise ConfigError(f"{where}.n_th must be positive")
         if self.fading_family not in FADING_FAMILIES:
-            raise ValueError(f"fading_family: unknown family {self.fading_family!r}, "
-                             f"use one of {FADING_FAMILIES}")
+            raise ConfigError(f"{where}.fading_family: unknown family "
+                              f"{self.fading_family!r}, use one of {FADING_FAMILIES}")
         if self.pl_model not in PATH_LOSS_MODELS:
-            raise ValueError(f"pl_model: unknown model {self.pl_model!r}, "
-                             f"use one of {PATH_LOSS_MODELS}")
+            raise ConfigError(f"{where}.pl_model: unknown model {self.pl_model!r}, "
+                              f"use one of {PATH_LOSS_MODELS}")
         if not self.name:
             self.name = self.kind
+
+
+_CARRIER_KINDS = field_kinds(CarrierConfig)
 
 
 def sample_fading(cfg: CarrierConfig, rng: np.random.Generator, size: int | None = None):

@@ -1,29 +1,30 @@
 """Brute-force reference solvers on tiny deterministic instances.
 
 ``brute_force_min_T`` searches the full binary action-sequence space for
-the fastest burst completion by stepping one ``CountStack`` through
-``restore``/phases/``snapshot``; equivalent search prefixes are merged by
-deduplicating identical queue states per slot, which leaves the result
-identical to plain enumeration.  ``verify_nstep_identity`` checks the
-window-throughput bookkeeping identity (delivered equals available work
-minus the surviving one-sided backlog) on instances where exactly one side
-of the split stays saturated, and the strategy-ranking equivalence between
-window throughput and the drift objective.  Both the witness replay and
-the identity check are ordinary ``Simulation`` runs, so they step the
-engine's ``CountStack.step``; the search steps the ``CountStack`` phase
-methods, which the tests check ``step`` against (and both against
-``ProtocolStack``), so all three make the same slot transition.
+the fastest burst completion.  A search state is one flat tuple of the
+queue counts (PDCP depth, RLC counts, Xn ring rows), and each expansion
+applies the count-level slot transition to a list copy of it; equivalent
+search prefixes are merged by deduplicating identical states per slot,
+which leaves the result identical to plain enumeration.
+``verify_nstep_identity`` checks the window-throughput bookkeeping identity
+(delivered equals available work minus the surviving one-sided backlog) on
+instances where exactly one side of the split stays saturated, and the
+strategy-ranking equivalence between window throughput and the drift
+objective.  Both the witness replay and the identity check are ordinary
+``Simulation`` runs, so they step the engine's ``CountStack.step``; the
+tests check the search against a reference that steps the ``CountStack``
+phase methods, which they also check ``step`` against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from casplit.engine import Simulation
 from casplit.fuzzy_pid import Controller, SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
-from casplit.stack import CountStack
 
 MAX_L = 14
 MAX_SCC = 2
@@ -35,7 +36,12 @@ ALL_ACTIONS = (PCC_ONLY_ACTION, SCC_ONLY_ACTION, SplitAction(1, 1), SplitAction(
 
 @dataclass
 class TinyInstance:
-    """Desk-sized deterministic instance; capacities are explicit per slot."""
+    """Desk-sized deterministic instance; capacities are explicit per slot.
+
+    Construction checks every field and converts the capacities once, so
+    they are fixed from then on: ``caps`` is not to be changed afterwards,
+    and ``caps_array`` hands out read-only views of that one conversion.
+    """
 
     l: int
     n_scc: int
@@ -44,6 +50,7 @@ class TinyInstance:
     max_slots: int = MAX_SLOTS
     preseed_rlc: list[int] = field(default_factory=list)
     label: str = ""
+    _caps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # ``type(x) is int`` also rejects bools, which subclass int.
@@ -61,19 +68,29 @@ class TinyInstance:
             raise ValueError("caps must cover every carrier")
         if any(len(row) < self.max_slots for row in self.caps):
             raise ValueError("caps rows must span max_slots")
-        if not all(type(c) is int and c >= 0 for row in self.caps for c in row):
+        cells = list(chain.from_iterable(self.caps))
+        if not (set(map(type, cells)) <= {int} and min(cells, default=0) >= 0):
             raise ValueError("caps must be non-negative integers")
         if self.preseed_rlc and (len(self.preseed_rlc) != 1 + self.n_scc or not all(
                 type(c) is int and c >= 0 for c in self.preseed_rlc)):
             raise ValueError("preseed_rlc must list one non-negative integer per carrier")
         if self.d_xn < 0:
             raise ValueError("d_xn must be non-negative")
+        width = min(map(len, self.caps))
+        try:
+            caps = np.array([row[:width] for row in self.caps], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("caps must fit in 64-bit integers") from None
+        caps.flags.writeable = False
+        self._caps = caps
 
     def caps_array(self, n_slots: int | None = None) -> np.ndarray:
+        """The first ``n_slots`` (default ``max_slots``) capacity columns,
+        carriers by slots, as a read-only int64 view."""
         n = self.max_slots if n_slots is None else n_slots
-        if any(len(row) < n for row in self.caps):
+        if n > self._caps.shape[1]:
             raise ValueError(f"instance capacities span fewer than {n} slots")
-        return np.array([row[:n] for row in self.caps], dtype=np.int64)
+        return self._caps[:, :n]
 
 
 @dataclass
@@ -102,42 +119,64 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
 
     By default the search space is restricted to complementary actions;
     the flag widens it to the full two-bit action set to quantify the cost
-    of that restriction.
+    of that restriction.  A state is the tuple ``(pdcp_depth, rlc_0 ..
+    rlc_n_scc, xn ring rows flattened)``; each expansion makes the slot
+    transition of ``CountStack.step`` on a list copy of it.
     """
     if inst.preseed_rlc and any(inst.preseed_rlc):
         raise ValueError("min-T search expects an initially empty stack")
-    n_car = 1 + inst.n_scc
+    n_scc = inst.n_scc
+    n_car = 1 + n_scc
+    d = inst.d_xn
+    ring = 1 + n_car  # index of the Xn ring's first row
     actions = ALL_ACTIONS if allow_noncomplementary else COMPLEMENTARY_ACTIONS
-    stack = CountStack(inst.n_scc, inst.d_xn)
-    stack.pdcp_ingest(inst.l)
-    done = lambda st: st[0] == 0 and not any(st[1]) and not any(map(any, st[2]))
+    moves = [(a.a_p, a.a_s, a) for a in actions]
+    sccs = range(n_scc)
 
     # Every state of layer t shares the Xn ring phase t % (d_xn + 1), so
-    # equal snapshots within a layer are equal queue states.
-    frontier = [stack.snapshot()]
+    # equal tuples within a layer are equal queue states.  The one finished
+    # state is the all-zero tuple.
+    empty = (0,) * (1 + n_car + (d + 1) * n_scc)
+    frontier = [(inst.l,) + empty[1:]]
     parents: list[dict] = []  # one layer per slot: state -> (parent, action, served)
     explored = 0
     for t in range(inst.max_slots):
-        caps_t = [inst.caps[c][t] for c in range(n_car)]
+        cap_p, *cap_s = [row[t] for row in inst.caps]
+        send = ring + (t + d) % (d + 1) * n_scc  # the row this slot's SCC packets enter
+        due = ring + t % (d + 1) * n_scc  # the row that surfaces this slot
         nxt: dict = {}
-        winner = None
         for state in frontier:
-            for action in actions:
-                stack.restore(state)
-                stack.pdcp_dispatch(action.a_p, action.a_s, t)
-                stack.xn_tick(t)
-                served = stack.ue_receive(stack.rlc_serve(caps_t))
-                ns = stack.snapshot()
+            for a_p, a_s, action in moves:
+                st = list(state)
+                depth = st[0]
+                if a_p and depth:
+                    depth -= 1
+                    st[1] += 1
+                if a_s and depth:
+                    k = min(n_scc, depth)
+                    depth -= k
+                    for i in range(send, send + k):
+                        st[i] += 1
+                st[0] = depth
+                # With d_xn = 0, ``due`` is ``send``: the packets surface here.
+                q = st[1]
+                served = cap_p if cap_p < q else q
+                st[1] = q - served
+                for s in sccs:
+                    q = st[2 + s] + st[due + s]
+                    st[due + s] = 0
+                    n = cap_s[s] if cap_s[s] < q else q
+                    st[2 + s] = q - n
+                    served += n
+                ns = tuple(st)
                 explored += 1
                 if ns not in nxt:
                     nxt[ns] = (state, action, served)
-                    if winner is None and done(ns):
-                        winner = ns
         parents.append(nxt)
-        if winner is not None:
+        if empty in nxt:
             seq: list[SplitAction] = []
             per_slot: list[int] = []
-            node = winner
+            node = empty
             for layer in reversed(parents):
                 node, act, served = layer[node]
                 seq.append(act)

@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 import re
-import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,7 +20,7 @@ from casplit.baselines import (
     StationaryKController,
 )
 from casplit.channel import CarrierConfig, capacity_series, sample_fading, PCC, SCC
-from casplit.core import make_rng
+from casplit.core import NOUN, TABLE, ConfigError, check_kind, field_kinds, make_rng
 from casplit.engine import Simulation, BURST, PER_SLOT
 from casplit.fuzzy_pid import (
     FuzzyConfig,
@@ -34,10 +32,8 @@ from casplit.fuzzy_pid import (
     DEFAULT_GAINS,
 )
 
-# The [controller] keys each policy takes, with their kinds.  A TABLE is a
-# fuzzy rule table, held and written flat as ``r0c0,r0c1,r1c0,r1c1``.  The
-# defaults live in the controller classes.
-TABLE = "table"
+# The [controller] keys each policy takes, with their kinds (``core.TABLE``
+# for a fuzzy rule table).  The defaults live in the controller classes.
 _FUZZY_PARAMS = {
     "b_max": int, "kp": float, "ki": float, "kd": float,
     "t_p": TABLE, "t_i": TABLE, "t_d": TABLE, "gain_min": float, "gain_max": float,
@@ -53,18 +49,12 @@ POLICY_PARAMS = {
     "stationary_k": {"k": int},
 }
 POLICIES = tuple(POLICY_PARAMS)
-_NOUN = {int: "an integer", float: "a finite number", str: "a string",
-         TABLE: "4 comma-separated finite numbers"}
 
 
 class RunMode(str, Enum):
     CA = "ca"
     PCC_ONLY = "pcc"
     SCC_ONLY = "scc"
-
-
-class ConfigError(ValueError):
-    """Scenario configuration rejected; the message names the field."""
 
 
 @dataclass
@@ -180,13 +170,13 @@ class ScenarioConfig:
     def validate(self) -> None:
         for section, kinds in _SECTIONS.items():
             for key, kind in kinds.items():
-                _check_kind(f"{section}.{key}", getattr(self, key), kind)
+                check_kind(f"{section}.{key}", getattr(self, key), kind)
         for c in self.carriers:
             for key, kind in _KINDS[CarrierConfig].items():
-                _check_kind(f"carriers.{c.name}.{key}", getattr(c, key), kind)
+                check_kind(f"carriers.{c.name}.{key}", getattr(c, key), kind)
         traj = self.trajectory
         for key, kind in _KINDS.get(type(traj), {}).items():
-            _check_kind(f"trajectory.{key}", getattr(traj, key), kind)
+            check_kind(f"trajectory.{key}", getattr(traj, key), kind)
         if self.n < 2:
             raise ConfigError("controller.n must be >= 2")
         if self.n_scc < 1:
@@ -230,7 +220,7 @@ class ScenarioConfig:
             if key not in takes:
                 raise ConfigError(f"controller.{key}: not a parameter of policy "
                                   f"{self.policy} (it takes: {', '.join(takes) or 'none'})")
-            _check_kind(f"controller.{key}", value, takes[key])
+            check_kind(f"controller.{key}", value, takes[key])
         if self.policy_params:  # the controllers' own defaults always pass
             try:
                 make_controller(self)
@@ -246,14 +236,7 @@ class ScenarioConfig:
         return dup
 
 
-def _kinds(cls) -> dict:
-    """The scalar fields of dataclass ``cls`` with their kinds (int, float or str)."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)
-            if hints[f.name] in (int, float, str)}
-
-
-_KINDS = {cls: _kinds(cls) for cls in (ScenarioConfig, CarrierConfig, *TRAJECTORIES.values())}
+_KINDS = {cls: field_kinds(cls) for cls in (ScenarioConfig, CarrierConfig, *TRAJECTORIES.values())}
 # A carrier's name is its section's name, not a key.
 _CARRIER_KEYS = {k: kind for k, kind in _KINDS[CarrierConfig].items() if k != "name"}
 # ScenarioConfig's scalar fields by config-file section, in the order
@@ -417,7 +400,10 @@ def to_file(cfg: ScenarioConfig, path) -> None:
 def from_file(path) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not valid UTF-8: {path} "
+                          f"(byte {exc.start}: {exc.reason})") from None
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"{exc.section}.{exc.option}: repeated key (line {exc.lineno})") from None
     except configparser.Error as exc:  # no section header, a repeated section
@@ -434,25 +420,7 @@ def _typed(where: str, raw: str, kind):
             return tuple(float(x) for x in raw.split(","))
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"{where}: expected {_NOUN[kind]}, got {raw!r}") from None
-
-
-def _is_number(x, kind=float) -> bool:
-    """``x`` is an int (not a bool) or, for kind float, also a finite float."""
-    return (isinstance(x, int) and not isinstance(x, bool)
-            or kind is float and isinstance(x, float) and math.isfinite(x))
-
-
-def _check_kind(where: str, value, kind) -> None:
-    """``value`` is of the declared ``kind``; the error names ``where``."""
-    if kind is str:
-        ok = isinstance(value, str)
-    elif kind is TABLE:
-        ok = isinstance(value, tuple) and len(value) == 4 and all(map(_is_number, value))
-    else:
-        ok = _is_number(value, kind)
-    if not ok:
-        raise ConfigError(f"{where}: expected {_NOUN[kind]}, got {value!r}")
+        raise ConfigError(f"{where}: expected {NOUN[kind]}, got {raw!r}") from None
 
 
 def _read(section: configparser.SectionProxy, kinds: dict, optional: dict | None = None) -> dict:
@@ -486,10 +454,8 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     for section in parser.sections():
         if section.startswith("carriers."):
             values = _read(parser[section], _CARRIER_KEYS)
-            try:
-                carriers.append(CarrierConfig(name=section.split(".", 1)[1], **values))
-            except ValueError as exc:  # CarrierConfig messages start with the field
-                raise ConfigError(f"{section}.{exc}") from None
+            # CarrierConfig messages name the section's keys.
+            carriers.append(CarrierConfig(name=section.split(".", 1)[1], **values))
     if not carriers:
         raise ConfigError("missing config section [carriers.pcc]")
     carriers.sort(key=_carrier_order)

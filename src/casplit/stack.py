@@ -10,7 +10,7 @@ fixed: ingest, dispatch, Xn surfacing, service, UE count, so dispatch and Xn
 arrivals land in the RLC buffers before service runs in the same slot.
 ``CountStack.step`` runs that whole slot in one call, which the engine's slot
 loop makes once per slot; the separate phase methods are the reference the
-tests check ``step`` against, and the oracle search steps them directly.
+tests check ``step`` and the oracle's search over flat state tuples against.
 """
 
 from __future__ import annotations
@@ -455,9 +455,3 @@ class CountStack:
         The cumulative counters never affect a later slot and are left out.
         """
         return (self.pdcp_depth, tuple(self.rlc), tuple(tuple(row) for row in self.xn))
-
-    def restore(self, state: tuple) -> None:
-        """Reset the queue state to a ``snapshot()``."""
-        self.pdcp_depth = state[0]
-        self.rlc = list(state[1])
-        self.xn = [list(row) for row in state[2]]

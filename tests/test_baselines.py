@@ -119,6 +119,19 @@ def test_qlearning_zero_table_tie_break_is_pcc():
     assert c.decide(0, 0) == P
 
 
+def test_qlearning_decide_takes_the_observed_state_once():
+    """After ``observe``, the next ``decide`` takes the state bucketed from
+    the stack; a ``decide`` with no ``observe`` before it buckets its ``b``."""
+    table = QTable(n_bins=2, b_max=1, epsilon=0.0, learn_rate=0.1, discount=0.9)
+    table.values[1, 1] = 1.0  # state 1 prefers the SCC group
+    c = QLearningController(table, make_rng(0, "q"))
+    assert c.decide(0, -1) == P  # state 0, an all-zero row: ties go to the PCC
+    c.observe(0, [0, 0], CountStack(1, 0, preseed_rlc=[1, 0]))  # b = 1: state 1
+    assert table.values[0, 0] > 0  # the update read state 1's best value
+    assert c.decide(1, -1) == S  # the observed state 1, not the bucket of -1
+    assert c.decide(2, -1) == P  # no observe since: state 0 from b
+
+
 def test_qlearning_values_bounded():
     table = QTable(epsilon=0.2, learn_rate=0.5, discount=0.9)
     c = QLearningController(table, make_rng(1, "q"))

@@ -291,6 +291,19 @@ def test_run_rejects_malformed_ini(tiny_config, tmp_path, capsys, edit, names):
     assert err.startswith("config error: ") and names in err
 
 
+def test_run_rejects_config_that_is_not_utf8(tiny_config, tmp_path, capsys):
+    """Bytes that do not decode as UTF-8 exit 1 naming the file, not 2."""
+    path, _ = tiny_config
+    text = path.read_bytes()
+    assert b"l = 60\n" in text
+    path.write_bytes(text.replace(b"l = 60\n", b"l = \xff\xfe10\n", 1))
+    code = run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not valid UTF-8" in err and str(path) in err
+
+
 @pytest.mark.parametrize("policy, key, value", [
     ("fuzzy_pid", "escape_divisr", "4"),
     ("fuzzy_pid", "probe_resets_gains", "maybe"),

@@ -649,3 +649,22 @@ def test_only_ltr_sums_the_xn_ring_per_slot(policy):
     result = sim.run()
     assert result.t_slots > 100
     assert len(calls) == (result.t_slots if policy == "ltr" else 0) + 1
+
+
+def test_qlearning_buckets_its_state_once_per_slot():
+    """qlearning's ``observe`` buckets the stack's buffer difference, and the
+    next ``decide`` takes that state instead of bucketing the same value
+    again: one lookup a slot, and one more for the first slot's ``decide``."""
+    cfg = default_static_scenario(2).copy(l=300, max_slots=400)
+    sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy="qlearning")
+    table = sim.controller.table
+    calls = []
+    method = table.bucket
+
+    def counted(b):
+        calls.append(b)
+        return method(b)
+    table.bucket = counted
+    result = sim.run()
+    assert result.t_slots > 100
+    assert len(calls) == result.t_slots + 1

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casplit.core import make_rng
 from casplit.fuzzy_pid import SplitAction
 from casplit.oracle import (
+    ALL_ACTIONS,
+    COMPLEMENTARY_ACTIONS,
+    MAX_L,
+    MAX_SCC,
+    MAX_SLOTS,
+    OracleResult,
     TinyInstance,
     brute_force_min_T,
     drift_objective,
@@ -13,6 +20,7 @@ from casplit.oracle import (
     replay_witness,
     verify_nstep_identity,
 )
+from casplit.stack import CountStack
 
 P = SplitAction(1, 0)
 S = SplitAction(0, 1)
@@ -162,3 +170,117 @@ def test_drift_objective_requires_constant_caps():
     inst = TinyInstance(l=1, n_scc=1, caps=caps, max_slots=24)
     with pytest.raises(ValueError):
         drift_objective(inst, [P, S], 10)
+
+
+def _restore(stack: CountStack, state: tuple) -> None:
+    """Reset the queue state of ``stack`` to a ``snapshot()``."""
+    stack.pdcp_depth = state[0]
+    stack.rlc = list(state[1])
+    stack.xn = [list(row) for row in state[2]]
+
+
+def _reference_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) -> OracleResult:
+    """``brute_force_min_T`` as it stood when it stepped one ``CountStack``
+    through its phase methods, from a restored snapshot per expansion: the
+    reference the search over flat state tuples is checked against."""
+    if inst.preseed_rlc and any(inst.preseed_rlc):
+        raise ValueError("min-T search expects an initially empty stack")
+    n_car = 1 + inst.n_scc
+    actions = ALL_ACTIONS if allow_noncomplementary else COMPLEMENTARY_ACTIONS
+    stack = CountStack(inst.n_scc, inst.d_xn)
+    stack.pdcp_ingest(inst.l)
+    done = lambda st: st[0] == 0 and not any(st[1]) and not any(map(any, st[2]))
+
+    frontier = [stack.snapshot()]
+    parents: list[dict] = []
+    explored = 0
+    for t in range(inst.max_slots):
+        caps_t = [inst.caps[c][t] for c in range(n_car)]
+        nxt: dict = {}
+        winner = None
+        for state in frontier:
+            for action in actions:
+                _restore(stack, state)
+                stack.pdcp_dispatch(action.a_p, action.a_s, t)
+                stack.xn_tick(t)
+                served = stack.ue_receive(stack.rlc_serve(caps_t))
+                ns = stack.snapshot()
+                explored += 1
+                if ns not in nxt:
+                    nxt[ns] = (state, action, served)
+                    if winner is None and done(ns):
+                        winner = ns
+        parents.append(nxt)
+        if winner is not None:
+            seq: list[SplitAction] = []
+            per_slot: list[int] = []
+            node = winner
+            for layer in reversed(parents):
+                node, act, served = layer[node]
+                seq.append(act)
+                per_slot.append(served)
+            seq.reverse()
+            per_slot.reverse()
+            return OracleResult(True, t + 1, seq, per_slot, explored)
+        frontier = list(nxt)
+    return OracleResult(False, None, [], [], explored)
+
+
+@st.composite
+def search_instances(draw):
+    """Instances of every shape the search takes: random capacities in
+    {0, 1, 2} with zero-capacity outages, often too short a horizon to
+    finish, and now and then a carrier that never serves."""
+    n_scc = draw(st.integers(1, MAX_SCC))
+    horizon = draw(st.integers(1, MAX_SLOTS))
+    caps = [draw(st.lists(st.integers(0, 2), min_size=horizon, max_size=horizon + 3))
+            for _ in range(1 + n_scc)]
+    if draw(st.booleans()):
+        caps[draw(st.integers(0, n_scc))] = [0] * horizon
+    return TinyInstance(l=draw(st.integers(1, MAX_L)), n_scc=n_scc, caps=caps,
+                        d_xn=draw(st.integers(0, 3)), max_slots=horizon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_instances(), st.booleans())
+def test_search_matches_phase_reference(inst, allow_noncomplementary):
+    """The search over flat state tuples returns the phase-stepping
+    reference's result: feasibility, T*, the witness, its per-slot
+    deliveries and the number of states explored."""
+    got = brute_force_min_T(inst, allow_noncomplementary)
+    want = _reference_min_T(inst, allow_noncomplementary)
+    assert (got.feasible, got.t_star, got.actions, got.per_slot_throughput,
+            got.states_explored) == (want.feasible, want.t_star, want.actions,
+                                     want.per_slot_throughput, want.states_explored)
+
+
+def test_search_matches_phase_reference_on_generated_instances():
+    """The same on the criterion-3 generator's instances, over its full
+    horizon, for both action sets."""
+    rng = make_rng(34, "oracle-diff")
+    for i in range(20):
+        inst = gen_min_t_instance(rng, label=f"d{i}")
+        for allow in (False, True):
+            assert brute_force_min_T(inst, allow) == _reference_min_T(inst, allow)
+
+
+def test_caps_array_is_one_read_only_conversion():
+    """``caps_array`` slices the array built at construction: equal to the
+    rows converted per call on ragged rows, never writable, and refusing a
+    width past the shortest row as before."""
+    caps = [[1, 0, 2, 1, 1, 0, 3], [0, 1, 1, 1, 2], [1, 1, 0, 1, 1, 1]]
+    inst = TinyInstance(l=3, n_scc=2, caps=caps, max_slots=4)
+    for n in (None, 0, 1, 4, 5):
+        want = np.array([row[:4 if n is None else n] for row in caps], dtype=np.int64)
+        got = inst.caps_array(n)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[:, :1] = 7
+    with pytest.raises(ValueError, match="span fewer than 6 slots"):
+        inst.caps_array(6)
+
+
+def test_caps_beyond_int64_rejected_at_construction():
+    with pytest.raises(ValueError, match="64-bit"):
+        TinyInstance(l=1, n_scc=1, caps=[[2 ** 63] * 24, [1] * 24])

@@ -97,6 +97,23 @@ def test_validation_messages_name_fields():
         bad.validate()
 
 
+@pytest.mark.parametrize("key", [k for k, kind in sc._KINDS[CarrierConfig].items()
+                                 if kind is float])
+def test_carrier_checks_kinds_before_values(key):
+    """A numeric carrier field given a string is refused by the carrier
+    itself with the error ``ScenarioConfig.validate`` gives for it, not a
+    ``TypeError`` from comparing it."""
+    cfg = default_static_scenario(1)
+    with pytest.raises(ConfigError) as direct:
+        dataclasses.replace(cfg.carriers[0], **{key: "2"})
+    setattr(cfg.carriers[0], key, "2")
+    with pytest.raises(ConfigError) as validated:
+        cfg.validate()
+    assert type(direct.value) is type(validated.value)
+    assert str(direct.value) == str(validated.value) == (
+        f"carriers.pcc.{key}: expected a finite number, got '2'")
+
+
 def test_to_file_writes_every_field(tmp_path):
     """Every scalar field of the config, of its carriers and of its
     trajectory is a key of the written file, so none can be left out of it."""
