@@ -162,8 +162,8 @@ class QLearningController(Controller):
     number of packets the UE received in the slot.  Exploration draws come
     from the controller's own stream so channel noise is untouched.
     ``observe`` buckets the buffer difference of the stack it reads, and
-    the next ``decide`` takes that state: the engine's ``b`` for that slot
-    is read from the same, unchanged stack.
+    the next ``decide`` takes that state; the engine takes that slot's ``b``
+    from ``observed_b``, so the stack is read once a slot.
     """
 
     name = "qlearning"
@@ -173,7 +173,8 @@ class QLearningController(Controller):
         self.table = table
         self.rng = rng
         self._pending: tuple[int, int] | None = None
-        self._state: int | None = None  # the bucket ``observe`` found
+        self._b: int | None = None  # the buffer difference ``observe`` read
+        self._state: int | None = None  # and its bucket
 
     def decide(self, t: int, b: int) -> SplitAction:
         s = self._state
@@ -193,9 +194,13 @@ class QLearningController(Controller):
         if self._pending is None:
             return
         s, a = self._pending
-        self._state = self.table.bucket(stack.buffer_difference())
+        self._b = stack.buffer_difference()
+        self._state = self.table.bucket(self._b)
         self.update(s, a, sum(served), self._state)
         self._pending = None
+
+    def observed_b(self) -> int:
+        return self._b
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:
         q = self.table.values

@@ -9,9 +9,12 @@ vectorized physically) so each slot of the loop is one ``decide``, one
 ``CountStack.step`` (the whole queue transition) and, for a controller
 whose ``observes`` is true, one ``observe`` given the slot's served counts
 and the stack itself, so a controller pays only for the state it reads.
-Capacity rows become Python ints ``CAPS_CHUNK`` slots at a time, so a
-run that completes early converts only what it reaches.  The same loop
-serves the η runs, oracle witness replay and the window-identity check.
+Capacity rows become Python ints in chunks that start at
+``CAPS_FIRST_CHUNK`` slots and double the slots converted so far, up to
+``CAPS_CHUNK`` at a time, so a run that stops at slot s converts at most
+``max(CAPS_FIRST_CHUNK, 2 (s + 1))`` slots: a run's cost follows the slots
+it steps, not its horizon.  The same loop serves the η runs, oracle
+witness replay and the window-identity check.
 
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import sub
 
 import numpy as np
 
@@ -35,7 +39,8 @@ from casplit.stack import CountStack
 
 BURST = "burst"
 PER_SLOT = "per_slot"
-CAPS_CHUNK = 1024  # capacity columns converted to Python rows at a time
+CAPS_FIRST_CHUNK = 16  # capacity columns a run converts to Python rows first
+CAPS_CHUNK = 1024  # the most capacity columns converted at a time
 STATE_DTYPES = (np.float64,) * 4 + (np.int64, object)  # of the trace_state columns
 
 
@@ -86,11 +91,15 @@ class RunResult:
 
 
 def _cap_rows(caps: np.ndarray, n_slots: int):
-    """Each slot's carrier capacities as Python ints, one chunk of
-    ``CAPS_CHUNK`` slots at a time, so a run that stops early converts only
-    the chunks it reaches."""
-    for start in range(0, n_slots, CAPS_CHUNK):
-        yield caps[:, start:min(n_slots, start + CAPS_CHUNK)].T.tolist()
+    """Each slot's carrier capacities as Python ints, one chunk at a time:
+    ``CAPS_FIRST_CHUNK`` slots, then each chunk as long as all before it, up
+    to ``CAPS_CHUNK``.  A run that stops at slot s has then converted at most
+    the first chunk or ``2 (s + 1)`` slots, whichever is more."""
+    start = 0
+    while start < n_slots:
+        stop = min(n_slots, start + min(max(start, CAPS_FIRST_CHUNK), CAPS_CHUNK))
+        yield caps[:, start:stop].T.tolist()
+        start = stop
 
 
 class Simulation:
@@ -110,7 +119,7 @@ class Simulation:
             raise ValueError(f"unknown arrival mode {arrival_mode!r}")
         if caps.shape[0] != 1 + n_scc:
             raise ValueError("capacity array must cover every carrier")
-        if not np.issubdtype(caps.dtype, np.integer):
+        if caps.dtype.kind not in "iu":  # signed or unsigned integers, nothing else
             raise ValueError(f"capacity must be integer packet counts, got {caps.dtype}")
         self.l = l
         self.arrival_mode = arrival_mode
@@ -165,9 +174,15 @@ class Simulation:
         step = stack.step
         buffer_difference = stack.buffer_difference
         rlc = stack.rlc  # ``step`` updates it in place
-        decide = self.plan.decide
-        observe = self.plan.observe if self.plan.observes else None
-        trace_state = self.plan.trace_state
+        plan = self.plan
+        decide = plan.decide
+        observe = plan.observe if plan.observes else None
+        # Each later slot's ``b``: from the stack, or handed over by an
+        # ``observe`` that has just read it there.
+        read_b = plan.observed_b if observe is not None and plan.observed_b else buffer_difference
+        trace_state = plan.trace_state
+        collect_trace = self.collect_trace
+        stop_on_complete = self.stop_on_complete
         burst = self.arrival_mode == BURST
         rate = self.arrival_rate
         target = self.l
@@ -182,8 +197,8 @@ class Simulation:
         completed = False
         completion_slot: int | None = None
 
+        b = buffer_difference()
         for t, caps_t in enumerate(chain.from_iterable(_cap_rows(self.caps, self.max_slots))):
-            b = buffer_difference()
             action = decide(t, b)
             arrivals = (target if t == 0 else 0) if burst else rate
             served = step(t, arrivals, action.a_p, action.a_s, caps_t)
@@ -194,26 +209,28 @@ class Simulation:
             ap_hist.append(action.a_p)
             as_hist.append(action.a_s)
             b_hist.append(b)
-            if self.collect_trace:
+            if collect_trace:
                 occ_rows.append(tuple(rlc))
                 states.append(trace_state())
             if burst and not completed and stack.delivered >= target:
                 completed = True
                 completion_slot = t
-                if self.stop_on_complete:
+                if stop_on_complete:
                     break
+            b = read_b()
 
         occupancy = state = None
-        if self.collect_trace:
+        if collect_trace:
             occupancy = np.array(occ_rows, dtype=np.int64)
             occupancy = occupancy.reshape(-1, len(rlc)).T
             state = [np.array(col, dtype=d)
                      for col, d in zip(zip(*states) if states else [()] * 6, STATE_DTYPES)]
+        n = len(delivered_hist)
         return self._result(
-            delivered=np.array(delivered_hist, dtype=np.int64),
-            a_p=np.array(ap_hist, dtype=np.int8),
-            a_s=np.array(as_hist, dtype=np.int8),
-            b=np.array(b_hist, dtype=np.int64),
+            delivered=np.fromiter(delivered_hist, np.int64, n),
+            a_p=np.fromiter(ap_hist, np.int8, n),
+            a_s=np.fromiter(as_hist, np.int8, n),
+            b=np.fromiter(b_hist, np.int64, n),
             occupancy=occupancy, state=state, completed=completed,
             completion_slot=completion_slot)
 
@@ -223,7 +240,10 @@ class Simulation:
         stack = self.stack
         final_rlc = stack.rlc_occupancy()
         final_inflight = stack.xn_inflight()
-        in_flight = [0] + final_inflight
+        # Served per carrier: what was dispatched to it (``out_counts``) less
+        # what still waits in its RLC buffer or on the Xn link.
+        served = list(map(sub, stack.out_counts, final_rlc))
+        served[1:] = map(sub, served[1:], final_inflight)
         return RunResult(
             mode=self.mode,
             policy=self.policy,
@@ -244,5 +264,5 @@ class Simulation:
             state=state,
             final_rlc=final_rlc,
             final_inflight=final_inflight,
-            served=[o - q - x for o, q, x in zip(stack.out_counts, final_rlc, in_flight)],
+            served=served,
         )

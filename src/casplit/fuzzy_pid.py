@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from casplit.stack import CountStack
 
@@ -56,10 +56,14 @@ class Controller:
     the buffer difference; ``observe(t, served, stack)`` after the slot, only
     if ``observes`` is true, with the packets served per carrier and the
     run's ``CountStack``, which it reads and never writes; ``trace_state``,
-    the trace's controller columns (PID gains, PID value, spacing k, mode)."""
+    the trace's controller columns (PID gains, PID value, spacing k, mode).
+    A controller whose ``observe`` reads the stack's buffer difference sets
+    ``observed_b`` to a method returning that value, and the engine takes
+    it as the next slot's ``b`` instead of reading the stack again."""
 
     name: str
     observes = False
+    observed_b: Callable[[], int] | None = None
 
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -547,6 +548,65 @@ def test_float_column_tells_values_apart_by_bits():
     assert trace._formatted(np.array(values), trace._f) == [trace._f(x) for x in values]
 
 
+def _chunk_starts(n_slots):
+    """The first slot of each capacity chunk at the default sizes: 16 slots,
+    then chunks that double the slots converted so far, then 1024 at a
+    time."""
+    assert (engine.CAPS_FIRST_CHUNK, engine.CAPS_CHUNK) == (16, 1024)
+    starts = [0, 16, 32, 64, 128, 256, 512] + list(range(1024, n_slots, 1024))
+    return [t for t in starts if t < n_slots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 2048), st.integers(1, 64), st.integers(1, 3))
+def test_cap_rows_concatenate_to_the_whole_conversion(n_slots, chunk, first, n_scc):
+    """The chunks ``_cap_rows`` yields concatenate to ``caps[:, :n].T.tolist()``
+    for any horizon and chunk sizes.  The first chunk is
+    ``min(CAPS_FIRST_CHUNK, CAPS_CHUNK)`` slots, and each later one is as long
+    as all before it, but at most ``CAPS_CHUNK``; only the last may be cut
+    short by the horizon."""
+    caps = np.arange((1 + n_scc) * (n_slots + 7), dtype=np.int64).reshape(1 + n_scc, -1)
+    with mock.patch.multiple(engine, CAPS_CHUNK=chunk, CAPS_FIRST_CHUNK=first):
+        chunks = list(engine._cap_rows(caps, n_slots))
+    assert [row for c in chunks for row in c] == caps[:, :n_slots].T.tolist()
+    done = 0
+    for i, c in enumerate(chunks):
+        want = min(max(done, first), chunk)
+        assert len(c) == want or (i == len(chunks) - 1 and 0 < len(c) < want)
+        done += len(c)
+    assert done == n_slots
+
+
+@functools.lru_cache(maxsize=None)
+def _static_caps(n_slots):
+    caps = build_caps(default_static_scenario(2).copy(max_slots=n_slots))
+    caps.flags.writeable = False
+    return caps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from(LOOP_POLICIES[:4]))
+def test_a_run_that_stops_early_converts_twice_its_slots_at_most(l, policy):
+    """A burst run that completes at slot s has converted at most
+    ``max(CAPS_FIRST_CHUNK, 2 (s + 1))`` capacity columns, counted off the
+    chunks ``_cap_rows`` hands the loop."""
+    cfg = default_static_scenario(2).copy(l=l, max_slots=4 * engine.CAPS_CHUNK)
+    sim = build_run(cfg, RunMode.CA, caps=_static_caps(cfg.max_slots), policy=policy)
+    converted = []
+    cap_rows = engine._cap_rows
+
+    def counted(caps, n_slots):
+        for chunk in cap_rows(caps, n_slots):
+            converted.append(len(chunk))
+            yield chunk
+    with mock.patch.object(engine, "_cap_rows", counted):
+        result = sim.run()
+    assert result.completed or policy == "qlearning"
+    s = result.t_slots - 1
+    assert sum(converted) <= max(engine.CAPS_FIRST_CHUNK, 2 * (s + 1))
+    assert sum(converted) >= result.t_slots
+
+
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_slot_loop_matches_phase_reference_across_chunks(policy):
     """A static burst run of each closed-loop policy completes several
@@ -560,21 +620,22 @@ def test_slot_loop_matches_phase_reference_across_chunks(policy):
     ref = _PhaseLoop(controller=_reference(make_controller(cfg, policy=policy)), **kwargs)
     got = sim.run()
     assert got.completed and got.completion_slot > 2 * engine.CAPS_CHUNK
-    assert got.completion_slot % engine.CAPS_CHUNK  # mid-chunk, not on an edge
+    assert got.completion_slot not in _chunk_starts(cfg.max_slots)  # mid-chunk, not on an edge
     _assert_same_run(sim, got, ref, ref.run())
     _assert_same_learning(sim.controller, ref.controller)
 
 
 @pytest.mark.parametrize("l, slot, dtype, message", [
     *(pytest.param(l, slot, np.int64, "capacity must be non-negative", id=f"{l}-{slot}")
-      for l in (200, 200_000) for slot in (5, engine.CAPS_CHUNK + 5)),
+      for l in (200, 200_000) for slot in (5, 20, 600, engine.CAPS_CHUNK + 5)),
     pytest.param(200, 5, np.float64, "capacity must be integer packet counts, got float64",
                  id="float64"),
 ])
 def test_negative_capacity_is_refused(l, slot, dtype, message):
     """A negative capacity anywhere in the horizon stops a loop run with
     ``ValueError``, as it stops a closed-form run: also when it sits in a
-    later chunk, and also after a burst of ``l = 200`` has completed.  A
+    later chunk (the second 16-slot chunk, the last doubling one, the first
+    of 1024 slots), and also after a burst of ``l = 200`` has completed.  A
     float capacity matrix is refused whole, whatever its values."""
     cfg = default_static_scenario(2).copy(l=l, max_slots=2 * engine.CAPS_CHUNK)
     caps = build_caps(cfg).astype(dtype)
@@ -582,6 +643,26 @@ def test_negative_capacity_is_refused(l, slot, dtype, message):
     for policy in ("fuzzy_pid", "bwa"):
         with pytest.raises(ValueError, match=message):
             build_run(cfg, RunMode.CA, caps=caps, policy=policy).run()
+
+
+@pytest.mark.parametrize("dtype", [
+    np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+    np.uint64, np.float16, np.float32, np.float64, np.complex128, object, "U1", "S1",
+    "datetime64[s]", "timedelta64[s]"])
+def test_only_integer_capacities_are_accepted(dtype):
+    """``Simulation`` takes signed and unsigned integer capacities and
+    refuses every other dtype: each one ``np.issubdtype(dtype, np.integer)``
+    refuses, and also ``timedelta64``, which that test lets through."""
+    caps = np.zeros((3, 4), dtype=dtype)
+    kwargs = dict(l=5, arrival_mode="burst", arrival_rate=0, n_scc=2, d_xn=0, caps=caps,
+                  max_slots=4, forced_action=SplitAction(1, 1))
+    kind = np.dtype(dtype).kind
+    assert kind in "iu" or not np.issubdtype(dtype, np.integer) or kind == "m"
+    if kind in "iu":
+        assert Simulation(**kwargs).caps is caps
+    else:
+        with pytest.raises(ValueError, match="capacity must be integer packet counts"):
+            Simulation(**kwargs)
 
 
 @pytest.mark.parametrize("policy", ["forced", "bwa", "fuzzy_pid"])
@@ -668,3 +749,24 @@ def test_qlearning_buckets_its_state_once_per_slot():
     result = sim.run()
     assert result.t_slots > 100
     assert len(calls) == result.t_slots + 1
+
+
+@pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
+def test_the_loop_reads_the_buffer_difference_once_per_slot(policy):
+    """The loop reads ``stack.buffer_difference`` once before the first slot
+    and once after each slot but the last.  qlearning's ``observe`` reads it
+    for its next state and hands it over through ``observed_b``, so the loop
+    does not read it again: one read a slot, not two."""
+    cfg = default_static_scenario(2).copy(l=300, max_slots=400)
+    sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
+    calls = []
+    method = sim.stack.buffer_difference
+
+    def counted():
+        calls.append(None)
+        return method()
+    sim.stack.buffer_difference = counted
+    result = sim.run()
+    assert result.t_slots > 100
+    assert len(calls) == result.t_slots + (1 if policy == "qlearning" or not result.completed
+                                           else 0)
