@@ -16,8 +16,8 @@ tests check the search against a reference that steps the ``CountStack``
 phase methods, which they also check ``step`` against.  A replay converts
 the capacities of the witness's slots alone, so beyond the few slots it
 steps it pays a run's fixed set-up and result: on the generated instances,
-whose witnesses are 6.6 slots long on average, a replay takes about two
-thirds as long as the search.
+whose witnesses are 6.6 slots long on average, a replay takes about 70%
+as long as the search.
 """
 
 from __future__ import annotations

@@ -753,10 +753,11 @@ def test_qlearning_buckets_its_state_once_per_slot():
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_the_loop_reads_the_buffer_difference_once_per_slot(policy):
-    """The loop reads ``stack.buffer_difference`` once before the first slot
-    and once after each slot but the last.  qlearning's ``observe`` reads it
-    for its next state and hands it over through ``observed_b``, so the loop
-    does not read it again: one read a slot, not two."""
+    """The loop reads ``stack.buffer_difference`` once before slot 0 and once
+    after every slot it does not stop on.  qlearning's ``observe`` reads it
+    for its next state after every slot and hands it over through
+    ``observed_b``, so the loop does not read it again: one read a slot,
+    not two."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
     calls = []
