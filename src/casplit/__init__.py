@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from casplit.core import make_rng
-from casplit.channel import CarrierConfig, sample_fading, path_loss, sinr_db, mac_capacity
-from casplit.stack import CountStack, ProtocolStack
+from casplit.channel import CarrierConfig, sample_fading
+from casplit.stack import CountStack
 from casplit.fuzzy_pid import (
     SplitAction,
     PidGains,
@@ -23,11 +23,7 @@ __all__ = [
     "make_rng",
     "CarrierConfig",
     "sample_fading",
-    "path_loss",
-    "sinr_db",
-    "mac_capacity",
     "CountStack",
-    "ProtocolStack",
     "SplitAction",
     "PidGains",
     "FuzzyConfig",

@@ -82,78 +82,30 @@ class CarrierConfig:
 _CARRIER_KINDS = field_kinds(CarrierConfig)
 
 
-def sample_fading(cfg: CarrierConfig, rng: np.random.Generator, size: int | None = None):
-    """Draw fading coefficients with mean 1 and variance ``cfg.sigma2``.
+def sample_fading(cfg: CarrierConfig, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` fading coefficients with mean 1 and variance ``cfg.sigma2``.
 
-    ``size=None`` returns a scalar, otherwise an ndarray of that length.
     A zero variance returns exactly 1.
     """
     s2 = cfg.sigma2
     if s2 == 0.0:
-        return 1.0 if size is None else np.ones(size)
+        return np.ones(size)
     if cfg.fading_family == "gamma":
         # shape*scale = 1, shape*scale^2 = sigma2
-        out = rng.gamma(shape=1.0 / s2, scale=s2, size=size)
-    else:  # lognormal
-        ls2 = math.log1p(s2)
-        out = rng.lognormal(mean=-ls2 / 2.0, sigma=math.sqrt(ls2), size=size)
-    return float(out) if size is None else out
-
-
-def path_loss_db(distance_m: float, frequency_ghz: float, model: str = "uma-nlos",
-                 fixed_db: float = 0.0) -> float:
-    """Path loss in dB for the configured model.
-
-    The default urban-macro NLOS style form is
-    ``32.4 + 30*log10(d_m) + 20*log10(f_GHz)``; the "fixed" model returns a
-    per-carrier constant and exists for unit tests and oracle runs.
-    """
-    if model == "fixed":
-        return fixed_db
-    if distance_m < 1.0:
-        raise ValueError(f"distance {distance_m} m below model validity (>= 1 m)")
-    return 32.4 + 30.0 * math.log10(distance_m) + 20.0 * math.log10(frequency_ghz)
-
-
-def path_loss(distance_m: float, frequency_ghz: float, model: str = "uma-nlos",
-              fixed_db: float = 0.0) -> float:
-    """Linear normalized path loss ``h = 10**(PL_dB/10)``."""
-    return 10.0 ** (path_loss_db(distance_m, frequency_ghz, model, fixed_db) / 10.0)
-
-
-def sinr_db(cfg: CarrierConfig, h: float, alpha: float) -> float:
-    """SINR in dB: transmit power minus the faded normalized loss."""
-    if h <= 0 or alpha <= 0:
-        raise ValueError("h and alpha must be positive")
-    return cfg.tx_power_dbm - 10.0 * math.log10(h * alpha)
-
-
-def mac_capacity(cfg: CarrierConfig, gamma_db: float, rho_s: float | None = None) -> int:
-    """Packets deliverable by the MAC/PHY abstraction in one slot.
-
-    The delivery threshold compares ``rho_s * log2(1 + gamma_linear)``
-    against ``n_th``, where ``rho_s`` is the SCC normalization factor (for
-    an SCC this is its own rho).  Above threshold a PCC moves
-    ``floor(rho_pcc / rho_s)`` packets and an SCC moves one; otherwise the
-    carrier is in outage and moves nothing.  The SINR enters after dB to
-    linear conversion.
-    """
-    if rho_s is None:
-        rho_s = cfg.rho
-    gamma_lin = 10.0 ** (gamma_db / 10.0)
-    if rho_s * math.log2(1.0 + gamma_lin) < cfg.n_th:
-        return 0
-    if cfg.kind == PCC:
-        return int(cfg.rho // rho_s)
-    return 1
+        return rng.gamma(shape=1.0 / s2, scale=s2, size=size)
+    ls2 = math.log1p(s2)  # lognormal
+    return rng.lognormal(mean=-ls2 / 2.0, sigma=math.sqrt(ls2), size=size)
 
 
 def capacity_series(cfg: CarrierConfig, distances_m: np.ndarray, alphas: np.ndarray,
                     rho_s: float) -> np.ndarray:
-    """Vectorized per-slot capacities for one carrier over a whole run.
+    """Per-slot capacities of one carrier over a whole run, as int64 packets.
 
-    Equivalent to calling ``mac_capacity(cfg, sinr_db(...))`` slot by slot;
-    used by the engine so the hot loop stays integer-only.
+    Path loss ``32.4 + 30 log10(d_m) + 20 log10(f_GHz) - rx_calibration_db``
+    (valid from 1 m; ``pl_fixed_db`` under the "fixed" model), SINR
+    ``tx_power_dbm - PL - 10 log10(alpha)``.  Above the threshold
+    ``rho log2(1 + SINR) >= n_th`` (``rho_s`` on the PCC, an SCC's own
+    ``rho``) the PCC moves ``floor(rho_pcc / rho_s)`` packets and an SCC one.
     """
     if cfg.pl_model == "fixed":
         pl = np.full_like(np.asarray(distances_m, dtype=float), cfg.pl_fixed_db)

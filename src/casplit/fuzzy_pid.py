@@ -3,11 +3,10 @@
 The controller watches the buffer difference
 ``B = pcc_occupancy - sum(scc_occupancies)`` and emits one binary routing
 action per slot: feed the PCC or feed the SCC group.  The regulated error
-is ``e = B - b_target``; the setpoint defaults to 0, and the gain
-adaptation parks packets in the secondary queues on its own by stiffening
-the integral gain.  Operation has two stages.  During the fill stage (the
-first horizon worth of slots) both routes are active so the buffers
-acquire state.
+is ``B`` itself (setpoint 0); the gain adaptation parks packets in the
+secondary queues on its own by stiffening the integral gain.  Operation has
+two stages.  During the fill stage (the first horizon worth of slots) both
+routes are active so the buffers acquire state.
 Afterwards each slot is resolved as one of:
 
 * coast    -- the buffers are exactly empty on both sides: keep playing
@@ -109,13 +108,7 @@ DEFAULT_GAINS = PidGains(0.5, 0.2, 0.1)
 
 @dataclass
 class FuzzyConfig:
-    """Tuning surface of the fuzzy gain scheduler and impulse planner.
-
-    ``b_target`` shifts the buffer-difference setpoint the mode gates work
-    against (default 0); a slightly negative value parks packets in the
-    secondary queues, which the gain adaptation otherwise arranges on its
-    own by stiffening the integral gain.
-    """
+    """Tuning surface of the fuzzy gain scheduler and impulse planner."""
 
     b_max: int = 96
     t_p: Table = DEFAULT_T_P
@@ -125,7 +118,6 @@ class FuzzyConfig:
     gain_max: float = 1.0
     membership_width: float = 0.25
     membership_width_change: float = 0.035
-    b_target: float = 0.0
 
     def __post_init__(self) -> None:
         if self.b_max <= 0:
@@ -222,25 +214,26 @@ def schedule_action(t: int, n: int, k: int, g: float) -> SplitAction:
 
 
 class FuzzyPidController(Controller):
-    """Stateful splitter; one instance drives one simulation run."""
+    """Stateful splitter; one instance drives one simulation run.
+    ``adapt_gains`` turns the fuzzy gain updates on."""
 
     name = "fuzzy_pid"
+    adapt_gains = True
 
     def __init__(self, n: int, n_scc: int, cfg: FuzzyConfig | None = None,
-                 gains: PidGains = DEFAULT_GAINS, adapt_gains: bool = True):
+                 gains: PidGains = DEFAULT_GAINS):
         if n < 2:
             raise ValueError("horizon must be at least 2 slots")
         self.n = n
         self.n_scc = n_scc
         self.cfg = cfg if cfg is not None else FuzzyConfig()
-        if adapt_gains:  # fuzzify divides by both widths
+        if self.adapt_gains:  # fuzzify divides by both widths
             if not self.cfg.membership_width > 0:
                 raise ValueError("membership_width must be positive")
             if not self.cfg.membership_width_change > 0:
                 raise ValueError("membership_width_change must be positive")
         self.gains = gains
         self._gains0 = gains
-        self.adapt_gains = adapt_gains
         self.history: deque[SplitAction] = deque(maxlen=n)
         self.k: int | None = None
         self.g = 0.0
@@ -249,7 +242,6 @@ class FuzzyPidController(Controller):
         self._b_prev2 = 0
         self._zero_streak = 0
         self._escape = self.cfg.b_max / 16
-        self.b_target = self.cfg.b_target
 
     def _replan(self, t: int, b: int, b1: int, b2: int,
                 reset_k: bool = False) -> SplitAction:
@@ -269,10 +261,9 @@ class FuzzyPidController(Controller):
         b1, b2 = self._b_prev, self._b_prev2
         self._b_prev, self._b_prev2 = b, b1
         self._zero_streak = self._zero_streak + 1 if b == 0 else 0
-        e, e1 = b - self.b_target, b1 - self.b_target
 
         if self.adapt_gains and t > self.n and t % self.n == 0:
-            d_b, d_e = fuzzify(e, e1, self.cfg)
+            d_b, d_e = fuzzify(b, b1, self.cfg)
             self.gains = update_gains(self.gains, d_b, d_e, self.cfg)
 
         if t <= self.n:
@@ -296,13 +287,13 @@ class FuzzyPidController(Controller):
             else:
                 self.mode = "coast"
             action = schedule_action(t, self.n, self.k, -self.g)
-        elif e * e1 > 0:
-            if abs(e) > abs(e1) and abs(e) > self._escape:
+        elif b * b1 > 0:
+            if abs(b) > abs(b1) and abs(b) > self._escape:
                 # Sign-stable but moving away from the setpoint beyond the
                 # hold band: the inherited action is hurting, re-plan.  A
                 # deep runaway also resets the impulse spacing.
                 self.mode = "escape"
-                action = self._replan(t, b, b1, b2, reset_k=abs(e) > self.cfg.b_max / 4)
+                action = self._replan(t, b, b1, b2, reset_k=abs(b) > self.cfg.b_max / 4)
             else:
                 self.mode = "static"
                 action = self.history[-1]
@@ -322,7 +313,4 @@ class NoFuzzyController(FuzzyPidController):
     """The same splitter with gain adaptation disabled (gains frozen)."""
 
     name = "nofuzzy_pid"
-
-    def __init__(self, n: int, n_scc: int, cfg: FuzzyConfig | None = None,
-                 gains: PidGains = DEFAULT_GAINS):
-        super().__init__(n, n_scc, cfg=cfg, gains=gains, adapt_gains=False)
+    adapt_gains = False

@@ -66,8 +66,8 @@ class TinyInstance:
             raise ValueError(f"l must be in [1, {MAX_L}]")
         if not 1 <= self.n_scc <= MAX_SCC:
             raise ValueError(f"n_scc must be in [1, {MAX_SCC}]")
-        if self.max_slots > MAX_SLOTS:
-            raise ValueError(f"max_slots bounded by {MAX_SLOTS} (search space cap)")
+        if not 1 <= self.max_slots <= MAX_SLOTS:
+            raise ValueError(f"max_slots must be in [1, {MAX_SLOTS}] (search space cap)")
         if len(self.caps) != 1 + self.n_scc:
             raise ValueError("caps must cover every carrier")
         if any(len(row) < self.max_slots for row in self.caps):

@@ -37,7 +37,7 @@ from casplit.fuzzy_pid import (
 _FUZZY_PARAMS = {
     "b_max": int, "kp": float, "ki": float, "kd": float,
     "t_p": TABLE, "t_i": TABLE, "t_d": TABLE, "gain_min": float, "gain_max": float,
-    "membership_width": float, "membership_width_change": float, "b_target": float,
+    "membership_width": float, "membership_width_change": float,
 }
 POLICY_PARAMS = {
     "fuzzy_pid": _FUZZY_PARAMS,
@@ -62,9 +62,6 @@ class StaticTrajectory:
     kind = "static"
     distance_m: float = 100.0
 
-    def distance(self, t: int, slot_duration: float) -> float:
-        return self.distance_m
-
     def distances(self, n_slots: int, slot_duration: float) -> np.ndarray:
         return np.full(n_slots, self.distance_m)
 
@@ -78,14 +75,6 @@ class OutAndBackTrajectory:
     d0_m: float = 70.0
     speed_mps: float = 10.0
     turn_time_s: float = 10.0
-
-    def distance(self, t: int, slot_duration: float) -> float:
-        elapsed = t * slot_duration
-        if elapsed <= self.turn_time_s:
-            return self.d0_m + self.speed_mps * elapsed
-        if elapsed <= 2 * self.turn_time_s:
-            return self.d0_m + self.speed_mps * (2 * self.turn_time_s - elapsed)
-        return self.d0_m
 
     def distances(self, n_slots: int, slot_duration: float) -> np.ndarray:
         elapsed = np.arange(n_slots) * slot_duration

@@ -1,0 +1,142 @@
+"""Step-by-step models that the tests check casplit's fast paths against.
+
+``ProtocolStack`` runs the per-slot phases of ``casplit.stack.CountStack``
+over integer sequence numbers, so packet conservation and duplicate-free
+delivery can be checked: the PDCP buffer is the range ``[head, tail)``,
+and the RLC buffers and Xn pipelines are FIFOs.  ``capacity_reference``
+is the scalar channel chain that ``channel.capacity_series`` vectorises,
+and ``distance_reference`` the scalar form of
+``OutAndBackTrajectory.distances``.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from itertools import chain
+from types import SimpleNamespace
+
+from casplit.channel import PCC
+
+
+class ProtocolStack:
+    """The queue state of one run as sequence numbers.
+
+    Carrier 0 is the PCC and 1..n_scc the SCCs.  ``preseed_rlc`` puts
+    packets straight into the RLC buffers, counted as ingested and
+    dispatched.  ``ue.received`` holds every sequence number the UE has
+    received; a duplicate delivery raises ``AssertionError``.
+    """
+
+    def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
+        self.n_scc = n_scc
+        self.n_carriers = 1 + n_scc
+        self.d_xn = d_xn
+        preseed = preseed_rlc or [0] * self.n_carriers
+        self.rlc: list[deque[int]] = []
+        seq = 0
+        for count in preseed:
+            self.rlc.append(deque(range(seq, seq + count)))
+            seq += count
+        self.out_counts = list(preseed)
+        self.xn: list[deque[tuple[int, int]]] = [deque() for _ in range(n_scc)]
+        self.ue = SimpleNamespace(received=set(), count=0)
+        self.head = self.tail = self.total_ingested = seq  # next to dispatch, next to assign
+
+    @property
+    def pdcp_depth(self) -> int:
+        return self.tail - self.head
+
+    def pdcp_ingest(self, arrivals: int) -> None:
+        self.tail += arrivals
+        self.total_ingested += arrivals
+
+    def pdcp_dispatch(self, a_p: int, a_s: int, slot: int) -> list[list[int]]:
+        """An active PCC takes the head packet and an active SCC group the
+        next ones, one per SCC in index order, while the buffer lasts.  SCC
+        packets surface in their RLC buffer ``d_xn`` slots later.  Returns
+        the sequence numbers sent to each carrier."""
+        dispatched: list[list[int]] = [[] for _ in range(self.n_carriers)]
+        for c in ([0] if a_p else []) + (list(range(1, self.n_carriers)) if a_s else []):
+            if self.head == self.tail:
+                break
+            seq = self.head
+            self.head += 1
+            self.out_counts[c] += 1
+            dispatched[c].append(seq)
+            if c:
+                self.xn[c - 1].append((slot + self.d_xn, seq))
+            else:
+                self.rlc[0].append(seq)
+        return dispatched
+
+    def xn_tick(self, slot: int) -> None:
+        for pipe, buf in zip(self.xn, self.rlc[1:]):
+            while pipe and pipe[0][0] <= slot:
+                buf.append(pipe.popleft()[1])
+
+    def rlc_serve(self, capacities) -> list[list[int]]:
+        return [[buf.popleft() for _ in range(min(int(cap), len(buf)))]
+                for cap, buf in zip(capacities, self.rlc)]
+
+    def ue_receive(self, delivered: list[list[int]]) -> int:
+        for seq in chain.from_iterable(delivered):
+            assert seq not in self.ue.received, f"duplicate delivery of seq {seq}"
+            self.ue.received.add(seq)
+            self.ue.count += 1
+        return sum(map(len, delivered))
+
+    def rlc_occupancy(self) -> list[int]:
+        return [len(q) for q in self.rlc]
+
+    def xn_inflight(self) -> list[int]:
+        return [len(p) for p in self.xn]
+
+    def buffer_difference(self) -> int:
+        """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
+        return len(self.rlc[0]) - sum(len(q) for q in self.rlc[1:])
+
+    def conservation_ok(self) -> bool:
+        """Every ingested packet is in exactly one place: the PDCP buffer,
+        an Xn pipeline, an RLC buffer or the UE."""
+        seqs = sorted(chain(range(self.head, self.tail), self.ue.received, *self.rlc,
+                            *((seq for _, seq in pipe) for pipe in self.xn)))
+        return self.ue.count == len(self.ue.received) and seqs == list(range(self.total_ingested))
+
+
+def sinr_reference(cfg, distance_m: float, alpha: float) -> float:
+    """SINR in dB: transmit power less the path loss and the fading.
+
+    The path loss is ``32.4 + 30 log10(d_m) + 20 log10(f_GHz)`` less the
+    receive calibration, valid from 1 m, or ``pl_fixed_db`` under the
+    "fixed" model.
+    """
+    if cfg.pl_model == "fixed":
+        loss_db = cfg.pl_fixed_db
+    else:
+        if distance_m < 1.0:
+            raise ValueError(f"distance {distance_m} m below model validity (>= 1 m)")
+        loss_db = (32.4 + 30.0 * math.log10(distance_m) + 20.0 * math.log10(cfg.frequency_ghz)
+                   - cfg.rx_calibration_db)
+    return cfg.tx_power_dbm - loss_db - 10.0 * math.log10(alpha)
+
+
+def capacity_reference(cfg, distance_m: float, alpha: float, rho_s: float) -> int:
+    """Packets the carrier moves in one slot: none below the threshold
+    ``rho_s log2(1 + SINR) >= n_th`` (``rho_s`` is the SCC normalisation,
+    an SCC's own ``rho``); above it ``floor(rho / rho_s)`` on the PCC and
+    one on an SCC."""
+    gamma_lin = 10.0 ** (sinr_reference(cfg, distance_m, alpha) / 10.0)
+    if rho_s * math.log2(1.0 + gamma_lin) < cfg.n_th:
+        return 0
+    return int(cfg.rho // rho_s) if cfg.kind == PCC else 1
+
+
+def distance_reference(traj, t: int, slot_duration: float) -> float:
+    """An ``OutAndBackTrajectory``'s distance at slot ``t``, leg by leg."""
+    elapsed = t * slot_duration
+    if elapsed <= traj.turn_time_s:
+        return traj.d0_m + traj.speed_mps * elapsed
+    if elapsed <= 2 * traj.turn_time_s:
+        return traj.d0_m + traj.speed_mps * (2 * traj.turn_time_s - elapsed)
+    return traj.d0_m

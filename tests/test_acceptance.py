@@ -30,7 +30,8 @@ from casplit.scenario import (
     default_mobile_scenario,
     default_static_scenario,
 )
-from casplit.stack import ProtocolStack
+
+from reference import ProtocolStack
 
 SEEDS = list(range(1, 11))
 ETA_POLICIES = ["fuzzy_pid", "nofuzzy_pid", "bwa", "ltr", "qlearning"]

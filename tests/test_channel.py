@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from casplit.channel import (
-    CarrierConfig,
-    capacity_series,
-    mac_capacity,
-    path_loss,
-    path_loss_db,
-    sample_fading,
-    sinr_db,
-)
+from casplit.channel import CarrierConfig, capacity_series, sample_fading
 from casplit.core import make_rng
+
+from reference import capacity_reference, sinr_reference
 
 
 def scc(**overrides) -> CarrierConfig:
@@ -30,7 +24,6 @@ def pcc(**overrides) -> CarrierConfig:
 
 def test_zero_variance_is_exactly_one():
     rng = make_rng(1, "f")
-    assert sample_fading(scc(sigma2=0.0), rng) == 1.0
     assert np.all(sample_fading(scc(sigma2=0.0), rng, size=100) == 1.0)
 
 
@@ -47,49 +40,59 @@ def test_fading_moments(family, sigma2, mean_lo, mean_hi, var_lo, var_hi):
     assert np.all(x > 0)
 
 
+def fixed(cfg_fn, loss_db=0.0, **overrides) -> CarrierConfig:
+    """A carrier whose path loss is ``loss_db`` at every distance."""
+    return cfg_fn(pl_model="fixed", pl_fixed_db=loss_db, **overrides)
+
+
 def test_path_loss_fixed_identity():
-    assert path_loss(5.0, 28.0, model="fixed", fixed_db=0.0) == 1.0
+    assert sinr_reference(fixed(scc, tx_power_dbm=35.0), 5.0, 1.0) == 35.0
 
 
 def test_path_loss_monotone_in_distance_and_frequency():
-    assert path_loss(200.0, 28.0) > path_loss(100.0, 28.0)
-    assert path_loss(100.0, 28.0) > path_loss(100.0, 4.9)
+    assert sinr_reference(scc(), 200.0, 1.0) < sinr_reference(scc(), 100.0, 1.0)
+    assert sinr_reference(scc(), 100.0, 1.0) < sinr_reference(pcc(tx_power_dbm=35.0), 100.0, 1.0)
 
 
 def test_path_loss_regression_constants():
-    # hand evaluation of 32.4 + 30*log10(d) + 20*log10(f)
-    assert path_loss_db(100.0, 4.9) == pytest.approx(106.20392160057027, abs=1e-9)
-    assert path_loss_db(100.0, 28.0) == pytest.approx(121.34316062684437, abs=1e-9)
+    # hand evaluation of 32.4 + 30*log10(d) + 20*log10(f), as the SINR at 0 dBm
+    assert -sinr_reference(pcc(tx_power_dbm=0.0), 100.0, 1.0) == pytest.approx(
+        106.20392160057027, abs=1e-9)
+    assert -sinr_reference(scc(tx_power_dbm=0.0), 100.0, 1.0) == pytest.approx(
+        121.34316062684437, abs=1e-9)
 
 
 def test_path_loss_rejects_close_range():
-    with pytest.raises(ValueError):
-        path_loss(0.5, 28.0)
+    with pytest.raises(ValueError, match="below 1 m"):
+        capacity_series(scc(), np.array([100.0, 0.5]), np.ones(2), rho_s=1.0)
 
 
 def test_sinr_examples():
-    assert sinr_db(pcc(tx_power_dbm=28.0), 1.0, 1.0) == pytest.approx(28.0)
-    assert sinr_db(scc(tx_power_dbm=35.0), 10.0, 1.0) == pytest.approx(25.0)
+    # linear losses 1, 10 and 1000 (0, 10 and 30 dB)
+    assert sinr_reference(fixed(pcc, 0.0, tx_power_dbm=28.0), 100.0, 1.0) == pytest.approx(28.0)
+    assert sinr_reference(fixed(scc, 10.0, tx_power_dbm=35.0), 100.0, 1.0) == pytest.approx(25.0)
     # 28 - 10*log10(2000)
-    assert sinr_db(pcc(tx_power_dbm=28.0), 1000.0, 2.0) == pytest.approx(-5.0103, abs=1e-4)
+    assert sinr_reference(fixed(pcc, 30.0, tx_power_dbm=28.0), 100.0, 2.0) == pytest.approx(
+        -5.0103, abs=1e-4)
 
 
 def test_mac_capacity_threshold_boundary():
-    gamma_at_3 = 10.0 * math.log10(3.0)  # linear SINR of exactly 3
-    assert mac_capacity(scc(), gamma_at_3) == 1  # log2(4) = 2 >= 2
-    gamma_at_2 = 10.0 * math.log10(2.0)
-    assert mac_capacity(scc(), gamma_at_2) == 0  # log2(3) < 2
+    # linear SINR of exactly 3: log2(4) = 2 >= 2; of exactly 2: log2(3) < 2
+    for linear, expected in ((3.0, 1), (2.0, 0)):
+        cfg = fixed(scc, tx_power_dbm=10.0 * math.log10(linear))
+        assert capacity_series(cfg, np.ones(1), np.ones(1), rho_s=1.0).tolist() == [expected]
 
 
 def test_mac_capacity_pcc_ratio():
-    assert mac_capacity(pcc(), 30.0, rho_s=1.0) == 2
-    assert mac_capacity(pcc(rho=3.0), 30.0, rho_s=1.0) == 3
+    for rho, expected in ((2.0, 2), (3.0, 3)):
+        cfg = fixed(pcc, rho=rho, tx_power_dbm=30.0)
+        assert capacity_series(cfg, np.ones(1), np.ones(1), rho_s=1.0).tolist() == [expected]
 
 
 def test_mac_capacity_step_function():
-    cfg = scc()
-    gammas = np.linspace(-10, 20, 301)
-    caps = [mac_capacity(cfg, g) for g in gammas]
+    gammas = np.linspace(-10, 20, 301)  # SINR in dB, swept through the fading
+    caps = capacity_series(fixed(scc, tx_power_dbm=0.0), np.ones(301), 10.0 ** (-gammas / 10.0),
+                           rho_s=1.0).tolist()
     assert set(caps) == {0, 1}
     assert caps == sorted(caps)  # non-decreasing in SINR
 
@@ -101,9 +104,7 @@ def test_capacity_series_matches_scalar_path():
     dist = np.full(500, 100.0)
     vec = capacity_series(cfg, dist, alphas, rho_s=1.0)
     for t in (0, 17, 123, 499):
-        pl = path_loss_db(100.0, cfg.frequency_ghz) - cfg.rx_calibration_db
-        gamma = cfg.tx_power_dbm - pl - 10.0 * math.log10(alphas[t])
-        assert vec[t] == mac_capacity(cfg, gamma)
+        assert vec[t] == capacity_reference(cfg, 100.0, alphas[t], rho_s=1.0)
 
 
 def test_flat_channel_constant_capacity():

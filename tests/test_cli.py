@@ -195,6 +195,19 @@ def test_oracle_rejects_negative_counts(tmp_path, capsys, field, value):
     assert field in captured.err and "t_star" not in captured.out
 
 
+@pytest.mark.parametrize("max_slots", [0, -2])
+def test_oracle_rejects_empty_horizon(tmp_path, capsys, max_slots):
+    """A horizon of no slots is refused with a message naming ``max_slots``,
+    not searched and reported as having no solution."""
+    inst = {"l": 3, "n_scc": 1, "caps": [[1] * 24, [1] * 24], "max_slots": max_slots}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(inst), encoding="utf-8")
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    captured = capsys.readouterr()
+    assert "config error: instance rejected: max_slots must be in [1, 24]" in captured.err
+    assert "no solution" not in captured.out
+
+
 @pytest.mark.parametrize("identity, key", [
     ({"pattern": [[1, 0], [0, 1]], "window": 30}, "identity.window"),
     ({"pattern": [[1, 0], [0, 1]]}, "identity.window"),

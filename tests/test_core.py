@@ -20,7 +20,8 @@ from casplit.fuzzy_pid import (PCC_ONLY_ACTION, SCC_ONLY_ACTION, Controller, Fuz
 from casplit.oracle import ScriptedController
 from casplit.scenario import (RunMode, build_caps, build_run, default_static_scenario,
                               make_controller)
-from casplit.stack import ProtocolStack
+
+from reference import ProtocolStack
 
 
 def test_rng_streams_reproducible_and_independent():
@@ -663,6 +664,23 @@ def test_only_integer_capacities_are_accepted(dtype):
     else:
         with pytest.raises(ValueError, match="capacity must be integer packet counts"):
             Simulation(**kwargs)
+
+
+@pytest.mark.parametrize("dtype", [
+    np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64])
+def test_closed_form_matches_slot_loop_for_every_integer_dtype(dtype):
+    """The closed form runs on every dtype ``Simulation`` accepts and equals
+    the slot loop, uint64 included, which numpy would subtract from the int64
+    queues in float64."""
+    rng = make_rng(11, "dtype")
+    caps = rng.integers(0, 4, size=(3, 120)).astype(dtype)
+    for policy in (BwaController(100.0, [50.0, 50.0]), ForcedController(SplitAction(1, 1))):
+        for mode in ("burst", "per_slot"):
+            kwargs = dict(l=90, arrival_mode=mode, arrival_rate=2, n_scc=2, d_xn=1, caps=caps,
+                          max_slots=120, preseed_rlc=[1, 2, 0], collect_trace=True)
+            fast = _closed_form(controller=policy, **kwargs)
+            loop = Simulation(controller=_SlotLoopOnly(policy), **kwargs)
+            _assert_same_run(fast, fast.run(), loop, loop.run())
 
 
 @pytest.mark.parametrize("policy", ["forced", "bwa", "fuzzy_pid"])

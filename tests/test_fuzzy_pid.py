@@ -128,7 +128,7 @@ def test_update_gains_rejects_bad_membership():
 # -- controller ---------------------------------------------------------------
 
 def fresh(n=8, n_scc=2, **cfg_overrides):
-    cfg = FuzzyConfig(b_max=96, b_target=0.0, **cfg_overrides)
+    cfg = FuzzyConfig(b_max=96, **cfg_overrides)
     return FuzzyPidController(n=n, n_scc=n_scc, cfg=cfg)
 
 
@@ -178,7 +178,7 @@ def test_complementarity_after_stage_one():
 
 
 def test_gain_update_cadence_only_window_boundaries():
-    cfg = FuzzyConfig(b_max=96, b_target=0.0)
+    cfg = FuzzyConfig(b_max=96)
     c = FuzzyPidController(n=8, n_scc=2, cfg=cfg)
     rng = make_rng(3, "cadence")
     gains = c.gains
@@ -190,7 +190,7 @@ def test_gain_update_cadence_only_window_boundaries():
 
 
 def test_nofuzzy_gains_frozen_and_stage_one_identical():
-    cfg = FuzzyConfig(b_max=96, b_target=0.0)
+    cfg = FuzzyConfig(b_max=96)
     a = FuzzyPidController(n=8, n_scc=2, cfg=cfg)
     b = NoFuzzyController(n=8, n_scc=2, cfg=cfg)
     start = b.gains

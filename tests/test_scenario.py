@@ -20,19 +20,22 @@ from casplit.scenario import (
     default_static_scenario,
 )
 
+from reference import distance_reference
+
 
 def test_static_trajectory_constant():
-    traj = StaticTrajectory(100.0)
+    d = StaticTrajectory(100.0).distances(100_000, 1e-3)
     for t in (0, 500, 99_999):
-        assert traj.distance(t, 1e-3) == 100.0
+        assert d[t] == 100.0
 
 
 def test_out_and_back_distances():
     traj = OutAndBackTrajectory(d0_m=100.0, speed_mps=10.0, turn_time_s=10.0)
-    assert traj.distance(5_000, 1e-3) == pytest.approx(150.0)
-    assert traj.distance(10_000, 1e-3) == pytest.approx(200.0)
-    assert traj.distance(20_000, 1e-3) == pytest.approx(100.0)
-    assert traj.distance(25_000, 1e-3) == pytest.approx(100.0)
+    d = traj.distances(25_001, 1e-3)
+    assert d[5_000] == pytest.approx(150.0)
+    assert d[10_000] == pytest.approx(200.0)
+    assert d[20_000] == pytest.approx(100.0)
+    assert d[25_000] == pytest.approx(100.0)
 
 
 def test_trajectory_continuity():
@@ -45,7 +48,7 @@ def test_vectorized_trajectory_matches_scalar():
     traj = OutAndBackTrajectory(d0_m=70.0)
     d = traj.distances(21_000, 1e-3)
     for t in (0, 9_999, 10_000, 15_000, 20_000, 20_999):
-        assert d[t] == pytest.approx(traj.distance(t, 1e-3))
+        assert d[t] == pytest.approx(distance_reference(traj, t, 1e-3))
 
 
 def test_forced_modes_emit_fixed_actions():
@@ -152,7 +155,7 @@ def declared_params(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@example(("fuzzy_pid", {"b_target": -6.0}))
+@example(("fuzzy_pid", {"ki": 0.02}))  # finishes in 804 slots, not 788
 @given(declared_params())
 def test_config_round_trip_identical_run(tmp_path_factory, drawn):
     policy, params = drawn
