@@ -103,7 +103,7 @@ class LtrController(Controller):
     def decide(self, t: int, b: int) -> SplitAction:
         return self._action
 
-    def observe(self, t: int, served: list, stack: CountStack) -> None:
+    def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
         a, keep, eps, d = self.smoothing, self._keep, self.eps_rate, self.d_xn
         rates = self.rates
         for c, n in enumerate(served):
@@ -161,9 +161,8 @@ class QLearningController(Controller):
     Action 0 feeds the PCC, action 1 the SCC group; the reward is the
     number of packets the UE received in the slot.  Exploration draws come
     from the controller's own stream so channel noise is untouched.
-    ``observe`` buckets the buffer difference of the stack it reads, and
-    the next ``decide`` takes that state; the engine takes that slot's ``b``
-    from ``observed_b``, so the stack is read once a slot.
+    ``observe`` buckets the buffer difference the engine hands it, and the
+    next ``decide`` takes that state instead of bucketing the same ``b``.
     """
 
     name = "qlearning"
@@ -173,8 +172,7 @@ class QLearningController(Controller):
         self.table = table
         self.rng = rng
         self._pending: tuple[int, int] | None = None
-        self._b: int | None = None  # the buffer difference ``observe`` read
-        self._state: int | None = None  # and its bucket
+        self._state: int | None = None  # the bucket of the ``b`` ``observe`` got
 
     def decide(self, t: int, b: int) -> SplitAction:
         s = self._state
@@ -190,17 +188,13 @@ class QLearningController(Controller):
         self._pending = (s, a)
         return PCC_ONLY_ACTION if a == 0 else SCC_ONLY_ACTION
 
-    def observe(self, t: int, served: list, stack: CountStack) -> None:
+    def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
         if self._pending is None:
             return
         s, a = self._pending
-        self._b = stack.buffer_difference()
-        self._state = self.table.bucket(self._b)
+        self._state = self.table.bucket(b)
         self.update(s, a, sum(served), self._state)
         self._pending = None
-
-    def observed_b(self) -> int:
-        return self._b
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:
         q = self.table.values

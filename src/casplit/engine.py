@@ -6,9 +6,11 @@ dtype) and one ``fuzzy_pid.Controller`` (a forced action runs as a
 ``ForcedController``), then executes the fixed per-slot phase order.
 Channel sampling is precomputed outside the loop (phase 1 logically,
 vectorized physically) so each slot of the loop is one ``decide``, one
-``CountStack.step`` (the whole queue transition) and, for a controller
-whose ``observes`` is true, one ``observe`` given the slot's served counts
-and the stack itself, so a controller pays only for the state it reads.
+``CountStack.step`` (the whole queue transition), one read of the
+buffer difference, which the next ``decide`` takes, and, for a controller
+whose ``observes`` is true, one ``observe`` given the slot's served counts,
+that buffer difference and the stack itself, so a controller pays only for
+the state it reads.
 Capacity rows become Python ints in chunks that start at
 ``CAPS_FIRST_CHUNK`` slots and double the slots converted so far, up to
 ``CAPS_CHUNK`` at a time, so a run that stops at slot s converts at most
@@ -177,9 +179,6 @@ class Simulation:
         plan = self.plan
         decide = plan.decide
         observe = plan.observe if plan.observes else None
-        # Each later slot's ``b``: from the stack, or handed over by an
-        # ``observe`` that has just read it there.
-        read_b = plan.observed_b if observe is not None and plan.observed_b else buffer_difference
         trace_state = plan.trace_state
         collect_trace = self.collect_trace
         stop_on_complete = self.stop_on_complete
@@ -202,13 +201,14 @@ class Simulation:
             action = decide(t, b)
             arrivals = (target if t == 0 else 0) if burst else rate
             served = step(t, arrivals, action.a_p, action.a_s, caps_t)
+            b_hist.append(b)
+            b = buffer_difference()
             if observe is not None:
-                observe(t, served, stack)
+                observe(t, served, b, stack)
 
             delivered_hist.append(sum(served))
             ap_hist.append(action.a_p)
             as_hist.append(action.a_s)
-            b_hist.append(b)
             if collect_trace:
                 occ_rows.append(tuple(rlc))
                 states.append(trace_state())
@@ -217,7 +217,6 @@ class Simulation:
                 completion_slot = t
                 if stop_on_complete:
                     break
-            b = read_b()
 
         occupancy = state = None
         if collect_trace:

@@ -123,22 +123,25 @@ def _emit(spec, cfg, runs, etas, results, timings) -> list[Path]:
 
 # -- figure-style presets -----------------------------------------------------
 
+FLAT_PCC_RHO = 2.0  # the flat PCC's packets per slot, twice an SCC's
 
-def flat_carriers(n_scc: int, ratio: int = 2) -> list:
-    """Deterministic above-threshold carriers (fixed loss, zero variance)."""
+
+def flat_carriers(n_scc: int) -> list:
+    """Deterministic above-threshold carriers (fixed loss, zero variance);
+    the PCC carries ``FLAT_PCC_RHO`` packets a slot, each SCC one."""
     carriers = sc.default_carriers(n_scc)
     out = []
     for c in carriers:
         margin_db = 8.0 if c.kind == "pcc" else 15.0
         out.append(dataclasses.replace(
             c, sigma2=0.0, pl_model="fixed", pl_fixed_db=margin_db,
-            rho=float(ratio) if c.kind == "pcc" else 1.0))
+            rho=FLAT_PCC_RHO if c.kind == "pcc" else 1.0))
     return out
 
 
-def flat_scenario(n_scc: int, ratio: int = 2, **changes) -> ScenarioConfig:
+def flat_scenario(n_scc: int, **changes) -> ScenarioConfig:
     cfg = ScenarioConfig(
-        name=f"flat-nscc{n_scc}", n_scc=n_scc, carriers=flat_carriers(n_scc, ratio),
+        name=f"flat-nscc{n_scc}", n_scc=n_scc, carriers=flat_carriers(n_scc),
         arrival_mode=PER_SLOT, arrival_rate=n_scc + 2, l=1,
         max_slots=16 * 30, d_xn=2,
     )
@@ -150,7 +153,7 @@ def convergence_suite(out_dir: Path | None = None, n: int = 16) -> dict:
     rows = []
     for n_scc in (2, 3):
         for policy in ("fuzzy_pid", "nofuzzy_pid"):
-            cfg = flat_scenario(n_scc, ratio=2, n=n, policy=policy)
+            cfg = flat_scenario(n_scc, n=n, policy=policy)
             result = build_run(cfg, RunMode.CA).run()
             for w, ratio in enumerate(result.windowed_action_ratio(n)):
                 rows.append([n_scc, policy, w, w * n,

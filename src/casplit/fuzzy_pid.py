@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from casplit.stack import CountStack
 
@@ -52,22 +52,19 @@ class SplitAction:
 
 class Controller:
     """A splitting policy as the engine drives it: ``decide`` each slot from
-    the buffer difference; ``observe(t, served, stack)`` after the slot, only
-    if ``observes`` is true, with the packets served per carrier and the
-    run's ``CountStack``, which it reads and never writes; ``trace_state``,
-    the trace's controller columns (PID gains, PID value, spacing k, mode).
-    A controller whose ``observe`` reads the stack's buffer difference sets
-    ``observed_b`` to a method returning that value, and the engine takes
-    it as the next slot's ``b`` instead of reading the stack again."""
+    the buffer difference; ``observe(t, served, b, stack)`` after the slot,
+    only if ``observes`` is true, with the packets served per carrier, the
+    buffer difference the next ``decide`` gets, and the run's
+    ``CountStack``, which it reads and never writes; ``trace_state``, the
+    trace's controller columns (PID gains, PID value, spacing k, mode)."""
 
     name: str
     observes = False
-    observed_b: Callable[[], int] | None = None
 
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError
 
-    def observe(self, t: int, served: list, stack: CountStack) -> None:
+    def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
         pass
 
     def trace_state(self) -> tuple[float, float, float, float, int, str]:

@@ -1,4 +1,4 @@
-"""Scenario assembly: UE trajectories, validated run configuration, the
+"""Scenario assembly: the UE trajectory, validated run configuration, the
 key-value config file format, and wiring of channel + stack + policy into
 a runnable simulation."""
 
@@ -58,22 +58,13 @@ class RunMode(str, Enum):
 
 
 @dataclass
-class StaticTrajectory:
-    kind = "static"
-    distance_m: float = 100.0
+class Trajectory:
+    """The UE's distance from the gNBs: it moves away from ``d0_m`` at
+    ``speed_mps``, turns after ``turn_time_s``, comes back, then holds
+    ``d0_m``.  At speed 0 the UE is parked at ``d0_m``."""
 
-    def distances(self, n_slots: int, slot_duration: float) -> np.ndarray:
-        return np.full(n_slots, self.distance_m)
-
-
-@dataclass
-class OutAndBackTrajectory:
-    """Move away at constant speed, turn after ``turn_time_s``, come back,
-    then hold the start distance."""
-
-    kind = "out_and_back"
-    d0_m: float = 70.0
-    speed_mps: float = 10.0
+    d0_m: float = 100.0
+    speed_mps: float = 0.0
     turn_time_s: float = 10.0
 
     def distances(self, n_slots: int, slot_duration: float) -> np.ndarray:
@@ -81,9 +72,6 @@ class OutAndBackTrajectory:
         out = self.d0_m + self.speed_mps * np.minimum(elapsed, self.turn_time_s)
         back = self.speed_mps * np.clip(elapsed - self.turn_time_s, 0.0, self.turn_time_s)
         return out - back
-
-
-TRAJECTORIES = {cls.kind: cls for cls in (StaticTrajectory, OutAndBackTrajectory)}
 
 
 # Calibrated receive offsets (antenna gains and noise normalization) such
@@ -129,8 +117,7 @@ class ScenarioConfig:
     policy: str = "fuzzy_pid"
     policy_params: dict = field(default_factory=dict)
     carriers: list[CarrierConfig] = field(default_factory=default_carriers)
-    trajectory: object = field(default_factory=StaticTrajectory)
-    scc_distance_offset_m: float = 0.0
+    trajectory: Trajectory = field(default_factory=Trajectory)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -164,7 +151,9 @@ class ScenarioConfig:
             for key, kind in _KINDS[CarrierConfig].items():
                 check_kind(f"carriers.{c.name}.{key}", getattr(c, key), kind)
         traj = self.trajectory
-        for key, kind in _KINDS.get(type(traj), {}).items():
+        if not isinstance(traj, Trajectory):
+            raise ConfigError(f"trajectory: expected a Trajectory, got {traj!r}")
+        for key, kind in _KINDS[Trajectory].items():
             check_kind(f"trajectory.{key}", getattr(traj, key), kind)
         if self.n < 2:
             raise ConfigError("controller.n must be >= 2")
@@ -197,14 +186,11 @@ class ScenarioConfig:
             raise ConfigError("carriers.scc*.rho: all SCCs must share one rho")
         if pccs[0].rho < rho_s:
             raise ConfigError("carriers.pcc.rho must be >= the SCC rho")
-        if isinstance(traj, StaticTrajectory) and not traj.distance_m >= 1:
-            raise ConfigError("trajectory.distance_m must be >= 1")
-        if isinstance(traj, OutAndBackTrajectory):
-            if not traj.d0_m >= 1:
-                raise ConfigError("trajectory.d0_m must be >= 1")
-            for key in ("speed_mps", "turn_time_s"):
-                if not getattr(traj, key) >= 0:
-                    raise ConfigError(f"trajectory.{key} must be >= 0")
+        if not traj.d0_m >= 1:
+            raise ConfigError("trajectory.d0_m must be >= 1")
+        for key in ("speed_mps", "turn_time_s"):
+            if not getattr(traj, key) >= 0:
+                raise ConfigError(f"trajectory.{key} must be >= 0")
         for key, value in self.policy_params.items():
             if key not in takes:
                 raise ConfigError(f"controller.{key}: not a parameter of policy "
@@ -225,16 +211,16 @@ class ScenarioConfig:
         return dup
 
 
-_KINDS = {cls: field_kinds(cls) for cls in (ScenarioConfig, CarrierConfig, *TRAJECTORIES.values())}
+_KINDS = {cls: field_kinds(cls) for cls in (ScenarioConfig, CarrierConfig, Trajectory)}
 # A carrier's name is its section's name, not a key.
 _CARRIER_KEYS = {k: kind for k, kind in _KINDS[CarrierConfig].items() if k != "name"}
 # ScenarioConfig's scalar fields by config-file section, in the order
 # ``to_file`` writes them, with their kinds.  [controller] also holds the
-# policy's own keys (POLICY_PARAMS) and [trajectory] the fields of the
-# trajectory's class.
+# policy's own keys (POLICY_PARAMS) and [trajectory] the fields of
+# ``Trajectory``.
 _SECTIONS = {section: {k: _KINDS[ScenarioConfig][k] for k in keys} for section, keys in (
     ("workload", ("l", "arrival_mode", "arrival_rate")),
-    ("channel", ("d_xn", "scc_distance_offset_m")),
+    ("channel", ("d_xn",)),
     ("controller", ("policy", "n")),
     ("trajectory", ()),
     ("run", ("name", "seed", "max_slots", "n_scc", "slot_duration")),
@@ -252,7 +238,7 @@ def default_static_scenario(n_scc: int = 3, **changes) -> ScenarioConfig:
     """File-transfer burst to a UE parked 100 m from the primary gNB."""
     cfg = ScenarioConfig(name=f"static-nscc{n_scc}", n_scc=n_scc,
                          carriers=default_carriers(n_scc),
-                         trajectory=StaticTrajectory(100.0))
+                         trajectory=Trajectory(d0_m=100.0))
     return cfg.copy(**changes) if changes else cfg
 
 
@@ -267,7 +253,7 @@ def default_mobile_scenario(n_scc: int = 3, **changes) -> ScenarioConfig:
     """
     cfg = ScenarioConfig(name=f"mobile-nscc{n_scc}", n_scc=n_scc,
                          carriers=default_carriers(n_scc),
-                         trajectory=OutAndBackTrajectory(d0_m=70.0),
+                         trajectory=Trajectory(d0_m=70.0, speed_mps=10.0),
                          arrival_mode=PER_SLOT, arrival_rate=n_scc + 2,
                          l=1, max_slots=20_000, n=32,
                          policy_params={"t_i": (-0.02, -0.08, 0.1, 0.05)})
@@ -282,16 +268,14 @@ def build_caps(cfg: ScenarioConfig, seed: int | None = None) -> np.ndarray:
 
     Fading streams are keyed by (seed, carrier name) only, so the capacity
     matrix is identical across CA and single-carrier runs of the same seed
-    (common random numbers).
+    (common random numbers).  Every carrier sees the UE at the same distance.
     """
     seed = cfg.seed if seed is None else seed
     n_slots = cfg.max_slots
-    d_p = cfg.trajectory.distances(n_slots, cfg.slot_duration)
-    d_s = np.maximum(1.0, d_p + cfg.scc_distance_offset_m)
+    dist = cfg.trajectory.distances(n_slots, cfg.slot_duration)
     rows = []
     for carrier in cfg.carriers:
         alphas = sample_fading(carrier, make_rng(seed, f"fading/{carrier.name}"), size=n_slots)
-        dist = d_p if carrier.kind == PCC else d_s
         rows.append(capacity_series(carrier, dist, alphas, cfg.rho_s))
     return np.vstack(rows)
 
@@ -377,9 +361,7 @@ def to_file(cfg: ScenarioConfig, path) -> None:
     for section, keys in _SECTIONS.items():
         parser[section] = {k: _fmt(getattr(cfg, k)) for k in keys}
     parser["controller"].update({k: _fmt(v) for k, v in sorted(cfg.policy_params.items())})
-    traj = cfg.trajectory
-    parser["trajectory"].update({k: _fmt(getattr(traj, k))
-                                 for k in ("kind", *_KINDS[type(traj)])})
+    parser["trajectory"] = {k: _fmt(getattr(cfg.trajectory, k)) for k in _KINDS[Trajectory]}
     for carrier in cfg.carriers:
         parser[f"carriers.{carrier.name}"] = {k: _fmt(getattr(carrier, k)) for k in _CARRIER_KEYS}
     with open(path, "w", encoding="utf-8") as fh:
@@ -414,16 +396,18 @@ def _typed(where: str, raw: str, kind):
 
 def _read(section: configparser.SectionProxy, kinds: dict, optional: dict | None = None) -> dict:
     """Every key of ``section`` converted to its kind.  Each key of ``kinds``
-    is required, one of ``optional`` may be left out, any other is refused."""
+    is required, one of ``optional`` may be left out, any other is refused
+    (before a missing key is named, so a file of an older format is told
+    which key it may no longer hold)."""
     name, values = section.name, dict(section)
-    for key in kinds:
-        if key not in values:
-            raise ConfigError(f"{name}.{key}: missing key")
     takes = {**kinds, **(optional or {})}
     for key, raw in values.items():
         if key not in takes:
             raise ConfigError(f"{name}.{key} = {raw}: unknown key; "
                               f"[{name}] takes {', '.join(takes)}")
+    for key in kinds:
+        if key not in values:
+            raise ConfigError(f"{name}.{key}: missing key")
     return {key: _typed(f"{name}.{key}", raw, takes[key]) for key, raw in values.items()}
 
 
@@ -449,14 +433,7 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
         raise ConfigError("missing config section [carriers.pcc]")
     carriers.sort(key=_carrier_order)
 
-    kind = parser["trajectory"].get("kind")
-    traj_cls = TRAJECTORIES.get(kind)
-    if traj_cls is None:
-        raise ConfigError(f"trajectory.kind: unknown kind {kind!r}, "
-                          f"use one of {', '.join(TRAJECTORIES)}")
-    traj = _read(parser["trajectory"], {"kind": str, **_KINDS[traj_cls]})
-    del traj["kind"]
-
+    trajectory = Trajectory(**_read(parser["trajectory"], _KINDS[Trajectory]))
     fields = {}
     for section in ("workload", "channel", "run"):
         fields.update(_read(parser[section], _SECTIONS[section]))
@@ -464,4 +441,4 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
                    _policy_keys(parser["controller"].get("policy")))
     fields.update((k, params.pop(k)) for k in _SECTIONS["controller"])
     return ScenarioConfig(**fields, policy_params=params, carriers=carriers,
-                          trajectory=traj_cls(**traj))
+                          trajectory=trajectory)

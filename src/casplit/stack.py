@@ -198,15 +198,19 @@ class CountStack:
             raise ValueError(f"capacities span fewer than {n} slots")
         if n and caps.min() < 0:
             raise ValueError("capacity must be non-negative")
-        if not np.can_cast(caps.dtype, np.int64):
-            # uint64, which numpy would mix with the int64 queues in float64.
-            # No queue reaches 2**63, so a capacity clipped there serves the same.
-            caps = np.minimum(caps, np.iinfo(np.int64).max).astype(np.int64)
         if any(map(any, self.xn)):
             raise ValueError("closed form starts from an empty Xn ring")
         arrivals = np.asarray(arrivals, dtype=np.int64)
         if n and arrivals.min() < 0:
             raise ValueError("arrivals must be non-negative")
+        # No queue ever holds more than the packets ingested so far and in
+        # this run, so a capacity clipped there serves the same packets.  The
+        # clip keeps the int64 sums of ``_lindley`` from overflowing, and
+        # turns uint64, which numpy would mix with the int64 queues in
+        # float64, into int64.
+        most = self.total_ingested + int(arrivals.sum())
+        if n and (not np.can_cast(caps.dtype, np.int64) or caps.max() > most):
+            caps = np.minimum(caps, most, out=np.empty(caps.shape, np.int64), casting="unsafe")
         step = arrivals - a_p
         step -= np.multiply(a_s, self.n_scc, dtype=np.int64)
         depth = _lindley(self.pdcp_depth, step, out=step)

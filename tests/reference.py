@@ -5,8 +5,7 @@ over integer sequence numbers, so packet conservation and duplicate-free
 delivery can be checked: the PDCP buffer is the range ``[head, tail)``,
 and the RLC buffers and Xn pipelines are FIFOs.  ``capacity_reference``
 is the scalar channel chain that ``channel.capacity_series`` vectorises,
-and ``distance_reference`` the scalar form of
-``OutAndBackTrajectory.distances``.
+and ``distance_reference`` the scalar form of ``Trajectory.distances``.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def capacity_reference(cfg, distance_m: float, alpha: float, rho_s: float) -> in
 
 
 def distance_reference(traj, t: int, slot_duration: float) -> float:
-    """An ``OutAndBackTrajectory``'s distance at slot ``t``, leg by leg."""
+    """A ``Trajectory``'s distance at slot ``t``, leg by leg."""
     elapsed = t * slot_duration
     if elapsed <= traj.turn_time_s:
         return traj.d0_m + traj.speed_mps * elapsed

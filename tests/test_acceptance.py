@@ -73,7 +73,7 @@ def test_criterion_1_flat_channel_convergence():
     ok = True
     details = []
     for n_scc in (2, 3):
-        cfg = flat_scenario(n_scc, ratio=2, n=16)
+        cfg = flat_scenario(n_scc, n=16)
         result = build_run(cfg, RunMode.CA).run()
         ratios = result.windowed_action_ratio(16)
         steady = ratios[-1]

@@ -54,7 +54,7 @@ def test_missing_carrier_section_exit_code_1(tmp_path, capsys):
         "[workload]", "l = 10", "arrival_mode = burst", "arrival_rate = 5",
         "[channel]", "d_xn = 2",
         "[controller]", "policy = fuzzy_pid", "n = 16",
-        "[trajectory]", "kind = static", "distance_m = 100.0",
+        "[trajectory]", "d0_m = 100.0", "speed_mps = 0.0", "turn_time_s = 10.0",
         "[run]", "seed = 1", "max_slots = 100", "n_scc = 1",
     ])
     cfg_path.write_text(text, encoding="utf-8")
@@ -251,8 +251,8 @@ def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
     ("carriers.pcc", "n_th", "nan"),
     ("carriers.scc1", "sigma2", "nan"),
     ("controller", "kp", "nan"),
-    ("trajectory", "distance_m", "nan"),
-    ("trajectory", "distance_m", "inf"),
+    ("trajectory", "d0_m", "nan"),
+    ("trajectory", "d0_m", "inf"),
     ("run", "slot_duration", "-0.001"),
     ("trajectory", "kind", "spiral"),
     ("workload", "arrival_rat", "5"),
@@ -287,6 +287,27 @@ def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, sectio
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{section}.{key}" in err
     assert (value or "missing key") in err
+
+
+@pytest.mark.parametrize("old", [["kind = static", "distance_m = 100.0"],
+                                 ["kind = out_and_back", "d0_m = 70.0", "speed_mps = 10.0",
+                                  "turn_time_s = 10.0"]],
+                         ids=["static", "out_and_back"])
+def test_run_rejects_the_old_trajectory_format(tiny_config, tmp_path, capsys, old):
+    """A file whose ``[trajectory]`` still selects a class by ``kind`` exits 1
+    naming ``trajectory.kind``; no reader of that format is left."""
+    path, _ = tiny_config
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = lines.index("[trajectory]")
+    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("["))
+    lines[start + 1:end] = old + [""]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = run_cli("run", "--config", str(path), "--seeds", "1",
+                   "--mode", "ca", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: trajectory.{old[0]}: unknown key")
+    assert "takes d0_m, speed_mps, turn_time_s" in err
 
 
 @pytest.mark.parametrize("edit, names", [

@@ -280,7 +280,8 @@ class _PhaseLoop(Simulation):
     controller by ``getattr``.  ``run`` always steps this loop, open-loop
     policies included.  The test-side ltr and qlearning references
     (``_reference``) get the old ``observe(t, served, occ, inflight)``;
-    every other controller gets ``observe(t, served, stack)``."""
+    every other controller gets ``observe(t, served, b, stack)``, with the
+    stack's buffer difference after the slot."""
 
     def run(self):
         return self._run_loop()
@@ -309,7 +310,7 @@ class _PhaseLoop(Simulation):
             if isinstance(controller, LEGACY_OBSERVERS):
                 controller.observe(t, served, occ, inflight)
             elif controller is not None:
-                controller.observe(t, served, stack)
+                controller.observe(t, served, stack.buffer_difference(), stack)
             delivered.append(n_rx)
             a_p.append(action.a_p)
             a_s.append(action.a_s)
@@ -683,6 +684,26 @@ def test_closed_form_matches_slot_loop_for_every_integer_dtype(dtype):
             _assert_same_run(fast, fast.run(), loop, loop.run())
 
 
+@pytest.mark.parametrize("cap", [(np.int64, 2**62), (np.int64, 2**63 - 1),
+                                 (np.uint64, 2**64 - 1)],
+                         ids=["int64-2**62", "int64-max", "uint64-max"])
+def test_closed_form_matches_slot_loop_at_the_largest_capacities(cap):
+    """Capacities whose sum over a run passes 2**63 serve what the slot loop
+    serves: the closed form clips them at the packets the run ingests, so
+    its int64 sums cannot overflow."""
+    dtype, value = cap
+    caps = np.full((3, 6), value, dtype=dtype)
+    for policy in (BwaController(100.0, [50.0, 50.0]), ForcedController(SplitAction(1, 1))):
+        for mode in ("burst", "per_slot"):
+            kwargs = dict(l=5, arrival_mode=mode, arrival_rate=3, n_scc=2, d_xn=2, caps=caps,
+                          max_slots=6, preseed_rlc=[1, 0, 2], collect_trace=True)
+            fast = _closed_form(controller=policy, **kwargs)
+            loop = Simulation(controller=_SlotLoopOnly(policy), **kwargs)
+            got = fast.run()
+            _assert_same_run(fast, got, loop, loop.run())
+            assert got.delivered.min() >= 0 and got.total_delivered == sum(got.served)
+
+
 @pytest.mark.parametrize("policy", ["forced", "bwa", "fuzzy_pid"])
 @pytest.mark.parametrize("arrivals", [dict(arrival_mode="burst", l=-3, arrival_rate=0),
                                       dict(arrival_mode="per_slot", l=1, arrival_rate=-1)])
@@ -771,11 +792,10 @@ def test_qlearning_buckets_its_state_once_per_slot():
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_the_loop_reads_the_buffer_difference_once_per_slot(policy):
-    """The loop reads ``stack.buffer_difference`` once before slot 0 and once
-    after every slot it does not stop on.  qlearning's ``observe`` reads it
-    for its next state after every slot and hands it over through
-    ``observed_b``, so the loop does not read it again: one read a slot,
-    not two."""
+    """The loop reads ``stack.buffer_difference`` once before slot 0 and
+    once after every slot, the one it stops on included, and hands that
+    value to ``observe`` and the next ``decide``: no controller reads it
+    again."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
     calls = []
@@ -787,5 +807,4 @@ def test_the_loop_reads_the_buffer_difference_once_per_slot(policy):
     sim.stack.buffer_difference = counted
     result = sim.run()
     assert result.t_slots > 100
-    assert len(calls) == result.t_slots + (1 if policy == "qlearning" or not result.completed
-                                           else 0)
+    assert len(calls) == result.t_slots + 1

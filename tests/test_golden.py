@@ -5,7 +5,8 @@ and mobile presets at n_scc 1 and 3 (3000 slots; the static burst is cut to
 2000 packets so that it completes inside them), and ``casplit oracle``
 with and without ``--unrestricted`` on generated instances, must write the
 same bytes as when ``golden_digests.json`` was made: every trace,
-``summary.csv`` and the oracle's printed report.  A change that means to
+``summary.csv``, the ``scenario.ini`` a run writes back (so the config
+format changes only on purpose) and the oracle's printed report.  A change that means to
 alter outputs regenerates the file, and says so:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
@@ -41,14 +42,15 @@ def _sha(data: bytes) -> str:
 
 
 def run_digests(case: str, tmp: Path) -> dict[str, str]:
-    """The digest of each trace and of ``summary.csv`` of one ``casplit run``."""
+    """The digest of each trace, of ``summary.csv`` and of ``scenario.ini``
+    of one ``casplit run``."""
     preset, n_scc, policy = case.split("-")
     cfg = PRESETS[preset](int(n_scc[len("nscc"):])).copy(max_slots=3000)
     config, out = tmp / f"{case}.ini", tmp / case
     sc.to_file(cfg, config)
     assert main(["run", "--config", str(config), "--seeds", "1,2", "--mode", "ca,pcc,scc",
                  "--policy", policy, "--out", str(out)]) == 0
-    files = sorted(out.glob("trace_*.csv")) + [out / "summary.csv"]
+    files = sorted(out.glob("trace_*.csv")) + [out / "summary.csv", out / "scenario.ini"]
     return {p.name: _sha(p.read_bytes()) for p in files}
 
 

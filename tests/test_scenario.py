@@ -10,10 +10,9 @@ from casplit.channel import CarrierConfig
 from casplit.fuzzy_pid import FuzzyConfig
 from casplit.scenario import (
     ConfigError,
-    OutAndBackTrajectory,
     RunMode,
     ScenarioConfig,
-    StaticTrajectory,
+    Trajectory,
     build_caps,
     build_run,
     default_mobile_scenario,
@@ -24,13 +23,15 @@ from reference import distance_reference
 
 
 def test_static_trajectory_constant():
-    d = StaticTrajectory(100.0).distances(100_000, 1e-3)
-    for t in (0, 500, 99_999):
-        assert d[t] == 100.0
+    """At speed 0 the UE is parked: every distance is ``d0_m``, bit for bit."""
+    for d0 in (1.0, 70.0, 100.0, 123.456):
+        d = Trajectory(d0_m=d0).distances(100_000, 1e-3)
+        assert d.dtype == np.float64 and d.shape == (100_000,)
+        assert (d == d0).all()
 
 
 def test_out_and_back_distances():
-    traj = OutAndBackTrajectory(d0_m=100.0, speed_mps=10.0, turn_time_s=10.0)
+    traj = Trajectory(d0_m=100.0, speed_mps=10.0, turn_time_s=10.0)
     d = traj.distances(25_001, 1e-3)
     assert d[5_000] == pytest.approx(150.0)
     assert d[10_000] == pytest.approx(200.0)
@@ -39,16 +40,16 @@ def test_out_and_back_distances():
 
 
 def test_trajectory_continuity():
-    traj = OutAndBackTrajectory(d0_m=70.0, speed_mps=10.0, turn_time_s=10.0)
+    traj = Trajectory(d0_m=70.0, speed_mps=10.0, turn_time_s=10.0)
     d = traj.distances(25_000, 1e-3)
     assert np.max(np.abs(np.diff(d))) <= 10.0 * 1e-3 + 1e-9
 
 
 def test_vectorized_trajectory_matches_scalar():
-    traj = OutAndBackTrajectory(d0_m=70.0)
-    d = traj.distances(21_000, 1e-3)
-    for t in (0, 9_999, 10_000, 15_000, 20_000, 20_999):
-        assert d[t] == pytest.approx(distance_reference(traj, t, 1e-3))
+    for traj in (Trajectory(d0_m=70.0, speed_mps=10.0), Trajectory(d0_m=100.0)):
+        d = traj.distances(21_000, 1e-3)
+        for t in (0, 9_999, 10_000, 15_000, 20_000, 20_999):
+            assert d[t] == pytest.approx(distance_reference(traj, t, 1e-3))
 
 
 def test_forced_modes_emit_fixed_actions():
@@ -86,18 +87,29 @@ def test_validation_messages_name_fields():
         bad.carriers[0].rho = 0.5  # below the SCC rho
         bad.validate()
     for key in ("speed_mps", "turn_time_s"):
-        traj = OutAndBackTrajectory(**{key: -1.0})
+        traj = Trajectory(**{key: -1.0})
         with pytest.raises(ConfigError, match=f"trajectory.{key}"):
             default_mobile_scenario(1).copy(trajectory=traj)
+    with pytest.raises(ConfigError, match="trajectory.d0_m must be >= 1"):
+        default_static_scenario(1).copy(trajectory=Trajectory(d0_m=0.5))
     for changes, key in (({"max_slots": 2.5}, "run.max_slots"), ({"l": True}, "workload.l"),
                          ({"n": 16.0}, "controller.n"), ({"name": 3}, "run.name"),
-                         ({"trajectory": StaticTrajectory("100")}, "trajectory.distance_m")):
+                         ({"trajectory": Trajectory("100")}, "trajectory.d0_m")):
         with pytest.raises(ConfigError, match=rf"{key}: expected"):
             default_static_scenario(1).copy(**changes)
     bad = default_static_scenario(1)
     bad.carriers[0].rho = "2.0"
     with pytest.raises(ConfigError, match=r"carriers\.pcc\.rho: expected"):
         bad.validate()
+
+
+@pytest.mark.parametrize("traj", ["far", 100.0, None, {"d0_m": 100.0}],
+                         ids=["str", "float", "None", "dict"])
+def test_validate_refuses_a_trajectory_of_another_kind(traj):
+    """Only a ``Trajectory`` passes; anything else is refused naming
+    ``trajectory`` before a run could fail on it in ``build_caps``."""
+    with pytest.raises(ConfigError, match=r"^trajectory: expected a Trajectory"):
+        default_static_scenario(1).copy(trajectory=traj)
 
 
 @pytest.mark.parametrize("key", [k for k, kind in sc._KINDS[CarrierConfig].items()
@@ -129,7 +141,7 @@ def test_to_file_writes_every_field(tmp_path):
         parser.read(path)
         scalars = {k for s in ("workload", "channel", "controller", "run") for k in parser[s]}
         assert names(ScenarioConfig, "policy_params", "carriers", "trajectory") <= scalars
-        assert names(type(cfg.trajectory)) <= set(parser["trajectory"])
+        assert names(Trajectory) == set(parser["trajectory"])
         for carrier in cfg.carriers:
             assert names(CarrierConfig, "name") <= set(parser[f"carriers.{carrier.name}"])
 
@@ -176,10 +188,29 @@ def test_config_round_trip_mobile(tmp_path):
     path = tmp_path / "mobile.ini"
     sc.to_file(cfg, path)
     loaded = sc.from_file(path)
-    assert isinstance(loaded.trajectory, OutAndBackTrajectory)
-    assert loaded.trajectory == cfg.trajectory
+    assert loaded.trajectory == cfg.trajectory == Trajectory(d0_m=70.0, speed_mps=10.0)
     assert loaded.n == 32
     assert loaded.policy_params["t_i"] == (-0.02, -0.08, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("preset, d0_m, speed_mps", [
+    (default_static_scenario, "100.0", "0.0"), (default_mobile_scenario, "70.0", "10.0")])
+def test_config_round_trip_presets(tmp_path, preset, d0_m, speed_mps):
+    """The static preset parks the UE at 100 m and the mobile one walks it
+    out from 70 m at 10 m/s and back.  Both write ``[trajectory]`` as
+    ``d0_m``, ``speed_mps`` and ``turn_time_s`` and load back to the same
+    config and capacities."""
+    cfg = preset(2).copy(max_slots=3000)
+    path = tmp_path / "preset.ini"
+    sc.to_file(cfg, path)
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    assert dict(parser["trajectory"]) == {"d0_m": d0_m, "speed_mps": speed_mps,
+                                          "turn_time_s": "10.0"}
+    assert set(parser["channel"]) == {"d_xn"}
+    loaded = sc.from_file(path)
+    assert loaded == cfg
+    assert np.array_equal(build_caps(loaded, seed=4), build_caps(cfg, seed=4))
 
 
 def test_missing_section_is_config_error(tmp_path):
