@@ -4,7 +4,9 @@ forced single-carrier runs.
 
 The bandwidth-weighted, stationary-k and forced policies are open loop:
 their action in slot t depends on t alone, so besides ``decide`` they list
-a whole run's actions at once (``OpenLoopController.schedule``)."""
+a whole run's actions at once (``OpenLoopController.schedule``).  The
+delay-based policy holds: it tells the engine how many slots of a window it
+would keep on the PCC (``LtrController.hold``); Q-learning never does."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from casplit.fuzzy_pid import (
     Controller,
+    HoldWindow,
     SplitAction,
     PCC_ONLY_ACTION,
     SCC_ONLY_ACTION,
@@ -81,10 +84,12 @@ class LtrController(Controller):
     rates from the slot's served counts, reads the counts off the stack and
     picks the next slot's action, which ``decide`` returns.  Ties go to the
     PCC, so before any feedback (all queues empty) the action is the PCC.
+    ``hold`` takes a window of PCC slots while the PCC's queue stays empty.
     """
 
     name = "ltr"
     observes = True
+    holds = True
 
     def __init__(self, n_scc: int, d_xn: int, eps_rate: float = 0.05,
                  smoothing: float = 0.05):
@@ -118,6 +123,26 @@ class LtrController(Controller):
                 best = est
         self._action = (PCC_ONLY_ACTION if rlc[0] / max(rates[0], eps) <= best
                         else SCC_ONLY_ACTION)
+
+    def hold(self, t: int, action: SplitAction, window: HoldWindow) -> int:
+        """From a slot it plays on the PCC, the leading slots that leave the
+        PCC's RLC buffer empty: its estimate is then 0, which no SCC estimate
+        undercuts, so ``observe`` keeps the PCC whatever the rates.  The
+        rates are averaged over those slots in slot order, as ``observe``
+        averages them."""
+        if action is not PCC_ONLY_ACTION or self._action is not action:
+            return 0
+        queued = np.flatnonzero(window.rlc[0])
+        k = int(queued[0]) if queued.size else len(window.b)
+        a, keep, rates = self.smoothing, self._keep, self.rates
+        for c, counts in enumerate(window.served[:, :k].tolist()):
+            r = rates[c]
+            for n in counts:
+                r = keep * r + a * n
+            rates[c] = r
+        if k and window.states is not None:
+            window.states.append((k, self.trace_state()))
+        return k
 
 
 @dataclass

@@ -5,7 +5,7 @@ carrier capacities (integer packet counts; ``Simulation`` refuses any other
 dtype) and one ``fuzzy_pid.Controller`` (a forced action runs as a
 ``ForcedController``), then executes the fixed per-slot phase order.
 Channel sampling is precomputed outside the loop (phase 1 logically,
-vectorized physically) so each slot of the loop is one ``decide``, one
+vectorized physically) so each slot the loop steps is one ``decide``, one
 ``CountStack.step`` (the whole queue transition), one read of the
 buffer difference, which the next ``decide`` takes, and, for a controller
 whose ``observes`` is true, one ``observe`` given the slot's served counts,
@@ -18,31 +18,48 @@ Capacity rows become Python ints in chunks that start at
 it steps, not its horizon.  The same loop serves the η runs, oracle
 witness replay and the window-identity check.
 
+Most slots of a closed-loop run only repeat the last action: fuzzy_pid in
+its ``static`` mode, ltr on the PCC while the PCC's queue drains.  A
+controller whose ``holds`` is true skips them.  Once it has played one
+action object ``HOLD_MIN`` slots in a row and the Xn ring is empty, the
+loop folds a window of that action from the current state in closed form
+(``CountStack.fold``): ``HOLD_WINDOW`` slots, doubling while the controller
+holds them whole, up to ``HOLD_MAX_WINDOW``, and never past the horizon or
+the slot that completes a burst.  The controller's ``hold`` says how many
+leading slots it would itself have played that action on, and the stack
+commits just those (``CountStack.commit``); the loop then reads the
+buffer difference once and steps on.  After a window that ran past the
+capacity chunk, conversion starts afresh at ``CAPS_FIRST_CHUNK`` slots.
+A held window adds its trace as columns, not per-slot rows.
+
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
 schedule through the queues.  The PDCP depth and every RLC count are then
 Lindley recursions, so ``Simulation.run`` computes such a run in closed
 form (``CountStack.run_schedule``) and skips the loop.  Every other run
 steps the loop, which stays the reference the tests check the closed form
-against.  Both fill the same trace columns.
+and held windows against.  All fill the same trace columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import islice
 from operator import sub
 
 import numpy as np
 
 from casplit.baselines import ForcedController, OpenLoopController
-from casplit.fuzzy_pid import Controller, SplitAction
+from casplit.fuzzy_pid import Controller, HoldWindow, SplitAction
 from casplit.stack import CountStack
 
 BURST = "burst"
 PER_SLOT = "per_slot"
 CAPS_FIRST_CHUNK = 16  # capacity columns a run converts to Python rows first
 CAPS_CHUNK = 1024  # the most capacity columns converted at a time
+HOLD_MIN = 16  # slots one action is played in a row before a hold is tried
+HOLD_WINDOW = 64  # the first window a hold is offered; it doubles while held whole
+HOLD_MAX_WINDOW = 1024  # and stops doubling here
 STATE_DTYPES = (np.float64,) * 4 + (np.int64, object)  # of the trace_state columns
 
 
@@ -92,16 +109,24 @@ class RunResult:
         return out
 
 
-def _cap_rows(caps: np.ndarray, n_slots: int):
-    """Each slot's carrier capacities as Python ints, one chunk at a time:
-    ``CAPS_FIRST_CHUNK`` slots, then each chunk as long as all before it, up
-    to ``CAPS_CHUNK``.  A run that stops at slot s has then converted at most
-    the first chunk or ``2 (s + 1)`` slots, whichever is more."""
-    start = 0
-    while start < n_slots:
-        stop = min(n_slots, start + min(max(start, CAPS_FIRST_CHUNK), CAPS_CHUNK))
-        yield caps[:, start:stop].T.tolist()
-        start = stop
+def _state_columns(runs: list[tuple[int, tuple]]) -> list[np.ndarray]:
+    """The ``trace_state`` columns of ``(n_slots, state)`` runs."""
+    counts = [n for n, _ in runs]
+    return [np.repeat(np.array(col, dtype=d), counts)
+            for col, d in zip(zip(*(state for _, state in runs)), STATE_DTYPES)]
+
+
+def _cap_rows(caps: np.ndarray, n_slots: int, start: int = 0):
+    """Each slot's carrier capacities from slot ``start`` on, as Python ints,
+    one chunk at a time: ``CAPS_FIRST_CHUNK`` slots, then each chunk as long
+    as all before it, up to ``CAPS_CHUNK``.  From slot 0, a run that stops
+    at slot s has then converted at most the first chunk or ``2 (s + 1)``
+    slots, whichever is more."""
+    pos = start
+    while pos < n_slots:
+        stop = min(n_slots, pos + min(max(pos - start, CAPS_FIRST_CHUNK), CAPS_CHUNK))
+        yield caps[:, pos:stop].T.tolist()
+        pos = stop
 
 
 class Simulation:
@@ -170,15 +195,19 @@ class Simulation:
         # The whole horizon is checked up front, as ``run_schedule`` checks it
         # for the closed form, so where a run stops does not decide whether
         # it raises.
-        if self.max_slots and self.caps[:, :self.max_slots].min() < 0:
+        n_slots = self.max_slots
+        if n_slots and self.caps[:, :n_slots].min() < 0:
             raise ValueError("capacity must be non-negative")
         stack = self.stack
         step = stack.step
         buffer_difference = stack.buffer_difference
-        rlc = stack.rlc  # ``step`` updates it in place
+        rlc = stack.rlc  # ``step`` and ``commit`` update it in place
+        xn = stack.xn
         plan = self.plan
         decide = plan.decide
         observe = plan.observe if plan.observes else None
+        # A controller that does not hold never reaches a hold attempt.
+        hold_min = HOLD_MIN if plan.holds else n_slots + 1
         trace_state = plan.trace_state
         collect_trace = self.collect_trace
         stop_on_complete = self.stop_on_complete
@@ -192,46 +221,127 @@ class Simulation:
         b_hist: list[int] = []
         occ_rows: list[tuple] = []
         states: list[tuple] = []
+        # The run's columns (delivered, a_p, a_s, b and, traced, occupancy and
+        # the six state columns), as arrays: one entry for each stretch of
+        # stepped slots, whose per-slot rows are above, and each held window.
+        parts: list[tuple] = []
+
+        def stepped() -> tuple:
+            n = len(b_hist)
+            part = (np.fromiter(delivered_hist, np.int64, n), np.fromiter(ap_hist, np.int8, n),
+                    np.fromiter(as_hist, np.int8, n), np.fromiter(b_hist, np.int64, n))
+            if collect_trace:
+                occupancy = np.array(occ_rows, dtype=np.int64).reshape(-1, len(rlc)).T
+                part += (occupancy, *(np.array(col, dtype=d) for col, d in
+                                      zip(zip(*states) if states else [()] * 6, STATE_DTYPES)))
+            for rows in (delivered_hist, ap_hist, as_hist, b_hist, occ_rows, states):
+                rows.clear()
+            return part
 
         completed = False
         completion_slot: int | None = None
-
+        held, repeats, size = None, 0, HOLD_WINDOW
+        chunks = _cap_rows(self.caps, n_slots)
+        rows: list = []  # the capacity chunk being stepped, from slot ``row0``
+        row0 = t = 0
         b = buffer_difference()
-        for t, caps_t in enumerate(chain.from_iterable(_cap_rows(self.caps, self.max_slots))):
-            action = decide(t, b)
-            arrivals = (target if t == 0 else 0) if burst else rate
-            served = step(t, arrivals, action.a_p, action.a_s, caps_t)
-            b_hist.append(b)
-            b = buffer_difference()
-            if observe is not None:
-                observe(t, served, b, stack)
+        while t < n_slots:
+            if t >= row0 + len(rows):
+                if t > row0 + len(rows):
+                    # A held window ran past the chunk: convert afresh from
+                    # here.  Windows start after HOLD_MIN >= CAPS_FIRST_CHUNK
+                    # stepped slots, so a chunk from slot a still ends by 2a
+                    # and the bound on converted slots holds.
+                    chunks = _cap_rows(self.caps, n_slots, t)
+                rows = []  # drop the stepped chunk before converting the next
+                row0, rows = t, next(chunks)
+            for t, caps_t in enumerate(islice(rows, t - row0, None), t):
+                action = decide(t, b)
+                arrivals = (target if t == 0 else 0) if burst else rate
+                served = step(t, arrivals, action.a_p, action.a_s, caps_t)
+                b_hist.append(b)
+                b = buffer_difference()
+                if observe is not None:
+                    observe(t, served, b, stack)
 
-            delivered_hist.append(sum(served))
-            ap_hist.append(action.a_p)
-            as_hist.append(action.a_s)
-            if collect_trace:
-                occ_rows.append(tuple(rlc))
-                states.append(trace_state())
-            if burst and not completed and stack.delivered >= target:
-                completed = True
-                completion_slot = t
-                if stop_on_complete:
+                delivered_hist.append(sum(served))
+                ap_hist.append(action.a_p)
+                as_hist.append(action.a_s)
+                if collect_trace:
+                    occ_rows.append(tuple(rlc))
+                    states.append(trace_state())
+                if burst and not completed and stack.delivered >= target:
+                    completed = True
+                    completion_slot = t
+                    if stop_on_complete:
+                        break
+                if action is not held:
+                    held, repeats = action, 1
+                else:
+                    repeats += 1
+                    if repeats >= hold_min:
+                        break
+            t += 1
+            if completed and stop_on_complete:
+                break
+            if repeats < hold_min:
+                continue
+            # ``held`` has been played ``HOLD_MIN`` slots in a row: offer the
+            # controller windows of it, doubling while it holds them whole.
+            repeats = 0
+            while t < n_slots and not any(map(any, xn)):
+                n = min(size, n_slots - t)
+                k, part = self._hold(t, held, n, target if burst and not completed else None)
+                if k:
+                    if b_hist:
+                        parts.append(stepped())
+                    parts.append(part)
+                    t += k
+                    b = buffer_difference()
+                if k < n:
+                    size = HOLD_WINDOW
                     break
+                size = min(2 * size, HOLD_MAX_WINDOW)
 
-        occupancy = state = None
-        if collect_trace:
-            occupancy = np.array(occ_rows, dtype=np.int64)
-            occupancy = occupancy.reshape(-1, len(rlc)).T
-            state = [np.array(col, dtype=d)
-                     for col, d in zip(zip(*states) if states else [()] * 6, STATE_DTYPES)]
-        n = len(delivered_hist)
+        del rows, chunks  # free the last capacity chunk before the columns are built
+        if b_hist or not parts:
+            parts.append(stepped())
+        columns = parts[0] if len(parts) == 1 else [
+            np.concatenate(col, axis=-1) for col in zip(*parts)]
+        delivered, a_p, a_s, b = columns[:4]
         return self._result(
-            delivered=np.fromiter(delivered_hist, np.int64, n),
-            a_p=np.fromiter(ap_hist, np.int8, n),
-            a_s=np.fromiter(as_hist, np.int8, n),
-            b=np.fromiter(b_hist, np.int64, n),
-            occupancy=occupancy, state=state, completed=completed,
-            completion_slot=completion_slot)
+            delivered=delivered, a_p=a_p, a_s=a_s, b=b,
+            occupancy=columns[4] if collect_trace else None,
+            state=list(columns[5:]) if collect_trace else None,
+            completed=completed, completion_slot=completion_slot)
+
+    def _hold(self, t: int, action: SplitAction, n: int, target: int | None):
+        """Offer the controller ``n`` slots of ``action`` from slot ``t``,
+        computed in closed form, and commit the slots it holds.  With a
+        ``target`` (a burst not yet complete), the offer stops before the
+        slot that would complete it, so the loop steps that slot.  Returns
+        the slots held and their columns, as the loop keeps them."""
+        stack = self.stack
+        burst = self.arrival_mode == BURST
+        arrivals = np.full(n, 0 if burst else self.arrival_rate, np.int64)
+        fold = stack.fold(self.caps[:, t:t + n], np.full(n, action.a_p, np.int8),
+                          np.full(n, action.a_s, np.int8), arrivals, t0=t,
+                          keep_occupancy=True, keep_served=True)
+        if target is not None:
+            reached = np.flatnonzero(np.cumsum(fold.delivered) >= target - stack.delivered)
+            if reached.size:
+                n = int(reached[0])
+        if not n:
+            return 0, ()
+        window = HoldWindow(fold.b[:n], fold.served[:, :n], fold.occupancy[:, :n],
+                            [] if self.collect_trace else None)
+        k = self.plan.hold(t, action, window)
+        stack.commit(fold, k)
+        part = (fold.delivered[:k], np.full(k, action.a_p, np.int8),
+                np.full(k, action.a_s, np.int8), fold.b[:k])
+        if window.states is not None:
+            part += (fold.occupancy[:, :k], *_state_columns(window.states))
+        return k, part
 
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,
                 b: np.ndarray, occupancy: np.ndarray | None, state: list | None,

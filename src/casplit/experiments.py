@@ -172,7 +172,7 @@ def stationary_sweep_suite(out_dir: Path | None = None, ks=(1, 2, 3, 4, 5, 6),
     which is the regime where the window-throughput identity links mean |B|
     to delivered packets.
     """
-    ratio = 2
+    ratio = int(FLAT_PCC_RHO)  # the flat PCC's packets per slot, as in ``flat_carriers``
     caps = np.vstack([np.full(window, ratio, dtype=np.int64)]
                      + [np.ones(window, dtype=np.int64) for _ in range(n_scc)])
     rows = []

@@ -27,13 +27,21 @@ impulses are laid on a k-grid inside the current window.  The PID value
 enters negated: a negative B means the SCC side is overloaded, which must
 *increase* the number of PCC impulses.  Gains are adapted by the fuzzy
 rule tables only at window boundaries.
+
+A static stretch only repeats an action, so the controller ``holds``: given
+a window of the repeated action computed in closed form, ``hold`` finds
+the leading slots that stay static from their buffer differences alone and
+makes the gain updates due on them, and the engine skips those slots.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from casplit.stack import CountStack
 
@@ -56,10 +64,18 @@ class Controller:
     only if ``observes`` is true, with the packets served per carrier, the
     buffer difference the next ``decide`` gets, and the run's
     ``CountStack``, which it reads and never writes; ``trace_state``, the
-    trace's controller columns (PID gains, PID value, spacing k, mode)."""
+    trace's controller columns (PID gains, PID value, spacing k, mode).
+
+    A controller whose ``holds`` is true may skip slots it would only repeat
+    its action on: after it has played one action object for a while, the
+    engine computes a ``HoldWindow`` of that action from slot ``t`` on, and
+    ``hold(t, action, window)`` returns how many leading slots of it the
+    controller would itself play ``action`` on, and leaves its state exactly
+    as ``decide`` and ``observe`` would have left it after those slots."""
 
     name: str
     observes = False
+    holds = False
 
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError
@@ -67,8 +83,26 @@ class Controller:
     def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
         pass
 
+    def hold(self, t: int, action: SplitAction, window: "HoldWindow") -> int:
+        return 0
+
     def trace_state(self) -> tuple[float, float, float, float, int, str]:
         return (0.0, 0.0, 0.0, 0.0, 0, "fixed")
+
+
+@dataclass
+class HoldWindow:
+    """Slots ``t, t + 1, ...`` of one action repeated, as a holding
+    controller is offered them: the buffer difference each slot's ``decide``
+    would get, and the packets served per carrier and the end-of-slot RLC
+    counts, carriers by slots.  In a traced run ``states`` is a list to which
+    ``hold`` appends ``(n_slots, trace_state())`` for the slots it holds, in
+    slot order; otherwise it is None."""
+
+    b: np.ndarray
+    served: np.ndarray
+    rlc: np.ndarray
+    states: list | None = None
 
 
 ACTIVE_BOTH = SplitAction(1, 1)
@@ -216,6 +250,7 @@ class FuzzyPidController(Controller):
 
     name = "fuzzy_pid"
     adapt_gains = True
+    holds = True
 
     def __init__(self, n: int, n_scc: int, cfg: FuzzyConfig | None = None,
                  gains: PidGains = DEFAULT_GAINS):
@@ -300,6 +335,36 @@ class FuzzyPidController(Controller):
 
         self.history.append(action)
         return action
+
+    def hold(self, t: int, action: SplitAction, window: HoldWindow) -> int:
+        """The leading slots that stay ``static``: each one's ``b`` keeps the
+        sign of the one before and does not run away past the escape band.
+        The gain updates due on them are made as ``decide`` makes them."""
+        if self.mode != "static":
+            return 0
+        b = window.b
+        prev = np.empty_like(b)
+        prev[:1] = self._b_prev
+        prev[1:] = b[:-1]
+        mag, mag_prev = np.abs(b), np.abs(prev)
+        static = (np.sign(b) * np.sign(prev) > 0) & ((mag <= mag_prev) | (mag <= self._escape))
+        k = len(b) if static.all() else int(static.argmin())
+        if not k:
+            return 0
+        states, start = window.states, t
+        if self.adapt_gains:  # t > n in static mode, so every multiple of n updates
+            for s in range(t + -t % self.n, t + k, self.n):
+                if states is not None and s > start:
+                    states.append((s - start, self.trace_state()))
+                    start = s
+                d_b, d_e = fuzzify(int(b[s - t]), int(prev[s - t]), self.cfg)
+                self.gains = update_gains(self.gains, d_b, d_e, self.cfg)
+        if states is not None:
+            states.append((t + k - start, self.trace_state()))
+        self._b_prev, self._b_prev2 = int(b[k - 1]), int(prev[k - 1])
+        self._zero_streak = 0
+        self.history.extend(repeat(action, min(k, self.n)))
+        return k
 
     def trace_state(self) -> tuple[float, float, float, float, int, str]:
         gains = self.gains

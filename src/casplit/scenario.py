@@ -208,6 +208,8 @@ class ScenarioConfig:
             dup.carriers = [dataclasses.replace(c) for c in self.carriers]
         if "policy_params" not in changes:
             dup.policy_params = dict(self.policy_params)
+        if "trajectory" not in changes:
+            dup.trajectory = dataclasses.replace(self.trajectory)
         return dup
 
 

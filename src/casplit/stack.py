@@ -14,21 +14,44 @@ tuples against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import sub
 
 import numpy as np
 
 
-def _lindley(start: int, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _lindley(start, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x_t = max(0, x_{t-1} + steps_t)`` from ``x_{-1} = start >= 0``, as the
     reflected walk ``S - min(0, cummin S)`` with ``S = start + cumsum(steps)``
-    (D. V. Lindley, 1952)."""
-    walk = np.cumsum(steps, out=out)
+    (D. V. Lindley, 1952).  Over a carriers-by-slots matrix, each row is its
+    own recursion, from the matching row of a ``start`` column."""
+    walk = np.cumsum(steps, axis=-1, out=out)
     walk += start
-    floor = np.minimum.accumulate(walk)
+    floor = np.minimum.accumulate(walk, axis=-1)
     np.minimum(floor, 0, out=floor)
     walk -= floor
     return walk
+
+
+@dataclass
+class Fold:
+    """A fixed schedule folded from a ``CountStack``'s state (``fold``):
+    the slot it starts at, the inputs (clipped capacities, arrivals, packets
+    dispatched to the PCC and the number of SCCs fed, per slot) and the
+    per-slot results: packets served (all carriers), the buffer difference
+    seen before each slot, optionally the end-of-slot RLC counts and the
+    packets served per carrier (carriers by slots), and the final counts."""
+
+    t0: int
+    caps: np.ndarray
+    arrivals: np.ndarray
+    pcc: np.ndarray
+    scc: np.ndarray
+    delivered: np.ndarray | None = None
+    b: np.ndarray | None = None
+    occupancy: np.ndarray | None = None
+    served: np.ndarray | None = None
+    final_rlc: list[int] | None = None
 
 
 class CountStack:
@@ -170,25 +193,15 @@ class CountStack:
         """Slots ``0..n-1`` of a fixed action schedule, in closed form.
 
         ``a_p``, ``a_s`` and ``arrivals`` give each slot's action and new
-        PDCP packets; none may depend on the queue state.  The PDCP depth is
-        then a Lindley recursion ``D_t = max(0, D_{t-1} + arr_t - draw_t)``
-        with ``draw_t = a_p_t + n_scc * a_s_t``, so slot t dispatches
-        ``disp_t = D_{t-1} + arr_t - D_t``: ``min(a_p_t, disp_t)`` to the PCC
-        and one packet to each SCC ``s < disp_t - pcc_t``, which surfaces in
-        its RLC buffer ``d_xn`` slots later.  Each RLC count is the same
-        recursion over its inflow, ``q_t = max(0, q_{t-1} + in_t - c_t)``,
-        and slot t serves ``q_{t-1} + in_t - q_t``.
-
+        PDCP packets; none may depend on the queue state (see ``fold``).
         With a ``target``, the completion slot is the first at which the
         UE's total (``delivered`` included) reaches it, and
         ``stop_on_complete`` ends the run after that slot.  Returns the
         packets served in each slot (all carriers), the buffer difference
         seen before each slot, with ``keep_occupancy`` the end-of-slot RLC
         counts, carriers by slots (else None), and the completion slot (or
-        None).  Carriers are folded into the per-slot vectors one at a time,
-        so the work memory is a few slot-length vectors.  Leaves the stack
-        exactly where the per-slot phases leave it.  The Xn ring must be
-        empty.
+        None).  Leaves the stack exactly where the per-slot phases leave
+        it.  The Xn ring must be empty.
         """
         n = len(arrivals)
         if len(a_p) != n or len(a_s) != n:
@@ -198,11 +211,42 @@ class CountStack:
             raise ValueError(f"capacities span fewer than {n} slots")
         if n and caps.min() < 0:
             raise ValueError("capacity must be non-negative")
-        if any(map(any, self.xn)):
-            raise ValueError("closed form starts from an empty Xn ring")
         arrivals = np.asarray(arrivals, dtype=np.int64)
         if n and arrivals.min() < 0:
             raise ValueError("arrivals must be non-negative")
+        fold = self.fold(caps, a_p, a_s, arrivals, keep_occupancy=keep_occupancy)
+        completion = None
+        if target is not None:
+            reached = np.flatnonzero(np.cumsum(fold.delivered) >= target - self.delivered)
+            if reached.size:
+                completion = int(reached[0])
+                if stop_on_complete and completion < n - 1:
+                    # Fold the prefix again, so the arrays end at the completion.
+                    n = completion + 1
+                    fold = self._fold(Fold(0, fold.caps[:, :n], arrivals[:n], fold.pcc[:n],
+                                           fold.scc[:n]), keep_occupancy)
+        self.commit(fold, len(fold.pcc))
+        return fold.delivered, fold.b, fold.occupancy, completion
+
+    def fold(self, caps, a_p, a_s, arrivals, t0: int = 0, keep_occupancy: bool = False,
+             keep_served: bool = False) -> Fold:
+        """A fixed schedule from the current state, starting at slot ``t0``,
+        in closed form; the stack is left unchanged (``commit`` advances it).
+
+        The PDCP depth is a Lindley recursion
+        ``D_t = max(0, D_{t-1} + arr_t - draw_t)`` with
+        ``draw_t = a_p_t + n_scc * a_s_t``, so slot t dispatches
+        ``disp_t = D_{t-1} + arr_t - D_t``: ``min(a_p_t, disp_t)`` to the PCC
+        and one packet to each SCC ``s < disp_t - pcc_t``, which surfaces in
+        its RLC buffer ``d_xn`` slots later.  Each RLC count is the same
+        recursion over its inflow, ``q_t = max(0, q_{t-1} + in_t - c_t)``,
+        and slot t serves ``q_{t-1} + in_t - q_t``.  ``arrivals`` are int64
+        and, with ``caps``, already checked non-negative; the Xn ring must be
+        empty.
+        """
+        if any(map(any, self.xn)):
+            raise ValueError("closed form starts from an empty Xn ring")
+        n = len(arrivals)
         # No queue ever holds more than the packets ingested so far and in
         # this run, so a capacity clipped there serves the same packets.  The
         # clip keeps the int64 sums of ``_lindley`` from overflowing, and
@@ -221,20 +265,72 @@ class CountStack:
         pcc = a_p & (scc > 0)  # the PCC takes the first packet dispatched
         scc -= pcc  # and the SCC group the rest, SCC 0 first
         scc = scc.astype(np.min_scalar_type(self.n_scc))  # one byte a slot below 256 SCCs
+        return self._fold(Fold(t0, caps, arrivals, pcc, scc), keep_occupancy, keep_served)
 
-        delivered, b, occupancy, final_rlc = self._fold(caps, pcc, scc, keep_occupancy)
-        completion = None
-        if target is not None:
-            reached = np.flatnonzero(np.cumsum(delivered) >= target - self.delivered)
-            if reached.size:
-                completion = int(reached[0])
-                if stop_on_complete and completion < n - 1:
-                    n = completion + 1
-                    pcc, scc, arrivals = pcc[:n], scc[:n], arrivals[:n]
-                    delivered, b, occupancy, final_rlc = self._fold(
-                        caps[:, :n], pcc, scc, keep_occupancy)
+    def _fold(self, fold: Fold, keep_occupancy: bool, keep_served: bool = False) -> Fold:
+        """Fill in ``fold``'s per-slot deliveries and buffer differences from
+        every carrier's RLC recursion, the occupancies and per-carrier served
+        counts if kept, and the final counts; leaves the stack unchanged.
+        Where the served counts are kept, all carriers are folded at once, as
+        rows of a matrix; otherwise one at a time, so the work memory is a
+        few slot-length vectors."""
+        caps, pcc, scc = fold.caps, fold.pcc, fold.scc
+        n = len(pcc)
+        d = self.d_xn
+        shape = (self.n_carriers, n)
+        block = self.n_carriers if keep_served else 1
+        fold.occupancy = occupancy = np.empty(shape, np.int64) if keep_occupancy else None
+        fold.served = served = np.zeros(shape, np.int64) if keep_served else None
+        fold.delivered = delivered = np.zeros(n, dtype=np.int64)
+        fold.b = b = np.zeros(n, dtype=np.int64)
+        fold.final_rlc = final_rlc = []
+        rlc = np.array(self.rlc, dtype=np.int64)[:, None]
+        work = None if keep_occupancy else np.empty((block, n), np.int64)
+        for lo in range(0, self.n_carriers, block):
+            rows = slice(lo, lo + block)
+            q = occupancy[rows] if keep_occupancy else work
+            # Served counts add up per carrier if kept, else straight into
+            # ``delivered``.
+            out = served[rows] if keep_served else delivered[None]
+            # The inflow in_t: the PCC's dispatches, and a packet for SCC c
+            # if more than c - 1 SCCs were fed d_xn slots before.
+            q[:, :d] = 0
+            np.greater(scc[:max(0, n - d)], np.arange(lo - 1, lo + block - 1)[:, None],
+                       out=q[:, d:])
+            if lo == 0:
+                q[0] = pcc
+            out += q
+            q -= caps[rows]
+            _lindley(rlc[rows], q, out=q)
+            # served_t = in_t + q_{t-1} - q_t, with q_{-1} the current count.
+            out -= q
+            out[:, 1:] += q[:, :-1]
+            out[:, :1] += rlc[rows]
+            for c, q_c in enumerate(q, lo):
+                if c == 0:  # b is the PCC's count less the SCCs'
+                    b[1:] += q_c[:-1]
+                    b[:1] += self.rlc[c]
+                else:
+                    b[1:] -= q_c[:-1]
+                    b[:1] -= self.rlc[c]
+            final_rlc += q[:, -1].tolist() if n else self.rlc[rows]
+        if keep_served:
+            served.sum(axis=0, out=delivered)
+        return fold
 
-        ingested = int(arrivals.sum())
+    def commit(self, fold: Fold, n: int) -> None:
+        """Advance the stack by the first ``n`` slots of ``fold``, which must
+        have been folded from the current state: exactly where the per-slot
+        phases leave it.  A prefix shorter than the fold needs its
+        occupancies."""
+        if not n:
+            return
+        if n < len(fold.pcc):
+            final_rlc = fold.occupancy[:, n - 1].tolist()
+        else:
+            final_rlc = fold.final_rlc
+        pcc, scc = fold.pcc[:n], fold.scc[:n]
+        ingested = int(fold.arrivals[:n].sum())
         self.total_ingested += ingested
         self.pdcp_depth += ingested - int(pcc.sum()) - int(scc.sum())
         self.out_counts[0] += int(pcc.sum())
@@ -243,48 +339,11 @@ class CountStack:
         # SCC dispatches of the last d_xn slots are still in flight.
         d = self.d_xn
         for t in range(max(0, n - d), n):
-            row = self.xn[(t + d) % (d + 1)]
+            row = self.xn[(fold.t0 + t + d) % (d + 1)]
             for s in range(int(scc[t])):
                 row[s] += 1
-        self.rlc = final_rlc
-        self.delivered += int(delivered.sum())
-        return delivered, b, occupancy, completion
-
-    def _fold(self, caps, pcc, scc, keep_occupancy: bool):
-        """Per-slot deliveries and buffer differences of every carrier's RLC
-        recursion from the current counts, plus the occupancies (if kept)
-        and the final counts; leaves the stack unchanged."""
-        n = len(pcc)
-        d = self.d_xn
-        delivered = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
-        occupancy = np.empty((self.n_carriers, n), dtype=np.int64) if keep_occupancy else None
-        final_rlc = []
-        q = np.empty(n, dtype=np.int64)
-        for c in range(self.n_carriers):
-            if c == 0:
-                q[:] = pcc
-            else:
-                q[:d] = 0
-                np.greater(scc[:max(0, n - d)], c - 1, out=q[d:])
-            delivered += q  # the inflow in_t
-            q -= caps[c]
-            _lindley(self.rlc[c], q, out=q)
-            # served_t = q_{t-1} + in_t - q_t; in_t was added above.
-            delivered -= q
-            delivered[1:] += q[:-1]
-            if c == 0:
-                b[1:] += q[:-1]
-            else:
-                b[1:] -= q[:-1]
-            if n:
-                delivered[0] += self.rlc[c]
-            final_rlc.append(int(q[-1]) if n else self.rlc[c])
-            if keep_occupancy:
-                occupancy[c] = q
-        if n:
-            b[0] = self.buffer_difference()
-        return delivered, b, occupancy, final_rlc
+        self.rlc[:] = final_rlc
+        self.delivered += int(fold.delivered[:n].sum())
 
     def snapshot(self) -> tuple:
         """Hashable queue state: PDCP depth, RLC counts and the Xn ring.

@@ -18,8 +18,8 @@ from casplit.engine import RunResult, Simulation
 from casplit.fuzzy_pid import (PCC_ONLY_ACTION, SCC_ONLY_ACTION, Controller, FuzzyPidController,
                                NoFuzzyController, SplitAction)
 from casplit.oracle import ScriptedController
-from casplit.scenario import (RunMode, build_caps, build_run, default_static_scenario,
-                              make_controller)
+from casplit.scenario import (RunMode, build_caps, build_run, default_mobile_scenario,
+                              default_static_scenario, make_controller)
 
 from reference import ProtocolStack
 
@@ -419,7 +419,11 @@ def _reference(controller):
 
 
 def _assert_same_learning(new, old):
-    """Bit-equal learned state: ltr's rates, qlearning's Q table."""
+    """Bit-equal learned state: ltr's rates, qlearning's Q table, and every
+    attribute of a fuzzy controller (gains, history, mode, the last buffer
+    differences)."""
+    if isinstance(new, FuzzyPidController):  # ``_held_windows`` may wrap ``hold``
+        assert {k: v for k, v in vars(new).items() if k != "hold"} == vars(old)
     if isinstance(new, LtrController):
         assert [x.hex() for x in new.rates] == [x.hex() for x in old.rates]
     if isinstance(new, QLearningController):
@@ -436,6 +440,25 @@ def test_bucket_lookup_matches_formula(n_bins, b_max):
         assert table.bucket(b) == _bucket_formula(table, b), b
 
 
+def _held_windows(sim, offered=None):
+    """Wrap ``sim``'s controller's ``hold``: returns the list of slots each
+    committed window held, filled as the run goes.  With ``offered``, also
+    record each offer as ``(t, window length, slots held)``."""
+    held = []
+    hold = sim.plan.hold
+
+    def counted(t, action, window):
+        k = hold(t, action, window)
+        if offered is not None:
+            offered.append((t, len(window.b), k))
+        if k:
+            held.append(k)
+        return k
+    sim.plan.hold = counted
+    return held
+
+
+HOLDERS = ("fuzzy_pid", "nofuzzy_pid", "ltr")
 LOOP_POLICIES = ("fuzzy_pid", "nofuzzy_pid", "ltr", "qlearning", "scripted")
 ALL_POLICIES = LOOP_POLICIES + ("forced", "bwa", "stationary_k")
 
@@ -560,23 +583,26 @@ def _chunk_starts(n_slots):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 5000), st.integers(1, 2048), st.integers(1, 64), st.integers(1, 3))
-def test_cap_rows_concatenate_to_the_whole_conversion(n_slots, chunk, first, n_scc):
-    """The chunks ``_cap_rows`` yields concatenate to ``caps[:, :n].T.tolist()``
-    for any horizon and chunk sizes.  The first chunk is
+@given(st.integers(0, 5000), st.integers(1, 2048), st.integers(1, 64), st.integers(1, 3),
+       st.integers(0, 5000))
+def test_cap_rows_concatenate_to_the_whole_conversion(n_slots, chunk, first, n_scc, start):
+    """The chunks ``_cap_rows`` yields from slot ``start`` (0, or where a held
+    window ended) concatenate to ``caps[:, start:n].T.tolist()`` for any
+    horizon and chunk sizes.  The first chunk is
     ``min(CAPS_FIRST_CHUNK, CAPS_CHUNK)`` slots, and each later one is as long
     as all before it, but at most ``CAPS_CHUNK``; only the last may be cut
     short by the horizon."""
+    start = min(start, n_slots)
     caps = np.arange((1 + n_scc) * (n_slots + 7), dtype=np.int64).reshape(1 + n_scc, -1)
     with mock.patch.multiple(engine, CAPS_CHUNK=chunk, CAPS_FIRST_CHUNK=first):
-        chunks = list(engine._cap_rows(caps, n_slots))
-    assert [row for c in chunks for row in c] == caps[:, :n_slots].T.tolist()
+        chunks = list(engine._cap_rows(caps, n_slots, start))
+    assert [row for c in chunks for row in c] == caps[:, start:n_slots].T.tolist()
     done = 0
     for i, c in enumerate(chunks):
         want = min(max(done, first), chunk)
         assert len(c) == want or (i == len(chunks) - 1 and 0 < len(c) < want)
         done += len(c)
-    assert done == n_slots
+    assert done == n_slots - start
 
 
 @functools.lru_cache(maxsize=None)
@@ -591,14 +617,17 @@ def _static_caps(n_slots):
 def test_a_run_that_stops_early_converts_twice_its_slots_at_most(l, policy):
     """A burst run that completes at slot s has converted at most
     ``max(CAPS_FIRST_CHUNK, 2 (s + 1))`` capacity columns, counted off the
-    chunks ``_cap_rows`` hands the loop."""
+    chunks ``_cap_rows`` hands the loop, also when held windows made it
+    start converting afresh; and at least one column for every slot it
+    stepped."""
     cfg = default_static_scenario(2).copy(l=l, max_slots=4 * engine.CAPS_CHUNK)
     sim = build_run(cfg, RunMode.CA, caps=_static_caps(cfg.max_slots), policy=policy)
+    held = _held_windows(sim)
     converted = []
     cap_rows = engine._cap_rows
 
-    def counted(caps, n_slots):
-        for chunk in cap_rows(caps, n_slots):
+    def counted(caps, n_slots, start=0):
+        for chunk in cap_rows(caps, n_slots, start):
             converted.append(len(chunk))
             yield chunk
     with mock.patch.object(engine, "_cap_rows", counted):
@@ -606,7 +635,7 @@ def test_a_run_that_stops_early_converts_twice_its_slots_at_most(l, policy):
     assert result.completed or policy == "qlearning"
     s = result.t_slots - 1
     assert sum(converted) <= max(engine.CAPS_FIRST_CHUNK, 2 * (s + 1))
-    assert sum(converted) >= result.t_slots
+    assert sum(converted) >= result.t_slots - sum(held)
 
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
@@ -625,6 +654,93 @@ def test_slot_loop_matches_phase_reference_across_chunks(policy):
     assert got.completion_slot not in _chunk_starts(cfg.max_slots)  # mid-chunk, not on an edge
     _assert_same_run(sim, got, ref, ref.run())
     _assert_same_learning(sim.controller, ref.controller)
+
+
+@pytest.mark.parametrize("policy", HOLDERS)
+def test_held_windows_match_phase_reference(policy):
+    """With ``HOLD_MIN`` 2 and windows of 4 to 16 slots, runs of every
+    holding controller, whose held windows the engine computes in closed form,
+    equal the per-phase reference loop, which steps every slot: every
+    ``RunResult`` field, trace rows included, the end state and ltr's
+    learned rates.  Burst and per-slot arrivals, d_xn 0 to 3, traced and
+    untraced runs, capacity chunks of 1 to 40 slots; across the runs,
+    windows were committed."""
+    held = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.booleans(), st.integers(1, 40))
+    def check(data, n_scc, collect_trace, chunk):
+        kwargs, horizon, actions = data.draw(loop_runs(n_scc, collect_trace))
+        d_xn = kwargs["d_xn"]
+        sim = Simulation(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
+        ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions, reference=True),
+                         **kwargs)
+        windows = _held_windows(sim)
+        with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4, HOLD_MAX_WINDOW=16,
+                                 CAPS_CHUNK=chunk):
+            got = sim.run()
+        _assert_same_run(sim, got, ref, ref.run())
+        _assert_same_learning(sim.controller, ref.controller)
+        held.extend(windows)
+    check()
+    assert len(held) >= 50 and sum(held) >= 500, (len(held), sum(held))
+
+
+def test_ltr_holds_no_window_it_would_start_on_an_scc():
+    """ltr played the PCC on slots 0 and 1, but the SCC's queue drained in
+    slot 1, so it plays slot 2 on the SCC: the window offered from slot 2
+    is not held, although the PCC's queue would be empty after it."""
+    caps = np.array([[1, 1, 1], [1, 2, 1]])
+    kwargs = dict(l=1, arrival_mode="per_slot", arrival_rate=0, n_scc=1, d_xn=0, caps=caps,
+                  max_slots=3, preseed_rlc=[3, 3], stop_on_complete=False)
+    sim = Simulation(controller=LtrController(1, 0), **kwargs)
+    ref = _PhaseLoop(controller=_reference(LtrController(1, 0)), **kwargs)
+    offered = []
+    held = _held_windows(sim, offered)
+    with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4):
+        got = sim.run()
+    assert got.a_p.tolist() == [1, 1, 0]
+    assert offered == [(2, 1, 0)] and held == []
+    _assert_same_run(sim, got, ref, ref.run())
+    _assert_same_learning(sim.controller, ref.controller)
+
+
+@pytest.mark.parametrize("policy", HOLDERS[::2])
+@pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
+def test_default_runs_hold_most_of_their_slots(preset, policy):
+    """On both presets, fuzzy_pid and ltr hold at least 80% of a run's
+    slots: the loop steps only where the controller decides."""
+    cfg = preset(3)
+    sim = build_run(cfg, RunMode.CA, policy=policy)
+    held = _held_windows(sim)
+    result = sim.run()
+    assert sum(held) >= 0.8 * result.t_slots, (sum(held), result.t_slots)
+
+
+@pytest.mark.parametrize("policy", HOLDERS)
+@pytest.mark.parametrize("changes", [
+    dict(l=300), dict(l=2000), dict(l=2000, max_slots=1000), dict(l=400, max_slots=531),
+    dict(arrival_mode="per_slot", max_slots=777)], ids=str)
+def test_no_hold_crosses_completion_or_horizon(policy, changes):
+    """Every window offered to a controller ends at the horizon or before
+    it, and, in a burst run, at the completion slot or before it: the loop
+    steps the slot that completes the burst.  Without ``stop_on_complete``,
+    ltr, which keeps the PCC on the drained queues, holds windows after the
+    completion too."""
+    cfg = default_static_scenario(2).copy(**changes)
+    for stop in (True, False):
+        sim = build_run(cfg, RunMode.CA, policy=policy)
+        sim.stop_on_complete = stop
+        offered = []
+        held = _held_windows(sim, offered)
+        result = sim.run()
+        assert held
+        for t, n, k in offered:
+            assert k <= n and t + n <= cfg.max_slots, (t, n, k)
+            if result.completed and t <= result.completion_slot:
+                assert t + n <= result.completion_slot, (t, n, result.completion_slot)
+        if policy == "ltr" and cfg.arrival_mode == "burst" and result.completed and not stop:
+            assert any(t > result.completion_slot for t, _, k in offered if k)
 
 
 @pytest.mark.parametrize("l, slot, dtype, message", [
@@ -726,7 +842,7 @@ def test_negative_arrivals_are_refused(policy, arrivals, dtype):
 def test_only_open_loop_runs_skip_the_slot_loop(policy, closed_form):
     """bwa, stationary_k and forced runs call neither ``step`` nor a per-slot
     phase, in burst and per-slot mode alike; the closed-loop policies step
-    the loop through ``step`` alone."""
+    the loop through ``step`` alone, once for every slot they do not hold."""
     for mode in ("burst", "per_slot"):
         cfg = default_static_scenario(2).copy(l=200, max_slots=300, arrival_mode=mode)
         caps = build_caps(cfg)
@@ -746,19 +862,23 @@ def test_only_open_loop_runs_skip_the_slot_loop(policy, closed_form):
                 calls[_name] += 1
                 return _method(*args)
             setattr(sim.stack, name, counted)
+        held = _held_windows(sim)
         result = sim.run()
         assert result.t_slots > 0
-        steps = 0 if closed_form else result.t_slots
+        steps = 0 if closed_form else result.t_slots - sum(held)
         assert calls == {**dict.fromkeys(PHASES, 0), "step": steps}, (policy, mode)
+        assert bool(held) == sim.plan.holds, (policy, mode)
 
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_only_ltr_sums_the_xn_ring_per_slot(policy):
     """``stack.xn_inflight`` sums the Xn ring columns.  ltr reads it once a
-    slot in ``observe``; the other closed-loop policies never do, so only
-    the end-of-run call in ``_result`` is left."""
+    slot it steps, in ``observe``, and never in ``hold``; the other
+    closed-loop policies never do, so only the end-of-run call in
+    ``_result`` is left."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
+    held = _held_windows(sim)
     calls = []
     method = sim.stack.xn_inflight
 
@@ -768,7 +888,7 @@ def test_only_ltr_sums_the_xn_ring_per_slot(policy):
     sim.stack.xn_inflight = counted
     result = sim.run()
     assert result.t_slots > 100
-    assert len(calls) == (result.t_slots if policy == "ltr" else 0) + 1
+    assert len(calls) == (result.t_slots - sum(held) if policy == "ltr" else 0) + 1
 
 
 def test_qlearning_buckets_its_state_once_per_slot():
@@ -792,12 +912,14 @@ def test_qlearning_buckets_its_state_once_per_slot():
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_the_loop_reads_the_buffer_difference_once_per_slot(policy):
-    """The loop reads ``stack.buffer_difference`` once before slot 0 and
-    once after every slot, the one it stops on included, and hands that
-    value to ``observe`` and the next ``decide``: no controller reads it
-    again."""
+    """The loop reads ``stack.buffer_difference`` once before slot 0, once
+    after every slot it steps, the one it stops on included, and once after
+    every held window, and hands that value to ``observe`` and the next
+    ``decide``: no controller reads it again, and a window's fold does not
+    read it."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
+    held = _held_windows(sim)
     calls = []
     method = sim.stack.buffer_difference
 
@@ -807,4 +929,4 @@ def test_the_loop_reads_the_buffer_difference_once_per_slot(policy):
     sim.stack.buffer_difference = counted
     result = sim.run()
     assert result.t_slots > 100
-    assert len(calls) == result.t_slots + 1
+    assert len(calls) == result.t_slots - sum(held) + len(held) + 1

@@ -103,6 +103,23 @@ def test_validation_messages_name_fields():
         bad.validate()
 
 
+@pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
+def test_copy_owns_its_mutable_parts(preset):
+    """A copy gets its own trajectory, carriers and policy parameters:
+    changing them in place leaves the original as it was."""
+    a = preset(2)
+    before = repr(a)
+    b = a.copy(seed=2)
+    assert b.trajectory == a.trajectory and b.trajectory is not a.trajectory
+    b.trajectory.speed_mps = 20.0
+    b.trajectory.d0_m = 85.0
+    b.carriers[1].rho = 3.0
+    b.policy_params["kp"] = 0.9
+    assert repr(a) == before
+    traj = Trajectory(d0_m=90.0, speed_mps=5.0)
+    assert a.copy(trajectory=traj).trajectory is traj
+
+
 @pytest.mark.parametrize("traj", ["far", 100.0, None, {"d0_m": 100.0}],
                          ids=["str", "float", "None", "dict"])
 def test_validate_refuses_a_trajectory_of_another_kind(traj):

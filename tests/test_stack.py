@@ -228,3 +228,37 @@ def test_count_stack_matches_protocol_stack(data, n_scc, d_xn, preseeded):
 def test_step_refuses_negative_arrivals():
     with pytest.raises(ValueError, match="arrivals must be non-negative"):
         CountStack(n_scc=1).step(0, -1, 1, 1, [1, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 9))
+def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
+    """A fixed schedule folded from slot ``t0`` on, from a state with an
+    empty Xn ring, and any prefix of it committed, equals ``step`` over the
+    same slots: served counts per carrier, end-of-slot counts, the buffer
+    difference before each slot, and the whole end state, Xn ring rows
+    included, which depend on the slot the fold started at."""
+    n_car = 1 + n_scc
+    preseed = data.draw(st.lists(st.integers(0, 6), min_size=n_car, max_size=n_car))
+    n = data.draw(st.integers(1, 30))
+    a_p = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.int8)
+    a_s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.int8)
+    arrivals = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                        np.int64)
+    caps = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                       min_size=n_car, max_size=n_car)), np.int64)
+    k = data.draw(st.integers(1, n))
+    stack, ref = CountStack(n_scc, d_xn, preseed), CountStack(n_scc, d_xn, preseed)
+    stack.pdcp_depth = ref.pdcp_depth = data.draw(st.integers(0, 5))
+    fold = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=True, keep_served=True)
+    for t in range(n):
+        assert fold.b[t] == ref.buffer_difference()
+        served = ref.step(t0 + t, int(arrivals[t]), int(a_p[t]), int(a_s[t]),
+                          caps[:, t].tolist())
+        assert fold.served[:, t].tolist() == served and fold.delivered[t] == sum(served)
+        assert fold.occupancy[:, t].tolist() == ref.rlc
+        if t == k - 1:
+            want = (ref.snapshot(), list(ref.out_counts), ref.total_ingested, ref.delivered)
+    assert fold.final_rlc == ref.rlc
+    stack.commit(fold, k)
+    assert (stack.snapshot(), stack.out_counts, stack.total_ingested, stack.delivered) == want
