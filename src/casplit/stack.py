@@ -294,11 +294,12 @@ class CountStack:
             out = served[rows] if keep_served else delivered[None]
             # The inflow in_t: the PCC's dispatches, and a packet for SCC c
             # if more than c - 1 SCCs were fed d_xn slots before.
-            q[:, :d] = 0
-            np.greater(scc[:max(0, n - d)], np.arange(lo - 1, lo + block - 1)[:, None],
-                       out=q[:, d:])
-            if lo == 0:
-                q[0] = pcc
+            for c, in_c in enumerate(q, lo):
+                if c == 0:
+                    in_c[:] = pcc
+                else:
+                    in_c[:d] = 0
+                    np.greater(scc[:max(0, n - d)], c - 1, out=in_c[d:])
             out += q
             q -= caps[rows]
             _lindley(rlc[rows], q, out=q)
