@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class LtrController(Controller):
         self._action = (PCC_ONLY_ACTION if rlc[0] / max(rates[0], eps) <= best
                         else SCC_ONLY_ACTION)
 
-    def hold(self, t: int, action: SplitAction, window: HoldWindow) -> int:
+    def hold(self, t: int, action: SplitAction, window: Callable[[], HoldWindow]) -> int:
         """From a slot it plays on the PCC, the leading slots that leave the
         PCC's RLC buffer empty: its estimate is then 0, which no SCC estimate
         undercuts, so ``observe`` keeps the PCC whatever the rates.  The
@@ -132,6 +133,7 @@ class LtrController(Controller):
         averages them."""
         if action is not PCC_ONLY_ACTION or self._action is not action:
             return 0
+        window = window()
         queued = np.flatnonzero(window.rlc[0])
         k = int(queued[0]) if queued.size else len(window.b)
         a, keep, rates = self.smoothing, self._keep, self.rates

@@ -23,9 +23,10 @@ its ``static`` mode, ltr on the PCC while the PCC's queue drains.  A
 controller whose ``holds`` is true skips them.  Once it has played one
 action object ``HOLD_MIN`` slots in a row and the Xn ring is empty, the
 loop folds a window of that action from the current state in closed form
-(``CountStack.fold``): ``HOLD_WINDOW`` slots, doubling while the controller
-holds them whole, up to ``HOLD_MAX_WINDOW``, and never past the horizon or
-the slot that completes a burst.  The controller's ``hold`` says how many
+(``CountStack.fold``), when the controller asks for it: ``HOLD_WINDOW``
+slots, doubling while the controller holds them whole, up to
+``HOLD_MAX_WINDOW``, and never past the horizon or the slot that completes
+a burst.  The controller's ``hold`` says how many
 leading slots it would itself have played that action on, and the stack
 commits just those (``CountStack.commit``); the loop then reads the
 buffer difference once and steps on.  After a window that ran past the
@@ -316,31 +317,43 @@ class Simulation:
             completed=completed, completion_slot=completion_slot)
 
     def _hold(self, t: int, action: SplitAction, n: int, target: int | None):
-        """Offer the controller ``n`` slots of ``action`` from slot ``t``,
-        computed in closed form, and commit the slots it holds.  With a
-        ``target`` (a burst not yet complete), the offer stops before the
-        slot that would complete it, so the loop steps that slot.  Returns
-        the slots held and their columns, as the loop keeps them."""
+        """Offer the controller ``n`` slots of ``action`` from slot ``t`` and
+        commit the slots it holds.  The window is folded in closed form when
+        the controller first calls ``window()``, so one that refuses without
+        looking costs no fold.  With a ``target`` (a burst not yet complete),
+        the window stops before the slot that would complete it, so the loop
+        steps that slot.  Returns the slots held and their columns, as the
+        loop keeps them."""
         stack = self.stack
-        burst = self.arrival_mode == BURST
-        arrivals = np.full(n, 0 if burst else self.arrival_rate, np.int64)
-        fold = stack.fold(self.caps[:, t:t + n], np.full(n, action.a_p, np.int8),
-                          np.full(n, action.a_s, np.int8), arrivals, t0=t,
-                          keep_occupancy=True, keep_served=True)
-        if target is not None:
-            reached = np.flatnonzero(np.cumsum(fold.delivered) >= target - stack.delivered)
-            if reached.size:
-                n = int(reached[0])
-        if not n:
-            return 0, ()
-        window = HoldWindow(fold.b[:n], fold.served[:, :n], fold.occupancy[:, :n],
-                            [] if self.collect_trace else None)
+        folded: list[tuple] = []
+
+        def window() -> HoldWindow:
+            if not folded:
+                arrivals = np.full(n, 0 if self.arrival_mode == BURST else self.arrival_rate,
+                                   np.int64)
+                fold = stack.fold(self.caps[:, t:t + n], np.full(n, action.a_p, np.int8),
+                                  np.full(n, action.a_s, np.int8), arrivals, t0=t,
+                                  keep_occupancy=True, keep_served=True)
+                m = n
+                if target is not None:
+                    reached = np.flatnonzero(
+                        np.cumsum(fold.delivered) >= target - stack.delivered)
+                    if reached.size:
+                        m = int(reached[0])
+                folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
+                                                fold.occupancy[:, :m],
+                                                [] if self.collect_trace else None)))
+            return folded[0][1]
+
         k = self.plan.hold(t, action, window)
+        if not k:
+            return 0, ()
+        fold, held = folded[0]
         stack.commit(fold, k)
         part = (fold.delivered[:k], np.full(k, action.a_p, np.int8),
                 np.full(k, action.a_s, np.int8), fold.b[:k])
-        if window.states is not None:
-            part += (fold.occupancy[:, :k], *_state_columns(window.states))
+        if held.states is not None:
+            part += (fold.occupancy[:, :k], *_state_columns(held.states))
         return k, part
 
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,

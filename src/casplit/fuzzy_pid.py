@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,10 +68,12 @@ class Controller:
 
     A controller whose ``holds`` is true may skip slots it would only repeat
     its action on: after it has played one action object for a while, the
-    engine computes a ``HoldWindow`` of that action from slot ``t`` on, and
-    ``hold(t, action, window)`` returns how many leading slots of it the
-    controller would itself play ``action`` on, and leaves its state exactly
-    as ``decide`` and ``observe`` would have left it after those slots."""
+    engine calls ``hold(t, action, window)``, where ``window()`` computes a
+    ``HoldWindow`` of that action from slot ``t`` on.  ``hold`` returns how
+    many leading slots of it the controller would itself play ``action`` on,
+    and leaves its state exactly as ``decide`` and ``observe`` would have
+    left it after those slots; a controller that can tell it holds none
+    returns 0 without calling ``window``, which costs a closed-form fold."""
 
     name: str
     observes = False
@@ -83,7 +85,7 @@ class Controller:
     def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
         pass
 
-    def hold(self, t: int, action: SplitAction, window: "HoldWindow") -> int:
+    def hold(self, t: int, action: SplitAction, window: Callable[[], "HoldWindow"]) -> int:
         return 0
 
     def trace_state(self) -> tuple[float, float, float, float, int, str]:
@@ -336,12 +338,13 @@ class FuzzyPidController(Controller):
         self.history.append(action)
         return action
 
-    def hold(self, t: int, action: SplitAction, window: HoldWindow) -> int:
+    def hold(self, t: int, action: SplitAction, window: Callable[[], HoldWindow]) -> int:
         """The leading slots that stay ``static``: each one's ``b`` keeps the
         sign of the one before and does not run away past the escape band.
         The gain updates due on them are made as ``decide`` makes them."""
         if self.mode != "static":
             return 0
+        window = window()
         b = window.b
         prev = np.empty_like(b)
         prev[:1] = self._b_prev

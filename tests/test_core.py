@@ -450,7 +450,7 @@ def _held_windows(sim, offered=None):
     def counted(t, action, window):
         k = hold(t, action, window)
         if offered is not None:
-            offered.append((t, len(window.b), k))
+            offered.append((t, len(window().b), k))
         if k:
             held.append(k)
         return k
