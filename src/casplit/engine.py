@@ -117,6 +117,21 @@ def _state_columns(runs: list[tuple[int, tuple]]) -> list[np.ndarray]:
             for col, d in zip(zip(*(state for _, state in runs)), STATE_DTYPES)]
 
 
+def _stepped(hist: tuple[list, ...], n_carriers: int) -> tuple:
+    """The columns of the per-slot rows the loop appended for the slots it
+    stepped: delivered, ``a_p``, ``a_s``, ``b`` and, in a traced run, the
+    occupancy (carriers by slots) and the six state columns."""
+    n = len(hist[3])
+    part = (np.fromiter(hist[0], np.int64, n), np.fromiter(hist[1], np.int8, n),
+            np.fromiter(hist[2], np.int8, n), np.fromiter(hist[3], np.int64, n))
+    if len(hist) > 4:
+        occ_rows, states = hist[4:]
+        part += (np.array(occ_rows, dtype=np.int64).reshape(-1, n_carriers).T,
+                 *(np.array(col, dtype=d) for col, d in
+                   zip(zip(*states) if states else [()] * 6, STATE_DTYPES)))
+    return part
+
+
 def _cap_rows(caps: np.ndarray, n_slots: int, start: int = 0):
     """Each slot's carrier capacities from slot ``start`` on, as Python ints,
     one chunk at a time: ``CAPS_FIRST_CHUNK`` slots, then each chunk as long
@@ -222,22 +237,11 @@ class Simulation:
         b_hist: list[int] = []
         occ_rows: list[tuple] = []
         states: list[tuple] = []
-        # The run's columns (delivered, a_p, a_s, b and, traced, occupancy and
-        # the six state columns), as arrays: one entry for each stretch of
-        # stepped slots, whose per-slot rows are above, and each held window.
+        hist = (delivered_hist, ap_hist, as_hist, b_hist) + (
+            (occ_rows, states) if collect_trace else ())
+        # The run's columns as arrays: one part for each stretch of stepped
+        # slots, whose per-slot rows are above, and each held window.
         parts: list[tuple] = []
-
-        def stepped() -> tuple:
-            n = len(b_hist)
-            part = (np.fromiter(delivered_hist, np.int64, n), np.fromiter(ap_hist, np.int8, n),
-                    np.fromiter(as_hist, np.int8, n), np.fromiter(b_hist, np.int64, n))
-            if collect_trace:
-                occupancy = np.array(occ_rows, dtype=np.int64).reshape(-1, len(rlc)).T
-                part += (occupancy, *(np.array(col, dtype=d) for col, d in
-                                      zip(zip(*states) if states else [()] * 6, STATE_DTYPES)))
-            for rows in (delivered_hist, ap_hist, as_hist, b_hist, occ_rows, states):
-                rows.clear()
-            return part
 
         completed = False
         completion_slot: int | None = None
@@ -295,7 +299,9 @@ class Simulation:
                 k, part = self._hold(t, held, n, target if burst and not completed else None)
                 if k:
                     if b_hist:
-                        parts.append(stepped())
+                        parts.append(_stepped(hist, len(rlc)))
+                        for column in hist:
+                            column.clear()
                     parts.append(part)
                     t += k
                     b = buffer_difference()
@@ -306,7 +312,7 @@ class Simulation:
 
         del rows, chunks  # free the last capacity chunk before the columns are built
         if b_hist or not parts:
-            parts.append(stepped())
+            parts.append(_stepped(hist, len(rlc)))
         columns = parts[0] if len(parts) == 1 else [
             np.concatenate(col, axis=-1) for col in zip(*parts)]
         delivered, a_p, a_s, b = columns[:4]

@@ -7,9 +7,10 @@ also checks packet conservation and duplicate-free delivery.  The per-slot
 ordering is fixed: ingest, dispatch, Xn surfacing, service, UE count, so
 dispatch and Xn arrivals land in the RLC buffers before service runs in the
 same slot.  ``CountStack.step`` runs that whole slot in one call, which the
-engine's slot loop makes once per slot; the separate phase methods are the
-reference the tests check ``step`` and the oracle's search over flat state
-tuples against.
+engine's slot loop makes once per slot it steps; ``fold`` and ``commit``
+compute slots of a fixed schedule in closed form.  The separate phase
+methods are the reference the tests check ``step`` and the oracle's search
+over flat state tuples against.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ class CountStack:
     slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn ring until
     ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in order.
     ``step`` runs the five phases of one slot in a single call, and
-    ``run_schedule`` replaces them for a whole run whose actions and
-    arrivals are fixed in advance (an open-loop policy); the phases stay the
-    reference the tests check both against.
+    ``fold`` and ``commit`` replace them for slots whose actions and
+    arrivals are fixed in advance: a whole open-loop run (``run_schedule``)
+    or a window of one repeated action; the phases stay the reference the
+    tests check them against.
     """
 
     def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
