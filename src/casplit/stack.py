@@ -21,14 +21,13 @@ from operator import sub
 import numpy as np
 
 
-def _lindley(start, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _lindley(start: int, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x_t = max(0, x_{t-1} + steps_t)`` from ``x_{-1} = start >= 0``, as the
     reflected walk ``S - min(0, cummin S)`` with ``S = start + cumsum(steps)``
-    (D. V. Lindley, 1952).  Over a carriers-by-slots matrix, each row is its
-    own recursion, from the matching row of a ``start`` column."""
-    walk = np.cumsum(steps, axis=-1, out=out)
+    (D. V. Lindley, 1952)."""
+    walk = np.cumsum(steps, out=out)
     walk += start
-    floor = np.minimum.accumulate(walk, axis=-1)
+    floor = np.minimum.accumulate(walk)
     np.minimum(floor, 0, out=floor)
     walk -= floor
     return walk
@@ -271,52 +270,44 @@ class CountStack:
 
     def _fold(self, fold: Fold, keep_occupancy: bool, keep_served: bool = False) -> Fold:
         """Fill in ``fold``'s per-slot deliveries and buffer differences from
-        every carrier's RLC recursion, the occupancies and per-carrier served
-        counts if kept, and the final counts; leaves the stack unchanged.
-        Where the served counts are kept, all carriers are folded at once, as
-        rows of a matrix; otherwise one at a time, so the work memory is a
-        few slot-length vectors."""
+        every carrier's RLC recursion, plus the occupancies and per-carrier
+        served counts (if kept) and the final counts; leaves the stack
+        unchanged.  Carriers are folded one at a time, so the work memory is
+        a few slot-length vectors."""
         caps, pcc, scc = fold.caps, fold.pcc, fold.scc
         n = len(pcc)
         d = self.d_xn
-        shape = (self.n_carriers, n)
-        block = self.n_carriers if keep_served else 1
-        fold.occupancy = occupancy = np.empty(shape, np.int64) if keep_occupancy else None
-        fold.served = served = np.zeros(shape, np.int64) if keep_served else None
+        fold.served = served = np.zeros((self.n_carriers, n), np.int64) if keep_served else None
         fold.delivered = delivered = np.zeros(n, dtype=np.int64)
         fold.b = b = np.zeros(n, dtype=np.int64)
         fold.final_rlc = final_rlc = []
-        rlc = np.array(self.rlc, dtype=np.int64)[:, None]
-        work = None if keep_occupancy else np.empty((block, n), np.int64)
-        for lo in range(0, self.n_carriers, block):
-            rows = slice(lo, lo + block)
-            q = occupancy[rows] if keep_occupancy else work
-            # Served counts add up per carrier if kept, else straight into
-            # ``delivered``.
-            out = served[rows] if keep_served else delivered[None]
-            # The inflow in_t: the PCC's dispatches, and a packet for SCC c
-            # if more than c - 1 SCCs were fed d_xn slots before.
-            for c, in_c in enumerate(q, lo):
-                if c == 0:
-                    in_c[:] = pcc
-                else:
-                    in_c[:d] = 0
-                    np.greater(scc[:max(0, n - d)], c - 1, out=in_c[d:])
-            out += q
-            q -= caps[rows]
-            _lindley(rlc[rows], q, out=q)
-            # served_t = in_t + q_{t-1} - q_t, with q_{-1} the current count.
+        # Each carrier's count with the current one in front: q_{-1}, q_0, ...
+        counts = np.empty((self.n_carriers if keep_occupancy else 1, n + 1), np.int64)
+        for c, start in enumerate(self.rlc):
+            walk = counts[c if keep_occupancy else 0]
+            q, before = walk[1:], walk[:-1]
+            # Served counts go to the carrier's row if kept, else straight
+            # into ``delivered``.
+            out = served[c] if keep_served else delivered
+            if c == 0:
+                q[:] = pcc
+            else:
+                q[:d] = 0
+                np.greater(scc[:max(0, n - d)], c - 1, out=q[d:])
+            out += q  # the inflow in_t
+            q -= caps[c]
+            walk[0] = 0  # a first step of 0 from ``start`` keeps it in front
+            _lindley(start, walk, out=walk)
+            # served_t = q_{t-1} + in_t - q_t, and b is the PCC's count less
+            # the SCCs', before each slot.
+            out += before
             out -= q
-            out[:, 1:] += q[:, :-1]
-            out[:, :1] += rlc[rows]
-            for c, q_c in enumerate(q, lo):
-                if c == 0:  # b is the PCC's count less the SCCs'
-                    b[1:] += q_c[:-1]
-                    b[:1] += self.rlc[c]
-                else:
-                    b[1:] -= q_c[:-1]
-                    b[:1] -= self.rlc[c]
-            final_rlc += q[:, -1].tolist() if n else self.rlc[rows]
+            if c == 0:
+                b += before
+            else:
+                b -= before
+            final_rlc.append(int(walk[-1]))
+        fold.occupancy = counts[:, 1:] if keep_occupancy else None
         if keep_served:
             served.sum(axis=0, out=delivered)
         return fold
