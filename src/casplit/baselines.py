@@ -142,8 +142,6 @@ class LtrController(Controller):
             for n in counts:
                 r = keep * r + a * n
             rates[c] = r
-        if k and window.states is not None:
-            window.states.append((k, self.trace_state()))
         return k
 
 

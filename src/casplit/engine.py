@@ -26,12 +26,12 @@ loop folds a window of that action from the current state in closed form
 (``CountStack.fold``), when the controller asks for it: ``HOLD_WINDOW``
 slots, doubling while the controller holds them whole, up to
 ``HOLD_MAX_WINDOW``, and never past the horizon or the slot that completes
-a burst.  The controller's ``hold`` says how many
-leading slots it would itself have played that action on, and the stack
-commits just those (``CountStack.commit``); the loop then reads the
-buffer difference once and steps on.  After a window that ran past the
-capacity chunk, conversion starts afresh at ``CAPS_FIRST_CHUNK`` slots.
-A held window adds its trace as columns, not per-slot rows.
+a burst.  The controller's ``hold`` says how many leading slots it would
+itself have played that action on, and the stack commits just those
+(``CountStack.commit``); the loop then reads the buffer difference once
+and steps on, converting capacity rows afresh from ``CAPS_FIRST_CHUNK``
+slots.  A held window adds its trace as columns, not per-slot rows.  A
+controller that does not hold never counts its repeated actions.
 
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
@@ -45,7 +45,7 @@ and held windows against.  All fill the same trace columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 from operator import sub
 
 import numpy as np
@@ -120,7 +120,8 @@ def _state_columns(runs: list[tuple[int, tuple]]) -> list[np.ndarray]:
 def _stepped(hist: tuple[list, ...], n_carriers: int) -> tuple:
     """The columns of the per-slot rows the loop appended for the slots it
     stepped: delivered, ``a_p``, ``a_s``, ``b`` and, in a traced run, the
-    occupancy (carriers by slots) and the six state columns."""
+    occupancy (carriers by slots) and the six state columns.  Empties the
+    row lists for the next stretch."""
     n = len(hist[3])
     part = (np.fromiter(hist[0], np.int64, n), np.fromiter(hist[1], np.int8, n),
             np.fromiter(hist[2], np.int8, n), np.fromiter(hist[3], np.int64, n))
@@ -129,6 +130,8 @@ def _stepped(hist: tuple[list, ...], n_carriers: int) -> tuple:
         part += (np.array(occ_rows, dtype=np.int64).reshape(-1, n_carriers).T,
                  *(np.array(col, dtype=d) for col, d in
                    zip(zip(*states) if states else [()] * 6, STATE_DTYPES)))
+    for rows in hist:
+        rows.clear()
     return part
 
 
@@ -222,8 +225,7 @@ class Simulation:
         plan = self.plan
         decide = plan.decide
         observe = plan.observe if plan.observes else None
-        # A controller that does not hold never reaches a hold attempt.
-        hold_min = HOLD_MIN if plan.holds else n_slots + 1
+        holds = plan.holds
         trace_state = plan.trace_state
         collect_trace = self.collect_trace
         stop_on_complete = self.stop_on_complete
@@ -246,21 +248,11 @@ class Simulation:
         completed = False
         completion_slot: int | None = None
         held, repeats, size = None, 0, HOLD_WINDOW
-        chunks = _cap_rows(self.caps, n_slots)
-        rows: list = []  # the capacity chunk being stepped, from slot ``row0``
-        row0 = t = 0
+        rows = chain.from_iterable(_cap_rows(self.caps, n_slots))
+        t = 0
         b = buffer_difference()
-        while t < n_slots:
-            if t >= row0 + len(rows):
-                if t > row0 + len(rows):
-                    # A held window ran past the chunk: convert afresh from
-                    # here.  Windows start after HOLD_MIN >= CAPS_FIRST_CHUNK
-                    # stepped slots, so a chunk from slot a still ends by 2a
-                    # and the bound on converted slots holds.
-                    chunks = _cap_rows(self.caps, n_slots, t)
-                rows = []  # drop the stepped chunk before converting the next
-                row0, rows = t, next(chunks)
-            for t, caps_t in enumerate(islice(rows, t - row0, None), t):
+        while True:
+            for t, caps_t in enumerate(rows, t):
                 action = decide(t, b)
                 arrivals = (target if t == 0 else 0) if burst else rate
                 served = step(t, arrivals, action.a_p, action.a_s, caps_t)
@@ -280,28 +272,29 @@ class Simulation:
                     completion_slot = t
                     if stop_on_complete:
                         break
+                if not holds:  # no repeats to count
+                    continue
                 if action is not held:
                     held, repeats = action, 1
                 else:
                     repeats += 1
-                    if repeats >= hold_min:
+                    if repeats >= HOLD_MIN:
                         break
-            t += 1
+            else:
+                break  # the horizon
             if completed and stop_on_complete:
                 break
-            if repeats < hold_min:
-                continue
             # ``held`` has been played ``HOLD_MIN`` slots in a row: offer the
-            # controller windows of it, doubling while it holds them whole.
-            repeats = 0
+            # controller windows of it from the next slot, doubling while it
+            # holds them whole.
+            t += 1
+            t0, repeats = t, 0
             while t < n_slots and not any(map(any, xn)):
                 n = min(size, n_slots - t)
                 k, part = self._hold(t, held, n, target if burst and not completed else None)
                 if k:
                     if b_hist:
                         parts.append(_stepped(hist, len(rlc)))
-                        for column in hist:
-                            column.clear()
                     parts.append(part)
                     t += k
                     b = buffer_difference()
@@ -309,8 +302,14 @@ class Simulation:
                     size = HOLD_WINDOW
                     break
                 size = min(2 * size, HOLD_MAX_WINDOW)
+            if t > t0:
+                # Slots were held: convert afresh from here, CAPS_FIRST_CHUNK
+                # slots first.  The next window comes after HOLD_MIN >=
+                # CAPS_FIRST_CHUNK stepped slots, so no stretch converts more
+                # than twice the slots it steps, and the bound above holds.
+                rows = chain.from_iterable(_cap_rows(self.caps, n_slots, t))
 
-        del rows, chunks  # free the last capacity chunk before the columns are built
+        del rows  # free the last capacity chunk before the columns are built
         if b_hist or not parts:
             parts.append(_stepped(hist, len(rlc)))
         columns = parts[0] if len(parts) == 1 else [
@@ -358,8 +357,10 @@ class Simulation:
         stack.commit(fold, k)
         part = (fold.delivered[:k], np.full(k, action.a_p, np.int8),
                 np.full(k, action.a_s, np.int8), fold.b[:k])
-        if held.states is not None:
-            part += (fold.occupancy[:, :k], *_state_columns(held.states))
+        states = held.states
+        if states is not None:  # the held slots after the last change of state
+            states.append((k - sum(c for c, _ in states), self.plan.trace_state()))
+            part += (fold.occupancy[:, :k], *_state_columns(states))
         return k, part
 
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,

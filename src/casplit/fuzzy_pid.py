@@ -97,9 +97,11 @@ class HoldWindow:
     """Slots ``t, t + 1, ...`` of one action repeated, as a holding
     controller is offered them: the buffer difference each slot's ``decide``
     would get, and the packets served per carrier and the end-of-slot RLC
-    counts, carriers by slots.  In a traced run ``states`` is a list to which
-    ``hold`` appends ``(n_slots, trace_state())`` for the slots it holds, in
-    slot order; otherwise it is None."""
+    counts, carriers by slots.  In a traced run ``states`` is a list: where
+    the controller's ``trace_state`` changes inside the slots it holds,
+    ``hold`` appends ``(n_slots, trace_state())`` for each stretch before a
+    change, in slot order, and the engine adds the rest of the held slots
+    with the state ``hold`` leaves.  Otherwise it is None."""
 
     b: np.ndarray
     served: np.ndarray
@@ -362,8 +364,6 @@ class FuzzyPidController(Controller):
                     start = s
                 d_b, d_e = fuzzify(int(b[s - t]), int(prev[s - t]), self.cfg)
                 self.gains = update_gains(self.gains, d_b, d_e, self.cfg)
-        if states is not None:
-            states.append((t + k - start, self.trace_state()))
         self._b_prev, self._b_prev2 = int(b[k - 1]), int(prev[k - 1])
         self._zero_streak = 0
         self.history.extend(repeat(action, min(k, self.n)))
