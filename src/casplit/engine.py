@@ -310,15 +310,13 @@ class Simulation:
                 rows = chain.from_iterable(_cap_rows(self.caps, n_slots, t))
 
         del rows  # free the last capacity chunk before the columns are built
-        if b_hist or not parts:
-            parts.append(_stepped(hist, len(rlc)))
-        columns = parts[0] if len(parts) == 1 else [
-            np.concatenate(col, axis=-1) for col in zip(*parts)]
-        delivered, a_p, a_s, b = columns[:4]
+        columns = _stepped(hist, len(rlc))
+        if parts:  # the parts in slot order, then the last stepped stretch
+            columns = [np.concatenate(col, axis=-1) for col in zip(*parts, columns)]
+        delivered, a_p, a_s, b, *trace = columns
         return self._result(
             delivered=delivered, a_p=a_p, a_s=a_s, b=b,
-            occupancy=columns[4] if collect_trace else None,
-            state=list(columns[5:]) if collect_trace else None,
+            occupancy=trace[0] if trace else None, state=trace[1:] if trace else None,
             completed=completed, completion_slot=completion_slot)
 
     def _hold(self, t: int, action: SplitAction, n: int, target: int | None):
