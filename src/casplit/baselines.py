@@ -6,7 +6,12 @@ The bandwidth-weighted, stationary-k and forced policies are open loop:
 their action in slot t depends on t alone, so besides ``decide`` they list
 a whole run's actions at once (``OpenLoopController.schedule``).  The
 delay-based policy holds: it tells the engine how many slots of a window it
-would keep on the PCC (``LtrController.hold``); Q-learning never does."""
+would keep on the PCC (``LtrController.hold``); Q-learning never does.  It
+steps every slot, so it pays only for its arithmetic: it reads and writes
+its Q table in place through a flat float view, and takes its exploration
+draws from raw generator words fetched ``DRAW_CHUNK`` at a time, the same
+stream per-slot ``random()`` and ``integers(2)`` calls would draw.  It owns
+that generator, which a run leaves up to one chunk ahead of those draws."""
 
 from __future__ import annotations
 
@@ -36,6 +41,8 @@ __all__ = [
     "StationaryKController",
     "ForcedController",
 ]
+
+DRAW_CHUNK = 1024  # raw generator words Q-learning fetches at a time
 
 
 class OpenLoopController(Controller):
@@ -167,6 +174,12 @@ class QTable:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.values is None:
             self.values = np.zeros((self.n_bins, 2))
+        v = self.values
+        # The controller reads and writes it as flat native doubles.
+        if not (isinstance(v, np.ndarray) and v.shape == (self.n_bins, 2)
+                and v.dtype == np.float64 and v.flags.c_contiguous and v.flags.writeable):
+            raise ValueError(f"values must be a writeable C-contiguous float64 array of "
+                             f"shape ({self.n_bins}, 2)")
 
         # The bucket of every integer x in [-b_max, b_max]: n_bins equal
         # bins over the range, the top edge in the last.
@@ -184,48 +197,102 @@ class QLearningController(Controller):
     """One-step tabular Q-learning over the buffer difference.
 
     Action 0 feeds the PCC, action 1 the SCC group; the reward is the
-    number of packets the UE received in the slot.  Exploration draws come
-    from the controller's own stream so channel noise is untouched.
-    ``observe`` buckets the buffer difference the engine hands it, and the
-    next ``decide`` takes that state instead of bucketing the same ``b``.
+    number of packets the UE received in the slot.  ``observe`` buckets the
+    buffer difference the engine hands it, updates the value of the slot's
+    state and action, and the next ``decide`` takes that state instead of
+    bucketing the same ``b``.  The Q table is read and written in place
+    through a flat view of ``table.values`` (state s, action a at
+    ``2 s + a``), as Python floats.
+
+    Exploration draws come from the controller's own generator, so channel
+    noise is untouched.  The controller owns that generator: from its first
+    exploring ``decide`` it takes raw PCG64 words ``DRAW_CHUNK`` at a time
+    and turns them into the draws per-slot ``rng.random()`` and
+    ``rng.integers(2)`` calls would return, so after a run the generator
+    stands up to one chunk ahead of them.  With ``epsilon`` 0 it draws
+    nothing.  It reads the table's ``epsilon``, ``learn_rate`` and
+    ``discount`` once, when it is built.
     """
 
     name = "qlearning"
     observes = True
 
     def __init__(self, table: QTable, rng: np.random.Generator):
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise ValueError("rng must draw from PCG64, the stream its draws reproduce")
         self.table = table
         self.rng = rng
-        self._pending: tuple[int, int] | None = None
+        self._q = memoryview(table.values).cast("B").cast("d")
+        self._learn_rate = table.learn_rate
+        self._discount = table.discount
+        # ``random()`` is a word's top 53 bits over 2**53, so it falls below
+        # epsilon exactly when the word falls below this.
+        self._explore_below = math.ceil(table.epsilon * 2**53) << 11
+        self._pending: int | None = None  # the flat index of the slot's state and action
         self._state: int | None = None  # the bucket of the ``b`` ``observe`` got
+        self._words: list[int] | None = None  # raw words not yet used, next last
+        self._half: int | None = None  # the draw of a buffered 32-bit half
 
     def decide(self, t: int, b: int) -> SplitAction:
         s = self._state
         if s is None:
             s = self.table.bucket(b)
         self._state = None
-        if self.table.epsilon > 0 and self.rng.random() < self.table.epsilon:
-            a = int(self.rng.integers(2))
+        i = 2 * s
+        below = self._explore_below
+        if below and (self._words or self._fetch()).pop() < below:
+            a = self._coin()
         else:
-            # Python floats, not numpy scalars; ties go to action 0 (argmax).
-            q = self.table.values
-            a = 1 if q.item(s, 1) > q.item(s, 0) else 0
-        self._pending = (s, a)
+            q = self._q  # ties go to action 0 (argmax)
+            a = 1 if q[i + 1] > q[i] else 0
+        self._pending = i + a
         return PCC_ONLY_ACTION if a == 0 else SCC_ONLY_ACTION
 
     def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
-        if self._pending is None:
+        i = self._pending
+        if i is None:
             return
-        s, a = self._pending
-        self._state = self.table.bucket(b)
-        self.update(s, a, sum(served), self._state)
+        s_next = self._state = self.table.bucket(b)
+        q = self._q
+        best = q[2 * s_next]  # ``max``: the first unless the second is greater
+        other = q[2 * s_next + 1]
+        if other > best:
+            best = other
+        old = q[i]
+        q[i] = old + self._learn_rate * (sum(served) + self._discount * best - old)
         self._pending = None
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:
-        q = self.table.values
-        target = reward + self.table.discount * max(q.item(s_next, 0), q.item(s_next, 1))
-        old = q.item(s, a)
-        q[s, a] = old + self.table.learn_rate * (target - old)
+        """The one-step update ``observe`` makes, for state ``s`` and
+        action ``a`` given ``reward`` and the next state ``s_next``."""
+        q = self._q
+        target = reward + self._discount * max(q[2 * s_next], q[2 * s_next + 1])
+        old = q[2 * s + a]
+        q[2 * s + a] = old + self._learn_rate * (target - old)
+
+    def _coin(self) -> int:
+        """``integers(2)``: bit 31 of a 32-bit half.  A fresh word gives its
+        low half, and its high half is kept for the next call."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        w = (self._words or self._fetch()).pop()
+        self._half = w >> 63
+        return (w >> 31) & 1
+
+    def _fetch(self) -> list[int]:
+        """The generator's next ``DRAW_CHUNK`` raw words, last first for
+        ``pop``.  The first fetch also takes over a 32-bit half the
+        generator had buffered, which its next ``integers(2)`` would use."""
+        bg = self.rng.bit_generator
+        if self._words is None:
+            state = bg.state
+            if state["has_uint32"]:
+                self._half = state["uinteger"] >> 31
+                bg.state = {**state, "has_uint32": 0, "uinteger": 0}
+        self._words = bg.random_raw(DRAW_CHUNK)[::-1].tolist()
+        return self._words
 
 
 class StationaryKController(OpenLoopController):

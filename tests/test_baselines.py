@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from casplit import baselines
 from casplit.baselines import (
     BwaController,
     ForcedController,
@@ -157,6 +161,12 @@ def test_qlearning_bucket_clamps():
 
 @pytest.mark.parametrize("field, value", [
     ("n_bins", 0), ("b_max", 0), ("epsilon", -0.1), ("epsilon", 1.5),
+    ("values", np.zeros((16, 2), dtype=np.float32)),  # read as doubles: garbage
+    ("values", np.zeros((15, 2))),
+    ("values", np.zeros((2, 16)).T),  # the right shape, not C-contiguous
+    ("values", np.zeros((16, 2), dtype=np.dtype(np.float64).newbyteorder())),  # swapped bytes
+    ("values", np.frombuffer(bytes(256), dtype=np.float64).reshape(16, 2)),  # read-only
+    ("values", [[0.0, 0.0]] * 16),
 ])
 def test_qtable_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
@@ -165,7 +175,9 @@ def test_qtable_rejects_out_of_range_fields(field, value):
 
 class _NumpyScalarQLearning(QLearningController):
     """The controller's arithmetic before it read the Q row as Python floats:
-    ``np.argmax``/``np.max`` on the row and an in-place element update."""
+    per-slot ``rng.random()`` and ``rng.integers(2)`` draws, ``np.argmax``
+    and ``np.max`` on the row, and an in-place element update that
+    ``observe`` calls."""
 
     def decide(self, t, b):
         s = self.table.bucket(b)
@@ -175,6 +187,13 @@ class _NumpyScalarQLearning(QLearningController):
             a = int(np.argmax(self.table.values[s]))
         self._pending = (s, a)
         return P if a == 0 else S
+
+    def observe(self, t, served, b, stack):
+        if self._pending is None:
+            return
+        s, a = self._pending
+        self.update(s, a, sum(served), self.table.bucket(b))
+        self._pending = None
 
     def update(self, s, a, reward, s_next):
         q = self.table.values
@@ -204,6 +223,71 @@ def test_qlearning_float_arithmetic_is_bit_identical(epsilon, learn_rate, discou
     assert np.array_equal(new.a_p, old.a_p) and np.array_equal(new.b, old.b)
     assert new_q.dtype == old_q.dtype and new_q.tobytes() == old_q.tobytes()
     assert np.count_nonzero(new_q) > 0
+
+
+def _q_rng(buffered):
+    """A fresh qlearning generator, or one whose last draw left a 32-bit
+    half buffered for its next ``integers(2)``."""
+    rng = make_rng(4, "q")
+    if buffered:
+        rng.integers(2)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1024])
+@pytest.mark.parametrize("epsilon", [0.0, 0.2, 1.0])
+def test_qlearning_draws_are_the_per_slot_draws(epsilon, chunk, buffered):
+    """The raw words the controller takes ``DRAW_CHUNK`` at a time give the
+    actions and Q table of per-slot ``rng.random()`` and ``rng.integers(2)``
+    draws across chunk boundaries, a half the generator had buffered used
+    first.  Building the controller draws nothing, with ``epsilon`` 0 a run
+    leaves the generator as it was, and otherwise the generator stands less
+    than one chunk ahead of the per-slot draws."""
+    rng = make_rng(3, "q-caps")
+    slots, n_scc = 400, 2
+    caps = np.vstack([rng.integers(0, 3, slots)]
+                     + [rng.integers(0, 4, slots) for _ in range(n_scc)]).astype(np.int64)
+    runs = []
+    for cls in (QLearningController, _NumpyScalarQLearning):
+        table = QTable(epsilon=epsilon, b_max=8)
+        gen = _q_rng(buffered)
+        before = gen.bit_generator.state
+        controller = cls(table, gen)
+        assert gen.bit_generator.state == before
+        sim = Simulation(l=1, arrival_mode="per_slot", arrival_rate=n_scc + 1, n_scc=n_scc,
+                         d_xn=1, caps=caps, controller=controller, max_slots=slots,
+                         stop_on_complete=False)
+        with mock.patch.object(baselines, "DRAW_CHUNK", chunk):
+            runs.append((sim.run(), table.values, gen, before))
+    (new, new_q, gen, before), (old, old_q, ref_gen, _) = runs
+    assert new.a_p.tolist() == old.a_p.tolist() and np.array_equal(new.b, old.b)
+    assert new_q.tobytes() == old_q.tobytes()
+    if epsilon == 0:
+        assert gen.bit_generator.state == before
+        return
+    assert 0 < np.count_nonzero(new.a_p) < slots
+    ahead = np.random.PCG64()
+    ahead.state = ref_gen.bit_generator.state
+    for _ in range(chunk):
+        if ahead.state["state"] == gen.bit_generator.state["state"]:
+            break
+        ahead.advance(1)
+    else:
+        pytest.fail(f"the generator is not within {chunk} words of the per-slot draws")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+def test_qlearning_explores_below_epsilon(epsilon, word):
+    """A word explores exactly when ``random()``, its top 53 bits over 2**53,
+    falls below epsilon: checked at a random word and at the two words on
+    either side of the threshold."""
+    below = QLearningController(QTable(epsilon=epsilon), make_rng(0, "q"))._explore_below
+    for w in (word, below - 1, below):
+        if 0 <= w < 2**64:
+            assert (w < below) == ((w >> 11) * 2**-53 < epsilon), (w, below)
 
 
 def _window_throughput(controller, caps, n_scc, slots):

@@ -380,8 +380,10 @@ class _LegacyLtr(Controller):
 
 class _LegacyQLearning(QLearningController):
     """``QLearningController`` as it stood before the bucket lookup list and
-    ``observe`` reading the stack: the formula twice a slot, and the next
-    state from a copy of the RLC counts."""
+    ``observe`` reading the stack: the formula twice a slot, the next state
+    from a copy of the RLC counts, per-slot ``rng.random()`` and
+    ``rng.integers(2)`` draws, and Q read by ``ndarray.item`` in an
+    ``update`` that ``observe`` calls."""
 
     def decide(self, t, b):
         s = _bucket_formula(self.table, b)
@@ -401,6 +403,12 @@ class _LegacyQLearning(QLearningController):
         b_next = rlc_occ[0] - sum(rlc_occ[1:])
         self.update(s, a, reward, _bucket_formula(self.table, b_next))
         self._pending = None
+
+    def update(self, s, a, reward, s_next):
+        q = self.table.values
+        target = reward + self.table.discount * max(q.item(s_next, 0), q.item(s_next, 1))
+        old = q.item(s, a)
+        q[s, a] = old + self.table.learn_rate * (target - old)
 
 
 LEGACY_OBSERVERS = (_LegacyLtr, _LegacyQLearning)
