@@ -278,6 +278,11 @@ def test_qlearning_draws_are_the_per_slot_draws(epsilon, chunk, buffered):
         pytest.fail(f"the generator is not within {chunk} words of the per-slot draws")
 
 
+def test_qlearning_refuses_a_generator_it_cannot_reproduce():
+    with pytest.raises(ValueError, match="^rng "):
+        QLearningController(QTable(), np.random.Generator(np.random.MT19937(0)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
 def test_qlearning_explores_below_epsilon(epsilon, word):
