@@ -248,12 +248,14 @@ class CountStack:
         if any(map(any, self.xn)):
             raise ValueError("closed form starts from an empty Xn ring")
         n = len(arrivals)
-        # No queue ever holds more than the packets ingested so far and in
-        # this run, so a capacity clipped there serves the same packets.  The
-        # clip keeps the int64 sums of ``_lindley`` from overflowing, and
-        # turns uint64, which numpy would mix with the int64 queues in
-        # float64, into int64.
-        most = self.total_ingested + int(arrivals.sum())
+        # No queue ever holds more than the packets in the stack now and
+        # those this run brings, so a capacity clipped there serves the same
+        # packets.  The clip keeps the int64 sums of ``_lindley`` from
+        # overflowing, and turns uint64, which numpy would mix with the int64
+        # queues in float64, into int64.  The bound is counted from the
+        # queues themselves, not from ``total_ingested``, which a caller that
+        # sets ``pdcp_depth`` directly does not raise.
+        most = self.pdcp_depth + sum(self.rlc) + int(arrivals.sum())
         if n and (not np.can_cast(caps.dtype, np.int64) or caps.max() > most):
             caps = np.minimum(caps, most, out=np.empty(caps.shape, np.int64), casting="unsafe")
         step = arrivals - a_p

@@ -262,3 +262,14 @@ def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
     assert fold.final_rlc == ref.rlc
     stack.commit(fold, k)
     assert (stack.snapshot(), stack.out_counts, stack.total_ingested, stack.delivered) == want
+
+
+def test_fold_serves_a_pdcp_depth_set_directly():
+    """``fold`` bounds its capacities by the packets in the queues, so a
+    PDCP depth set without ``pdcp_ingest`` (``total_ingested`` stays 0) is
+    served as ``step`` serves it."""
+    stack, ref = CountStack(1, 0), CountStack(1, 0)
+    stack.pdcp_depth = ref.pdcp_depth = 1
+    fold = stack.fold(np.array([[1], [0]], np.int64), np.array([1], np.int8),
+                      np.array([0], np.int8), np.zeros(1, np.int64), keep_served=True)
+    assert fold.served[:, 0].tolist() == ref.step(0, 0, 1, 0, [1, 0]) == [1, 0]
