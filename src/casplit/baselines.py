@@ -197,7 +197,8 @@ class QLearningController(Controller):
     """One-step tabular Q-learning over the buffer difference.
 
     Action 0 feeds the PCC, action 1 the SCC group; the reward is the
-    number of packets the UE received in the slot.  ``observe`` buckets the
+    number of packets the UE received in the slot, which ``observe`` reads
+    off the stack (``CountStack.received``).  ``observe`` buckets the
     buffer difference the engine hands it, updates the value of the slot's
     state and action, and the next ``decide`` takes that state instead of
     bucketing the same ``b``.  The Q table is read and written in place
@@ -259,7 +260,7 @@ class QLearningController(Controller):
         if other > best:
             best = other
         old = q[i]
-        q[i] = old + self._learn_rate * (sum(served) + self._discount * best - old)
+        q[i] = old + self._learn_rate * (stack.received + self._discount * best - old)
         self._pending = None
 
     def update(self, s: int, a: int, reward: float, s_next: int) -> None:

@@ -45,6 +45,7 @@ and held windows against.  All fill the same trace columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from operator import sub
 
@@ -135,6 +136,15 @@ def _stepped(hist: tuple[list, ...], n_carriers: int) -> tuple:
     return part
 
 
+@lru_cache(maxsize=64)
+def _filled(n: int, value: int, dtype=np.int8) -> np.ndarray:
+    """A read-only vector of ``n`` copies of ``value``: a held window's
+    constant action and arrivals, shared by every window of that length."""
+    out = np.full(n, value, dtype)
+    out.flags.writeable = False
+    return out
+
+
 def _cap_rows(caps: np.ndarray, n_slots: int, start: int = 0):
     """Each slot's carrier capacities from slot ``start`` on, as Python ints,
     one chunk at a time: ``CAPS_FIRST_CHUNK`` slots, then each chunk as long
@@ -221,7 +231,6 @@ class Simulation:
         step = stack.step
         buffer_difference = stack.buffer_difference
         rlc = stack.rlc  # ``step`` and ``commit`` update it in place
-        xn = stack.xn
         plan = self.plan
         decide = plan.decide
         observe = plan.observe if plan.observes else None
@@ -261,7 +270,7 @@ class Simulation:
                 if observe is not None:
                     observe(t, served, b, stack)
 
-                delivered_hist.append(sum(served))
+                delivered_hist.append(stack.received)
                 ap_hist.append(action.a_p)
                 as_hist.append(action.a_s)
                 if collect_trace:
@@ -289,7 +298,7 @@ class Simulation:
             # holds them whole.
             t += 1
             t0, repeats = t, 0
-            while t < n_slots and not any(map(any, xn)):
+            while t < n_slots:
                 n = min(size, n_slots - t)
                 k, part = self._hold(t, held, n, target if burst and not completed else None)
                 if k:
@@ -332,17 +341,12 @@ class Simulation:
 
         def window() -> HoldWindow:
             if not folded:
-                arrivals = np.full(n, 0 if self.arrival_mode == BURST else self.arrival_rate,
-                                   np.int64)
-                fold = stack.fold(self.caps[:, t:t + n], np.full(n, action.a_p, np.int8),
-                                  np.full(n, action.a_s, np.int8), arrivals, t0=t,
-                                  keep_occupancy=True, keep_served=True)
+                arrivals = 0 if self.arrival_mode == BURST else self.arrival_rate
+                fold = stack.fold_repeat(self.caps[:, t:t + n], action.a_p, action.a_s,
+                                         arrivals, t)
                 m = n
-                if target is not None:
-                    reached = np.flatnonzero(
-                        np.cumsum(fold.delivered) >= target - stack.delivered)
-                    if reached.size:
-                        m = int(reached[0])
+                if target is not None:  # the first slot the burst would complete on
+                    m = int(np.cumsum(fold.delivered).searchsorted(target - stack.delivered))
                 folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
                                                 fold.occupancy[:, :m],
                                                 [] if self.collect_trace else None)))
@@ -353,8 +357,8 @@ class Simulation:
             return 0, ()
         fold, held = folded[0]
         stack.commit(fold, k)
-        part = (fold.delivered[:k], np.full(k, action.a_p, np.int8),
-                np.full(k, action.a_s, np.int8), fold.b[:k])
+        part = (fold.delivered[:k], _filled(n, action.a_p)[:k], _filled(n, action.a_s)[:k],
+                fold.b[:k])
         states = held.states
         if states is not None:  # the held slots after the last change of state
             states.append((k - sum(c for c, _ in states), self.plan.trace_state()))

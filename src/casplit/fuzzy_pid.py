@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +64,8 @@ class Controller:
     the buffer difference; ``observe(t, served, b, stack)`` after the slot,
     only if ``observes`` is true, with the packets served per carrier, the
     buffer difference the next ``decide`` gets, and the run's
-    ``CountStack``, which it reads and never writes; ``trace_state``, the
+    ``CountStack``, which it reads and never writes (its ``received`` is
+    the slot's served total); ``trace_state``, the
     trace's controller columns (PID gains, PID value, spacing k, mode).
 
     A controller whose ``holds`` is true may skip slots it would only repeat
@@ -186,29 +188,35 @@ def update_gains(gains: PidGains, d_b: float, d_e: float, cfg: FuzzyConfig) -> P
     ``sum_ij w_i * T_ij * (w_i * v_j) * v_j`` with ``w = [d_b, 1-d_b]`` and
     ``v = [d_e, 1-d_e]``; the inner product weights each rule by its joint
     firing strength.  Results are clamped to the configured gain range.
+    Each sum is written out term by term in the order ``sum`` adds them,
+    from an integer 0, so every float operation is the one a table loop
+    makes.
     """
     if not (0.0 <= d_b <= 1.0 and 0.0 <= d_e <= 1.0):
         raise ValueError("membership degrees must lie in [0, 1]")
-    w = (d_b, 1.0 - d_b)
-    v = (d_e, 1.0 - d_e)
-
-    def delta(table: Table) -> float:
-        return sum(
-            w[i] * table[i][j] * (w[i] * v[j]) * v[j] for i in range(2) for j in range(2)
-        )
-
-    out = PidGains(
-        gains.kp + delta(cfg.t_p),
-        gains.ki + delta(cfg.t_i),
-        gains.kd + delta(cfg.t_d),
-    )
-    return out.clamped(cfg.gain_min, cfg.gain_max)
+    w0, w1 = d_b, 1.0 - d_b
+    v0, v1 = d_e, 1.0 - d_e
+    f00, f01, f10, f11 = w0 * v0, w0 * v1, w1 * v0, w1 * v1  # joint firing strengths
+    lo, hi = cfg.gain_min, cfg.gain_max
+    (p00, p01), (p10, p11) = cfg.t_p
+    (i00, i01), (i10, i11) = cfg.t_i
+    (d00, d01), (d10, d11) = cfg.t_d
+    kp = gains.kp + (0 + w0 * p00 * f00 * v0 + w0 * p01 * f01 * v1
+                     + w1 * p10 * f10 * v0 + w1 * p11 * f11 * v1)
+    ki = gains.ki + (0 + w0 * i00 * f00 * v0 + w0 * i01 * f01 * v1
+                     + w1 * i10 * f10 * v0 + w1 * i11 * f11 * v1)
+    kd = gains.kd + (0 + w0 * d00 * f00 * v0 + w0 * d01 * f01 * v1
+                     + w1 * d10 * f10 * v0 + w1 * d11 * f11 * v1)
+    return PidGains(min(max(kp, lo), hi), min(max(ki, lo), hi), min(max(kd, lo), hi))
 
 
 def pid_increment(gains: PidGains, b_hist: tuple[int, int, int]) -> float:
     """Second-order incremental PID value from (B, B previous, B before that)."""
     b0, b1, b2 = b_hist
     return gains.kp * (b0 - b1) + gains.ki * b0 + gains.kd * (b0 - 2 * b1 + b2)
+
+
+_A_P, _A_S = attrgetter("a_p"), attrgetter("a_s")
 
 
 def compute_k(history: Sequence[SplitAction], n_scc: int) -> int:
@@ -220,8 +228,8 @@ def compute_k(history: Sequence[SplitAction], n_scc: int) -> int:
     """
     if not history:
         raise ValueError("history must be non-empty")
-    sum_p = sum(a.a_p for a in history)
-    sum_s = n_scc * sum(a.a_s for a in history)
+    sum_p = sum(map(_A_P, history))
+    sum_s = n_scc * sum(map(_A_S, history))
     return max(1, sum_s // max(1, sum_p))
 
 

@@ -16,21 +16,39 @@ over flat state tuples against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
+from itertools import accumulate, repeat
+from operator import add, sub
 
 import numpy as np
 
 
+FOLD_ALL_SLOTS = 2048  # the longest fold whose carriers are folded in one pass
+
+
 def _lindley(start: int, steps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x_t = max(0, x_{t-1} + steps_t)`` from ``x_{-1} = start >= 0``, as the
-    reflected walk ``S - min(0, cummin S)`` with ``S = start + cumsum(steps)``
-    (D. V. Lindley, 1952)."""
-    walk = np.cumsum(steps, out=out)
-    walk += start
-    floor = np.minimum.accumulate(walk)
+    """``x_t = max(0, x_{t-1} + steps_t)`` from ``x_{-1} = start >= 0`` along
+    the last axis, as the reflected walk ``S - min(0, cummin S)`` with
+    ``S = start + cumsum(steps)`` (D. V. Lindley, 1952)."""
+    walk = np.cumsum(steps, axis=-1, out=out)
+    if start:
+        walk += start
+    floor = np.minimum.accumulate(walk, axis=-1)
     np.minimum(floor, 0, out=floor)
     walk -= floor
     return walk
+
+
+def _summed(rows: np.ndarray) -> np.ndarray:
+    """A block's rows summed; a single row as itself, without a copy."""
+    return rows.sum(axis=0) if len(rows) > 1 else rows[0]
+
+
+def _fed(scc: np.ndarray, n_scc: int) -> list[int]:
+    """For each SCC s, the slots of ``scc`` (SCCs fed per slot) that fed
+    more than s SCCs: the packets SCC s took."""
+    if len(scc) > FOLD_ALL_SLOTS:  # where n_scc passes beat bincount's scatter
+        return [int(np.count_nonzero(scc > s)) for s in range(n_scc)]
+    return list(accumulate(np.bincount(scc, minlength=1 + n_scc).tolist()[:0:-1]))[::-1]
 
 
 @dataclass
@@ -85,6 +103,7 @@ class CountStack:
         self.out_counts = list(self.rlc)
         self.total_ingested = sum(self.rlc)
         self.delivered = 0
+        self.received = 0  # the UE's count of the last slot ``step`` or ``ue_receive`` ran
 
     def pdcp_ingest(self, arrivals: int) -> None:
         """Append ``arrivals`` new packets to the PDCP buffer."""
@@ -134,7 +153,7 @@ class CountStack:
 
     def ue_receive(self, served: list[int]) -> int:
         """Count this slot's deliveries at the UE; returns the slot total."""
-        total = sum(served)
+        self.received = total = sum(served)
         self.delivered += total
         return total
 
@@ -143,7 +162,8 @@ class CountStack:
 
         ``pdcp_ingest(arrivals)``, ``pdcp_dispatch(a_p, a_s, slot)``,
         ``xn_tick(slot)``, ``rlc_serve(caps_t)`` and ``ue_receive``, in that
-        order, with the same result; returns the packets served per carrier.
+        order, with the same result; returns the packets served per carrier,
+        and ``received`` holds their sum, the one sum a slot makes of them.
         ``rlc`` is updated in place.  The capacities are not checked: the
         engine refuses negative ones before their slot comes.
         """
@@ -176,7 +196,8 @@ class CountStack:
                 due[s] = 0
         served = list(map(min, caps_t, rlc))
         rlc[:] = map(sub, rlc, served)
-        self.delivered += sum(served)
+        self.received = total = sum(served)
+        self.delivered += total
         return served
 
     def rlc_occupancy(self) -> list[int]:
@@ -202,7 +223,7 @@ class CountStack:
         seen before each slot, with ``keep_occupancy`` the end-of-slot RLC
         counts, carriers by slots (else None), and the completion slot (or
         None).  Leaves the stack exactly where the per-slot phases leave
-        it.  The Xn ring must be empty.
+        it.
         """
         n = len(arrivals)
         if len(a_p) != n or len(a_s) != n:
@@ -239,25 +260,14 @@ class CountStack:
         ``draw_t = a_p_t + n_scc * a_s_t``, so slot t dispatches
         ``disp_t = D_{t-1} + arr_t - D_t``: ``min(a_p_t, disp_t)`` to the PCC
         and one packet to each SCC ``s < disp_t - pcc_t``, which surfaces in
-        its RLC buffer ``d_xn`` slots later.  Each RLC count is the same
-        recursion over its inflow, ``q_t = max(0, q_{t-1} + in_t - c_t)``,
-        and slot t serves ``q_{t-1} + in_t - q_t``.  ``arrivals`` are int64
-        and, with ``caps``, already checked non-negative; the Xn ring must be
-        empty.
+        its RLC buffer ``d_xn`` slots later.  The packets already on the Xn
+        link surface in the first ``d_xn`` slots, from the ring rows those
+        slots read.  Each RLC count is the same recursion over its inflow,
+        ``q_t = max(0, q_{t-1} + in_t - c_t)``, and slot t serves
+        ``q_{t-1} + in_t - q_t``.  ``arrivals`` are int64 and, with ``caps``,
+        already checked non-negative.
         """
-        if any(map(any, self.xn)):
-            raise ValueError("closed form starts from an empty Xn ring")
-        n = len(arrivals)
-        # No queue ever holds more than the packets in the stack now and
-        # those this run brings, so a capacity clipped there serves the same
-        # packets.  The clip keeps the int64 sums of ``_lindley`` from
-        # overflowing, and turns uint64, which numpy would mix with the int64
-        # queues in float64, into int64.  The bound is counted from the
-        # queues themselves, not from ``total_ingested``, which a caller that
-        # sets ``pdcp_depth`` directly does not raise.
-        most = self.pdcp_depth + sum(self.rlc) + int(arrivals.sum())
-        if n and (not np.can_cast(caps.dtype, np.int64) or caps.max() > most):
-            caps = np.minimum(caps, most, out=np.empty(caps.shape, np.int64), casting="unsafe")
+        caps = self._clipped(caps, int(arrivals.sum()))
         step = arrivals - a_p
         step -= np.multiply(a_s, self.n_scc, dtype=np.int64)
         depth = _lindley(self.pdcp_depth, step, out=step)
@@ -270,45 +280,105 @@ class CountStack:
         scc = scc.astype(np.min_scalar_type(self.n_scc))  # one byte a slot below 256 SCCs
         return self._fold(Fold(t0, caps, arrivals, pcc, scc), keep_occupancy, keep_served)
 
+    def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int) -> Fold:
+        """``fold`` of one action repeated over the slots of ``caps``, with
+        ``arrivals`` new packets in each, occupancies and served counts
+        kept: a held window.  The PDCP recursion then drains
+        ``c = a_p + n_scc * a_s - arrivals`` packets a slot, so the slots
+        dispatch the full draw while the buffer covers it (all of them if
+        ``c <= 0``, else the first ``D // c``), then one slot what is left,
+        then the arrivals alone.  The PCC takes the first of each slot's
+        packets, as in ``fold``."""
+        n = caps.shape[1]
+        caps = self._clipped(caps, arrivals * n)
+        draw = a_p + self.n_scc * a_s
+        c = draw - arrivals
+        m, left = divmod(self.pdcp_depth, c) if c > 0 else (n, 0)
+        pcc = np.empty(n, np.int8)
+        scc = np.empty(n, np.min_scalar_type(self.n_scc))
+        for span, disp in ((slice(m), draw), (slice(m, m + 1), left + arrivals),
+                           (slice(m + 1, n), arrivals)):
+            pcc[span] = to_pcc = min(a_p, disp)
+            scc[span] = disp - to_pcc
+        return self._fold(Fold(t0, caps, np.full(n, arrivals, np.int64), pcc, scc), True, True)
+
+    def _clipped(self, caps, arrivals: int):
+        """``caps`` clipped at the packets in the stack now plus ``arrivals``.
+        No queue ever holds more, so a clipped capacity serves the same
+        packets.  The clip keeps the int64 sums of ``_lindley`` from
+        overflowing, and turns uint64, which numpy would mix with the int64
+        queues in float64, into int64.  The bound is counted from the queues
+        themselves, not from ``total_ingested``, which a caller that sets
+        ``pdcp_depth`` directly does not raise."""
+        most = self.pdcp_depth + sum(self.rlc) + sum(map(sum, self.xn)) + arrivals
+        if caps.shape[1] and (not np.can_cast(caps.dtype, np.int64) or caps.max() > most):
+            caps = np.minimum(caps, most, out=np.empty(caps.shape, np.int64), casting="unsafe")
+        return caps
+
     def _fold(self, fold: Fold, keep_occupancy: bool, keep_served: bool = False) -> Fold:
         """Fill in ``fold``'s per-slot deliveries and buffer differences from
         every carrier's RLC recursion, plus the occupancies and per-carrier
         served counts (if kept) and the final counts; leaves the stack
-        unchanged.  Carriers are folded one at a time, so the work memory is
-        a few slot-length vectors."""
+        unchanged.  The carriers are folded in blocks of rows: all of them
+        in one pass over a window of at most ``FOLD_ALL_SLOTS`` slots, one at
+        a time over a longer one, whose rows then stay small enough to sit in
+        cache, and whose work memory, unless the occupancies are kept, is a
+        few slot-length vectors."""
         caps, pcc, scc = fold.caps, fold.pcc, fold.scc
         n = len(pcc)
         d = self.d_xn
-        fold.served = served = np.zeros((self.n_carriers, n), np.int64) if keep_served else None
-        fold.delivered = delivered = np.zeros(n, dtype=np.int64)
-        fold.b = b = np.zeros(n, dtype=np.int64)
+        n_car = self.n_carriers
+        rows = n_car if n <= FOLD_ALL_SLOTS else 1
+        fold.served = served = np.zeros((n_car, n), np.int64) if keep_served else None
+        fold.delivered = delivered = np.zeros(n, np.int64)
+        fold.b = b = np.zeros(n, np.int64)
         fold.final_rlc = final_rlc = []
-        # Each carrier's count with the current one in front: q_{-1}, q_0, ...
-        counts = np.empty((self.n_carriers if keep_occupancy else 1, n + 1), np.int64)
-        for c, start in enumerate(self.rlc):
-            walk = counts[c if keep_occupancy else 0]
-            q, before = walk[1:], walk[:-1]
-            # Served counts go to the carrier's row if kept, else straight
-            # into ``delivered``.
-            out = served[c] if keep_served else delivered
-            if c == 0:
-                q[:] = pcc
+        # The packets on the Xn link surface in the first d_xn slots: SCCs
+        # by slots, or None when the link is empty.
+        ring = None
+        if d and any(map(any, self.xn)):
+            xn = self.xn
+            ring = np.array([xn[(fold.t0 + j) % (d + 1)] for j in range(min(d, n))],
+                            np.int64).reshape(-1, self.n_scc).T
+
+        # Each carrier's counts with the current one in front: q_{-1}, q_0, ...
+        counts = np.empty((n_car if keep_occupancy else rows, n + 1), np.int64)
+        for lo in range(0, n_car, rows):
+            hi = lo + rows
+            walk = counts[lo:hi] if keep_occupancy else counts
+            q, before = walk[:, 1:], walk[:, :-1]
+            # The inflow in_t: the PCC's packets, and for SCC s from slot
+            # d_xn on one packet wherever more than s SCCs were fed d_xn
+            # slots before.
+            first = 0 if lo else 1  # the block's first SCC row
+            if not lo:
+                q[0] = pcc
+            if first < rows:
+                np.greater(scc[:max(0, n - d)],
+                           np.arange(lo + first - 1, hi - 1, dtype=scc.dtype)[:, None],
+                           out=q[first:, d:])
+                q[first:, :d] = 0 if ring is None else ring[lo + first - 1:hi - 1]
+            # served_t = q_{t-1} + in_t - q_t, into the carriers' rows if
+            # kept, else straight into ``delivered``.
+            if keep_served:
+                served[lo:hi] += q
             else:
-                q[:d] = 0
-                np.greater(scc[:max(0, n - d)], c - 1, out=q[d:])
-            out += q  # the inflow in_t
-            q -= caps[c]
-            walk[0] = 0  # a first step of 0 from ``start`` keeps it in front
-            _lindley(start, walk, out=walk)
-            # served_t = q_{t-1} + in_t - q_t, and b is the PCC's count less
-            # the SCCs', before each slot.
-            out += before
-            out -= q
-            if c == 0:
-                b += before
+                delivered += _summed(q)
+            q -= caps[lo:hi]
+            walk[:, 0] = self.rlc[lo:hi]  # a first step from 0 to the count now
+            _lindley(0, walk, out=walk)
+            if keep_served:
+                served[lo:hi] += before
+                served[lo:hi] -= q
             else:
-                b -= before
-            final_rlc.append(int(walk[-1]))
+                delivered += _summed(before)
+                delivered -= _summed(q)
+            # b is the PCC's count less the SCCs', before each slot.
+            if not lo:
+                b += before[0]
+            if first < rows:
+                b -= before[first:].sum(axis=0) if rows > 1 else before[0]
+            final_rlc += walk[:, -1].tolist()
         fold.occupancy = counts[:, 1:] if keep_occupancy else None
         if keep_served:
             served.sum(axis=0, out=delivered)
@@ -325,19 +395,26 @@ class CountStack:
             final_rlc = fold.occupancy[:, n - 1].tolist()
         else:
             final_rlc = fold.final_rlc
-        pcc, scc = fold.pcc[:n], fold.scc[:n]
+        to_pcc = int(fold.pcc[:n].sum())
+        scc = fold.scc[:n]
+        fed = _fed(scc, self.n_scc)
         ingested = int(fold.arrivals[:n].sum())
         self.total_ingested += ingested
-        self.pdcp_depth += ingested - int(pcc.sum()) - int(scc.sum())
-        self.out_counts[0] += int(pcc.sum())
-        for s in range(self.n_scc):
-            self.out_counts[1 + s] += int(np.count_nonzero(scc > s))
-        # SCC dispatches of the last d_xn slots are still in flight.
+        self.pdcp_depth += ingested - to_pcc - sum(fed)
+        out = self.out_counts
+        out[0] += to_pcc
+        out[1:] = map(add, out[1:], fed)
         d = self.d_xn
-        for t in range(max(0, n - d), n):
-            row = self.xn[(fold.t0 + t + d) % (d + 1)]
-            for s in range(int(scc[t])):
-                row[s] += 1
+        if d:
+            # The ring rows of the first d_xn slots surfaced, and the SCC
+            # dispatches of the last d_xn slots are still in flight.
+            xn, t0 = self.xn, fold.t0
+            for t in range(min(n, d)):
+                xn[(t0 + t) % (d + 1)][:] = repeat(0, self.n_scc)
+            for t in range(max(0, n - d), n):
+                row = xn[(t0 + t + d) % (d + 1)]
+                for s in range(int(scc[t])):
+                    row[s] += 1
         self.rlc[:] = final_rlc
         self.delivered += int(fold.delivered[:n].sum())
 

@@ -6,6 +6,9 @@ delivery can be checked: the PDCP buffer is the range ``[head, tail)``,
 and the RLC buffers and Xn pipelines are FIFOs.  ``capacity_reference``
 is the scalar channel chain that ``channel.capacity_series`` vectorises,
 and ``distance_reference`` the scalar form of ``Trajectory.distances``.
+``fold_reference`` folds a ``CountStack`` window one carrier at a time,
+and ``update_gains_reference`` and ``compute_k_reference`` are the fuzzy
+controller's table sum and history count as generator expressions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from collections import deque
 from itertools import chain
 from types import SimpleNamespace
 
+import numpy as np
+
 from casplit.channel import PCC
+from casplit.fuzzy_pid import PidGains
 
 
 class ProtocolStack:
@@ -139,3 +145,80 @@ def distance_reference(traj, t: int, slot_duration: float) -> float:
     if elapsed <= 2 * traj.turn_time_s:
         return traj.d0_m + traj.speed_mps * (2 * traj.turn_time_s - elapsed)
     return traj.d0_m
+
+
+def update_gains_reference(gains, d_b: float, d_e: float, cfg) -> PidGains:
+    """``fuzzy_pid.update_gains`` as a table loop: each increment is ``sum``
+    over the four rules of ``w_i * T_ij * (w_i * v_j) * v_j``, and the
+    gains are clamped to ``[gain_min, gain_max]``."""
+    if not (0.0 <= d_b <= 1.0 and 0.0 <= d_e <= 1.0):
+        raise ValueError("membership degrees must lie in [0, 1]")
+    w = (d_b, 1.0 - d_b)
+    v = (d_e, 1.0 - d_e)
+
+    def delta(table):
+        return sum(
+            w[i] * table[i][j] * (w[i] * v[j]) * v[j] for i in range(2) for j in range(2)
+        )
+
+    out = PidGains(gains.kp + delta(cfg.t_p), gains.ki + delta(cfg.t_i),
+                   gains.kd + delta(cfg.t_d))
+    return out.clamped(cfg.gain_min, cfg.gain_max)
+
+
+def compute_k_reference(history, n_scc: int) -> int:
+    """``fuzzy_pid.compute_k`` with its sums as generator expressions."""
+    if not history:
+        raise ValueError("history must be non-empty")
+    sum_p = sum(a.a_p for a in history)
+    sum_s = n_scc * sum(a.a_s for a in history)
+    return max(1, sum_s // max(1, sum_p))
+
+
+def _lindley_1d(start: int, walk: np.ndarray) -> None:
+    """``x_t = max(0, x_{t-1} + walk_t)`` from ``start``, in place."""
+    np.cumsum(walk, out=walk)
+    walk += start
+    floor = np.minimum.accumulate(walk)
+    np.minimum(floor, 0, out=floor)
+    walk -= floor
+
+
+def fold_reference(stack, fold, keep_occupancy: bool, keep_served: bool = False):
+    """``CountStack._fold`` one carrier at a time, about eleven numpy calls
+    each: fills in ``fold``'s deliveries, buffer differences, occupancies
+    and served counts (if kept) and final counts from ``stack``'s state,
+    the packets on its Xn link surfacing in the first ``d_xn`` slots."""
+    caps, pcc, scc = fold.caps, fold.pcc, fold.scc
+    n = len(pcc)
+    d = stack.d_xn
+    ring = [stack.xn[(fold.t0 + j) % (d + 1)] for j in range(min(d, n))]
+    fold.served = served = np.zeros((stack.n_carriers, n), np.int64) if keep_served else None
+    fold.delivered = delivered = np.zeros(n, dtype=np.int64)
+    fold.b = b = np.zeros(n, dtype=np.int64)
+    fold.final_rlc = final_rlc = []
+    counts = np.empty((stack.n_carriers if keep_occupancy else 1, n + 1), np.int64)
+    for c, start in enumerate(stack.rlc):
+        walk = counts[c if keep_occupancy else 0]
+        q, before = walk[1:], walk[:-1]
+        out = served[c] if keep_served else delivered
+        if c == 0:
+            q[:] = pcc
+        else:
+            q[:d] = [row[c - 1] for row in ring]
+            np.greater(scc[:max(0, n - d)], c - 1, out=q[d:])
+        out += q
+        q -= caps[c]
+        walk[0] = 0
+        _lindley_1d(start, walk)
+        out += before
+        out -= q
+        if c == 0:
+            b += before
+        else:
+            b -= before
+        final_rlc.append(int(walk[-1]))
+    fold.occupancy = counts[:, 1:] if keep_occupancy else None
+    if keep_served:
+        served.sum(axis=0, out=delivered)
+    return fold

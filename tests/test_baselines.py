@@ -148,6 +148,7 @@ def test_qlearning_values_bounded():
         delivered = [int(rng.integers(0, 3)), int(rng.integers(0, 2)),
                      int(rng.integers(0, 2))]
         stack.rlc[:] = [int(rng.integers(0, 9)) for _ in range(3)]
+        stack.received = sum(delivered)  # the reward, as ``step`` leaves it
         c.observe(t, delivered, stack.buffer_difference(), stack)
     assert np.max(np.abs(table.values)) <= r_max / (1 - table.discount) + 1e-9
 

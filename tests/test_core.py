@@ -21,7 +21,9 @@ from casplit.oracle import ScriptedController
 from casplit.scenario import (RunMode, build_caps, build_run, default_mobile_scenario,
                               default_static_scenario, make_controller)
 
-from reference import ProtocolStack
+from casplit.stack import CountStack
+
+from reference import ProtocolStack, fold_reference
 
 
 def test_rng_streams_reproducible_and_independent():
@@ -826,6 +828,29 @@ def test_closed_form_matches_slot_loop_at_the_largest_capacities(cap):
             got = fast.run()
             _assert_same_run(fast, got, loop, loop.run())
             assert got.delivered.min() >= 0 and got.total_delivered == sum(got.served)
+
+
+@pytest.mark.parametrize("collect_trace", [False, True])
+@pytest.mark.parametrize("mode", [RunMode.PCC_ONLY, RunMode.SCC_ONLY, RunMode.CA])
+def test_static_closed_forms_match_the_per_carrier_fold(mode, collect_trace):
+    """The static preset's 60,000-slot closed forms (bwa, which never
+    completes the burst, and both single-carrier references), traced and
+    untraced, give every ``RunResult`` field and the end state that the
+    per-carrier reference fold gives."""
+    cfg = default_static_scenario(3)
+    caps = build_caps(cfg, 1001)
+
+    def run(fold=None):
+        sim = build_run(cfg, mode, 1001, caps=caps, collect_trace=collect_trace, policy="bwa")
+        if fold is None:
+            return sim, sim.run()
+        with mock.patch.object(CountStack, "_fold", fold):
+            return sim, sim.run()
+    sim, got = run()
+    ref, want = run(lambda stack, fold, keep_occupancy, keep_served=False:
+                    fold_reference(stack, fold, keep_occupancy, keep_served))
+    assert got.t_slots == cfg.max_slots == 60_000
+    _assert_same_run(sim, got, ref, want)
 
 
 @pytest.mark.parametrize("policy", ["forced", "bwa", "fuzzy_pid"])

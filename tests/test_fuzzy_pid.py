@@ -1,3 +1,6 @@
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,8 @@ from casplit.fuzzy_pid import (
     schedule_action,
     update_gains,
 )
+
+from reference import compute_k_reference, update_gains_reference
 
 P = SplitAction(1, 0)
 S = SplitAction(0, 1)
@@ -35,6 +40,18 @@ def test_compute_k_mixed():
 def test_compute_k_zero_denominator_clamped():
     history = [S] * 8
     assert compute_k(history, n_scc=2) == 16  # floor(16 / max(1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1), (0, 0), "both"]), min_size=1,
+                max_size=80), st.integers(1, 40), st.integers(1, 8))
+def test_compute_k_matches_generator_form(actions, maxlen, n_scc):
+    """``compute_k`` counts a history of fresh ``SplitAction`` objects, none
+    shared, and ``ACTIVE_BOTH`` as the generator expressions count it, in a
+    bounded deque as the controller keeps it."""
+    history = deque((ACTIVE_BOTH if a == "both" else SplitAction(*a) for a in actions),
+                    maxlen=maxlen)
+    assert compute_k(history, n_scc) == compute_k_reference(history, n_scc)
 
 
 def test_pid_increment_examples():
@@ -118,6 +135,43 @@ def test_update_gains_clamped():
     cfg = FuzzyConfig(b_max=10, t_p=((9.0, 9.0), (9.0, 9.0)), gain_min=0.0, gain_max=5.0)
     out = update_gains(PidGains(4.9, 0.1, 0.1), 1.0, 1.0, cfg)
     assert out.kp == 5.0
+
+
+TABLES = st.tuples(*[st.tuples(*[st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))] * 2)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(TABLES, st.floats(-1.0, 1.0), st.floats(0.0, 2.0), st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       st.integers(0, 2**32 - 1))
+def test_update_gains_matches_table_sum_bit_for_bit(tables, gain_min, width, gains, seed):
+    """Over 200 chained updates from random gains, tables and gain ranges,
+    with memberships at 0, at 1 and between (a third of each, drawn from
+    ``seed``), the straight-line update gives the table sum's gains bit for
+    bit, signed zeros included."""
+    cfg = FuzzyConfig(t_p=tables[0], t_i=tables[1], t_d=tables[2], gain_min=gain_min,
+                      gain_max=gain_min + width)
+    rng = np.random.default_rng(seed)
+    memberships = np.where(rng.integers(0, 3, (200, 2)) == 2, rng.random((200, 2)),
+                           rng.integers(0, 2, (200, 2))).tolist()
+    got = want = PidGains(*gains)
+    for d_b, d_e in memberships:
+        got = update_gains(got, d_b, d_e, cfg)
+        want = update_gains_reference(want, d_b, d_e, cfg)
+        assert [x.hex() for x in (got.kp, got.ki, got.kd)] == \
+            [x.hex() for x in (want.kp, want.ki, want.kd)], (d_b, d_e)
+
+
+def test_update_gains_keeps_the_sign_of_a_zero_sum():
+    """Tables of -0.0 give four -0.0 terms, which sum to +0.0 from the
+    integer start, as ``sum`` adds them, so a gain of -0.0 becomes +0.0
+    inside the clamp range."""
+    zeros = ((-0.0, -0.0), (-0.0, -0.0))
+    cfg = FuzzyConfig(t_p=zeros, t_i=zeros, t_d=zeros, gain_min=-1.0, gain_max=1.0)
+    for d_b, d_e in ((0.0, 0.0), (1.0, 1.0), (0.5, 0.25)):
+        got = update_gains(PidGains(-0.0, -0.0, -0.0), d_b, d_e, cfg)
+        want = update_gains_reference(PidGains(-0.0, -0.0, -0.0), d_b, d_e, cfg)
+        assert [x.hex() for x in (got.kp, got.ki, got.kd)] == ["0x0.0p+0"] * 3
+        assert [x.hex() for x in (want.kp, want.ki, want.kd)] == ["0x0.0p+0"] * 3
 
 
 def test_update_gains_rejects_bad_membership():

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casplit import stack as stack_module
 from casplit.core import make_rng
-from casplit.stack import CountStack
+from casplit.stack import CountStack, Fold
 
-from reference import ProtocolStack
+from reference import ProtocolStack, fold_reference
 
 
 def test_ingest_burst():
@@ -213,13 +216,14 @@ def test_count_stack_matches_protocol_stack(data, n_scc, d_xn, preseeded):
         served_ref = ref.rlc_serve(caps)
         served = fast.rlc_serve(caps)
         assert served == [len(x) for x in served_ref]
-        assert fast.ue_receive(served) == ref.ue_receive(served_ref)
+        assert fast.ue_receive(served) == ref.ue_receive(served_ref) == fast.received
         assert fast.rlc_occupancy() == ref.rlc_occupancy()
         assert fast.xn_inflight() == ref.xn_inflight()
         assert fast.out_counts == ref.out_counts
         assert fast.pdcp_depth == ref.pdcp_depth
         assert (fast.total_ingested, fast.delivered) == (ref.total_ingested, ref.ue.count)
         assert fused.step(t, arrivals, a_p, a_s, caps) == served
+        assert fused.received == sum(served)
         assert fused.snapshot() == fast.snapshot()
         assert fused.out_counts == fast.out_counts
         assert (fused.total_ingested, fused.delivered) == (fast.total_ingested, fast.delivered)
@@ -230,26 +234,51 @@ def test_step_refuses_negative_arrivals():
         CountStack(n_scc=1).step(0, -1, 1, 1, [1, 1])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 9))
-def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
-    """A fixed schedule folded from slot ``t0`` on, from a state with an
-    empty Xn ring, and any prefix of it committed, equals ``step`` over the
-    same slots: served counts per carrier, end-of-slot counts, the buffer
-    difference before each slot, and the whole end state, Xn ring rows
-    included, which depend on the slot the fold started at."""
+def _warm_stacks(data, n_scc, d_xn, t0, n_stacks=2):
+    """``n_stacks`` equal stacks at slot ``t0``: a preseed, a PDCP depth
+    set directly and up to ``min(t0, 4)`` stepped slots of random actions,
+    arrivals and capacities before ``t0``, which leave packets on the Xn
+    link when ``d_xn`` > 0."""
     n_car = 1 + n_scc
     preseed = data.draw(st.lists(st.integers(0, 6), min_size=n_car, max_size=n_car))
-    n = data.draw(st.integers(1, 30))
+    stacks = [CountStack(n_scc, d_xn, preseed) for _ in range(n_stacks)]
+    depth = data.draw(st.integers(0, 5))
+    warm = data.draw(st.integers(0, min(t0, 4)))
+    steps = [(data.draw(st.integers(0, 4)), data.draw(st.integers(0, 1)),
+              data.draw(st.integers(0, 1)),
+              data.draw(st.lists(st.integers(0, 3), min_size=n_car, max_size=n_car)))
+             for _ in range(warm)]
+    for stack in stacks:
+        stack.pdcp_depth = depth
+        for t, (arrivals, a_p, a_s, caps) in enumerate(steps, t0 - warm):
+            stack.step(t, arrivals, a_p, a_s, caps)
+    return stacks
+
+
+def _schedule(data, n_car, n, max_arrivals=4):
+    """A random schedule of ``n`` slots: actions, arrivals and capacities."""
     a_p = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.int8)
     a_s = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), np.int8)
-    arrivals = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
-                        np.int64)
+    arrivals = np.array(data.draw(st.lists(st.integers(0, max_arrivals), min_size=n,
+                                           max_size=n)), np.int64)
     caps = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                                        min_size=n_car, max_size=n_car)), np.int64)
+    return a_p, a_s, arrivals, caps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 13))
+def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
+    """A fixed schedule folded from slot ``t0`` on, from a state with
+    packets on the Xn link or none, and any prefix of it committed, equals
+    ``step`` over the same slots: served counts per carrier, end-of-slot
+    counts, the buffer difference before each slot, and the whole end
+    state, Xn ring rows included, which depend on the slot the fold started
+    at."""
+    n = data.draw(st.integers(1, 30))
+    a_p, a_s, arrivals, caps = _schedule(data, 1 + n_scc, n)
     k = data.draw(st.integers(1, n))
-    stack, ref = CountStack(n_scc, d_xn, preseed), CountStack(n_scc, d_xn, preseed)
-    stack.pdcp_depth = ref.pdcp_depth = data.draw(st.integers(0, 5))
+    stack, ref = _warm_stacks(data, n_scc, d_xn, t0)
     fold = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=True, keep_served=True)
     for t in range(n):
         assert fold.b[t] == ref.buffer_difference()
@@ -262,6 +291,68 @@ def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
     assert fold.final_rlc == ref.rlc
     stack.commit(fold, k)
     assert (stack.snapshot(), stack.out_counts, stack.total_ingested, stack.delivered) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 13),
+       st.sampled_from([0, 7, 2048]), st.booleans(), st.booleans())
+def test_fold_matches_per_carrier_reference(data, n_scc, d_xn, t0, all_slots, keep_occupancy,
+                                            keep_served):
+    """``_fold``, all carriers in one pass over windows of at most
+    ``FOLD_ALL_SLOTS`` slots and one at a time over longer ones, fills in
+    the same deliveries, buffer differences, occupancies, served counts and
+    final counts as the per-carrier reference, from states with packets on
+    the Xn link or none."""
+    n = data.draw(st.integers(1, 40))
+    a_p, a_s, arrivals, caps = _schedule(data, 1 + n_scc, n)
+    stack, = _warm_stacks(data, n_scc, d_xn, t0, n_stacks=1)
+    with mock.patch.object(stack_module, "FOLD_ALL_SLOTS", all_slots):
+        got = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=keep_occupancy,
+                         keep_served=keep_served)
+    want = fold_reference(stack, Fold(t0, got.caps, got.arrivals, got.pcc, got.scc),
+                          keep_occupancy, keep_served)
+    for name in ("delivered", "b", "occupancy", "served"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    assert got.final_rlc == want.final_rlc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 13),
+       st.integers(0, 1), st.integers(0, 1), st.integers(0, 6))
+def test_fold_repeat_matches_fold(data, n_scc, d_xn, t0, a_p, a_s, arrivals):
+    """A window of one action repeated with the same arrivals each slot,
+    folded by ``fold_repeat``, equals ``fold`` over the constant schedule:
+    the dispatches, every per-slot result and, after a committed prefix,
+    the whole end state."""
+    n = data.draw(st.integers(1, 40))
+    caps = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                       min_size=1 + n_scc, max_size=1 + n_scc)), np.int64)
+    stack, ref = _warm_stacks(data, n_scc, d_xn, t0)
+    stack.pdcp_depth = ref.pdcp_depth = stack.pdcp_depth + data.draw(st.integers(0, 40))
+    got = stack.fold_repeat(caps, a_p, a_s, arrivals, t0)
+    want = ref.fold(caps, np.full(n, a_p, np.int8), np.full(n, a_s, np.int8),
+                    np.full(n, arrivals, np.int64), t0=t0, keep_occupancy=True, keep_served=True)
+    for name in ("pcc", "scc", "arrivals", "delivered", "b", "occupancy", "served"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+    assert got.final_rlc == want.final_rlc
+    k = data.draw(st.integers(1, n))
+    stack.commit(got, k)
+    ref.commit(want, k)
+    assert (stack.snapshot(), stack.out_counts, stack.total_ingested, stack.delivered) == \
+        (ref.snapshot(), ref.out_counts, ref.total_ingested, ref.delivered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 4), max_size=60), st.sampled_from([0, 2048]))
+def test_commit_counts_each_sccs_packets_either_way(n_scc, fed, all_slots):
+    """SCC s took a packet in each slot that fed more than s SCCs, counted
+    with ``bincount`` over a short window or one pass per SCC over a long
+    one."""
+    scc = np.minimum(np.array(fed, np.uint8), n_scc)
+    with mock.patch.object(stack_module, "FOLD_ALL_SLOTS", all_slots):
+        got = stack_module._fed(scc, n_scc)
+    assert got == [int(np.count_nonzero(scc > s)) for s in range(n_scc)]
 
 
 def test_fold_serves_a_pdcp_depth_set_directly():
