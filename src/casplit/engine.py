@@ -186,6 +186,7 @@ class Simulation:
         self.controller = controller
         self.plan = controller if forced_action is None else ForcedController(forced_action)
         self.max_slots = min(max_slots, caps.shape[1])
+        self._caps_max: int | None = None  # the horizon's largest capacity, once a window needs it
         self.collect_trace = collect_trace
         self.stop_on_complete = stop_on_complete
         self.mode = mode
@@ -342,8 +343,10 @@ class Simulation:
         def window() -> HoldWindow:
             if not folded:
                 arrivals = 0 if self.arrival_mode == BURST else self.arrival_rate
+                if self._caps_max is None:  # once a run, for every window's clip test
+                    self._caps_max = int(self.caps[:, :self.max_slots].max())
                 fold = stack.fold_repeat(self.caps[:, t:t + n], action.a_p, action.a_s,
-                                         arrivals, t)
+                                         arrivals, t, self._caps_max)
                 m = n
                 if target is not None:  # the first slot the burst would complete on
                     m = int(np.cumsum(fold.delivered).searchsorted(target - stack.delivered))

@@ -280,7 +280,8 @@ class CountStack:
         scc = scc.astype(np.min_scalar_type(self.n_scc))  # one byte a slot below 256 SCCs
         return self._fold(Fold(t0, caps, arrivals, pcc, scc), keep_occupancy, keep_served)
 
-    def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int) -> Fold:
+    def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int,
+                    caps_max: int | None = None) -> Fold:
         """``fold`` of one action repeated over the slots of ``caps``, with
         ``arrivals`` new packets in each, occupancies and served counts
         kept: a held window.  The PDCP recursion then drains
@@ -288,30 +289,36 @@ class CountStack:
         dispatch the full draw while the buffer covers it (all of them if
         ``c <= 0``, else the first ``D // c``), then one slot what is left,
         then the arrivals alone.  The PCC takes the first of each slot's
-        packets, as in ``fold``."""
+        packets, as in ``fold``.  A ``caps_max`` at or above every capacity
+        spares the scan for their maximum."""
         n = caps.shape[1]
-        caps = self._clipped(caps, arrivals * n)
+        caps = self._clipped(caps, arrivals * n, caps_max)
         draw = a_p + self.n_scc * a_s
         c = draw - arrivals
         m, left = divmod(self.pdcp_depth, c) if c > 0 else (n, 0)
         pcc = np.empty(n, np.int8)
         scc = np.empty(n, np.min_scalar_type(self.n_scc))
-        for span, disp in ((slice(m), draw), (slice(m, m + 1), left + arrivals),
-                           (slice(m + 1, n), arrivals)):
-            pcc[span] = to_pcc = min(a_p, disp)
-            scc[span] = disp - to_pcc
+        start = 0
+        for stop, disp in ((m, draw), (m + 1, left + arrivals), (n, arrivals)):
+            stop = min(stop, n)
+            if start < stop:
+                pcc[start:stop] = to_pcc = min(a_p, disp)
+                scc[start:stop] = disp - to_pcc
+                start = stop
         return self._fold(Fold(t0, caps, np.full(n, arrivals, np.int64), pcc, scc), True, True)
 
-    def _clipped(self, caps, arrivals: int):
+    def _clipped(self, caps, arrivals: int, caps_max: int | None = None):
         """``caps`` clipped at the packets in the stack now plus ``arrivals``.
         No queue ever holds more, so a clipped capacity serves the same
         packets.  The clip keeps the int64 sums of ``_lindley`` from
         overflowing, and turns uint64, which numpy would mix with the int64
         queues in float64, into int64.  The bound is counted from the queues
         themselves, not from ``total_ingested``, which a caller that sets
-        ``pdcp_depth`` directly does not raise."""
+        ``pdcp_depth`` directly does not raise.  ``caps_max``, if known,
+        stands in for the capacities' maximum."""
         most = self.pdcp_depth + sum(self.rlc) + sum(map(sum, self.xn)) + arrivals
-        if caps.shape[1] and (not np.can_cast(caps.dtype, np.int64) or caps.max() > most):
+        if caps.shape[1] and (not np.can_cast(caps.dtype, np.int64) or
+                              (caps.max() if caps_max is None else caps_max) > most):
             caps = np.minimum(caps, most, out=np.empty(caps.shape, np.int64), casting="unsafe")
         return caps
 
@@ -411,9 +418,9 @@ class CountStack:
             xn, t0 = self.xn, fold.t0
             for t in range(min(n, d)):
                 xn[(t0 + t) % (d + 1)][:] = repeat(0, self.n_scc)
-            for t in range(max(0, n - d), n):
-                row = xn[(t0 + t + d) % (d + 1)]
-                for s in range(int(scc[t])):
+            for t, k in enumerate(scc[max(0, n - d):].tolist(), t0 + max(0, n - d) + d):
+                row = xn[t % (d + 1)]
+                for s in range(k):
                     row[s] += 1
         self.rlc[:] = final_rlc
         self.delivered += int(fold.delivered[:n].sum())
