@@ -21,17 +21,21 @@ witness replay and the window-identity check.
 Most slots of a closed-loop run only repeat the last action: fuzzy_pid in
 its ``static`` mode, ltr on the PCC while the PCC's queue drains.  A
 controller whose ``holds`` is true skips them.  Once it has played one
-action object ``HOLD_MIN`` slots in a row and the Xn ring is empty, the
-loop folds a window of that action from the current state in closed form
-(``CountStack.fold``), when the controller asks for it: ``HOLD_WINDOW``
-slots, doubling while the controller holds them whole, up to
-``HOLD_MAX_WINDOW``, and never past the horizon or the slot that completes
-a burst.  The controller's ``hold`` says how many leading slots it would
-itself have played that action on, and the stack commits just those
-(``CountStack.commit``); the loop then reads the buffer difference once
-and steps on, converting capacity rows afresh from ``CAPS_FIRST_CHUNK``
-slots.  A held window adds its trace as columns, not per-slot rows.  A
-controller that does not hold never counts its repeated actions.
+action object ``HOLD_MIN`` slots in a row, the loop folds a window of that
+action from the current state in closed form (``CountStack.fold_repeat``;
+packets still on the Xn link surface in its first ``d_xn`` slots), when
+the controller asks for it: ``HOLD_WINDOW`` slots, doubling while the
+controller holds them whole, up to ``HOLD_MAX_WINDOW``, and never past the
+horizon or the slot that completes a burst.  The controller's ``hold``
+says how many leading slots it would itself have played that action on,
+and the stack commits just those (``CountStack.commit``); the loop then
+reads the buffer difference once and steps on, converting capacity rows
+afresh from ``CAPS_FIRST_CHUNK`` slots.  An offer that is folded costs
+about as much as 20 stepped slots, whatever the window's length, so the
+loop offers only after ``HOLD_MIN`` repeats: offering after 8 or 4 made
+fuzzy_pid's runs slower, because more windows were cut short.  A
+held window adds its trace as columns, not per-slot rows.  A controller
+that does not hold never counts its repeated actions.
 
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
@@ -45,7 +49,6 @@ and held windows against.  All fill the same trace columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from operator import sub
 
@@ -134,15 +137,6 @@ def _stepped(hist: tuple[list, ...], n_carriers: int) -> tuple:
     for rows in hist:
         rows.clear()
     return part
-
-
-@lru_cache(maxsize=64)
-def _filled(n: int, value: int, dtype=np.int8) -> np.ndarray:
-    """A read-only vector of ``n`` copies of ``value``: a held window's
-    constant action and arrivals, shared by every window of that length."""
-    out = np.full(n, value, dtype)
-    out.flags.writeable = False
-    return out
 
 
 def _cap_rows(caps: np.ndarray, n_slots: int, start: int = 0):
@@ -360,8 +354,8 @@ class Simulation:
             return 0, ()
         fold, held = folded[0]
         stack.commit(fold, k)
-        part = (fold.delivered[:k], _filled(n, action.a_p)[:k], _filled(n, action.a_s)[:k],
-                fold.b[:k])
+        part = (fold.delivered[:k], np.full(k, action.a_p, np.int8),
+                np.full(k, action.a_s, np.int8), fold.b[:k])
         states = held.states
         if states is not None:  # the held slots after the last change of state
             states.append((k - sum(c for c, _ in states), self.plan.trace_state()))

@@ -31,7 +31,10 @@ rule tables only at window boundaries.
 A static stretch only repeats an action, so the controller ``holds``: given
 a window of the repeated action computed in closed form, ``hold`` finds
 the leading slots that stay static from their buffer differences alone and
-makes the gain updates due on them, and the engine skips those slots.
+makes the gain updates due on them, and the engine skips those slots.  A
+gain update is straight-line float arithmetic in the table sum's order,
+and the spacing count maps an attribute getter over the history, so the
+slots the controller does decide stay cheap.
 """
 
 from __future__ import annotations
@@ -121,10 +124,6 @@ class PidGains:
     kp: float
     ki: float
     kd: float
-
-    def clamped(self, lo: float, hi: float) -> "PidGains":
-        c = lambda v: min(max(v, lo), hi)
-        return PidGains(c(self.kp), c(self.ki), c(self.kd))
 
 
 Table = tuple[tuple[float, float], tuple[float, float]]

@@ -8,9 +8,12 @@ ordering is fixed: ingest, dispatch, Xn surfacing, service, UE count, so
 dispatch and Xn arrivals land in the RLC buffers before service runs in the
 same slot.  ``CountStack.step`` runs that whole slot in one call, which the
 engine's slot loop makes once per slot it steps; ``fold`` and ``commit``
-compute slots of a fixed schedule in closed form.  The separate phase
-methods are the reference the tests check ``step`` and the oracle's search
-over flat state tuples against.
+compute slots of a fixed schedule in closed form, from any state, packets
+on the Xn link included, and ``fold_repeat`` a window of one action
+repeated, which the engine offers a holding controller.  A fold is a few
+dozen numpy calls whatever its length, so a short one folds all carriers
+in one pass.  The separate phase methods are the reference the tests check
+``step`` and the oracle's search over flat state tuples against.
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ def _lindley(start: int, steps: np.ndarray, out: np.ndarray | None = None) -> np
     np.minimum(floor, 0, out=floor)
     walk -= floor
     return walk
-
-
-def _summed(rows: np.ndarray) -> np.ndarray:
-    """A block's rows summed; a single row as itself, without a copy."""
-    return rows.sum(axis=0) if len(rows) > 1 else rows[0]
 
 
 def _fed(scc: np.ndarray, n_scc: int) -> list[int]:
@@ -81,10 +79,10 @@ class CountStack:
     slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn ring until
     ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in order.
     ``step`` runs the five phases of one slot in a single call, and
-    ``fold`` and ``commit`` replace them for slots whose actions and
-    arrivals are fixed in advance: a whole open-loop run (``run_schedule``)
-    or a window of one repeated action; the phases stay the reference the
-    tests check them against.
+    ``fold`` (or ``fold_repeat``) and ``commit`` replace them for slots whose
+    actions and arrivals are fixed in advance: a whole open-loop run
+    (``run_schedule``) or a window of one repeated action; the phases stay
+    the reference the tests check them against.
     """
 
     def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
@@ -336,7 +334,9 @@ class CountStack:
         d = self.d_xn
         n_car = self.n_carriers
         rows = n_car if n <= FOLD_ALL_SLOTS else 1
-        fold.served = served = np.zeros((n_car, n), np.int64) if keep_served else None
+        # Per-carrier served counts: kept, or summed over a block of rows.
+        served = np.zeros((n_car, n), np.int64) if keep_served or rows > 1 else None
+        fold.served = served if keep_served else None
         fold.delivered = delivered = np.zeros(n, np.int64)
         fold.b = b = np.zeros(n, np.int64)
         fold.final_rlc = final_rlc = []
@@ -365,21 +365,15 @@ class CountStack:
                            np.arange(lo + first - 1, hi - 1, dtype=scc.dtype)[:, None],
                            out=q[first:, d:])
                 q[first:, :d] = 0 if ring is None else ring[lo + first - 1:hi - 1]
-            # served_t = q_{t-1} + in_t - q_t, into the carriers' rows if
-            # kept, else straight into ``delivered``.
-            if keep_served:
-                served[lo:hi] += q
-            else:
-                delivered += _summed(q)
+            # served_t = q_{t-1} + in_t - q_t, into the carriers' rows, or
+            # one carrier's straight into ``delivered``.
+            out = delivered[None] if served is None else served[lo:hi]
+            out += q
             q -= caps[lo:hi]
             walk[:, 0] = self.rlc[lo:hi]  # a first step from 0 to the count now
             _lindley(0, walk, out=walk)
-            if keep_served:
-                served[lo:hi] += before
-                served[lo:hi] -= q
-            else:
-                delivered += _summed(before)
-                delivered -= _summed(q)
+            out += before
+            out -= q
             # b is the PCC's count less the SCCs', before each slot.
             if not lo:
                 b += before[0]
@@ -387,7 +381,7 @@ class CountStack:
                 b -= before[first:].sum(axis=0) if rows > 1 else before[0]
             final_rlc += walk[:, -1].tolist()
         fold.occupancy = counts[:, 1:] if keep_occupancy else None
-        if keep_served:
+        if served is not None:
             served.sum(axis=0, out=delivered)
         return fold
 

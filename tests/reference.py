@@ -161,9 +161,11 @@ def update_gains_reference(gains, d_b: float, d_e: float, cfg) -> PidGains:
             w[i] * table[i][j] * (w[i] * v[j]) * v[j] for i in range(2) for j in range(2)
         )
 
-    out = PidGains(gains.kp + delta(cfg.t_p), gains.ki + delta(cfg.t_i),
-                   gains.kd + delta(cfg.t_d))
-    return out.clamped(cfg.gain_min, cfg.gain_max)
+    def clamped(v):
+        return min(max(v, cfg.gain_min), cfg.gain_max)
+
+    return PidGains(clamped(gains.kp + delta(cfg.t_p)), clamped(gains.ki + delta(cfg.t_i)),
+                    clamped(gains.kd + delta(cfg.t_d)))
 
 
 def compute_k_reference(history, n_scc: int) -> int:
