@@ -20,7 +20,6 @@ from casplit.fuzzy_pid import (PCC_ONLY_ACTION, SCC_ONLY_ACTION, Controller, Fuz
 from casplit.oracle import ScriptedController
 from casplit.scenario import (RunMode, build_caps, build_run, default_mobile_scenario,
                               default_static_scenario, make_controller)
-
 from casplit.stack import CountStack
 
 from reference import ProtocolStack, fold_reference
