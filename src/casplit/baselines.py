@@ -172,6 +172,11 @@ class QTable:
             raise ValueError("b_max must be >= 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        if not 0.0 <= self.learn_rate <= 1.0:
+            raise ValueError("learn_rate must lie in [0, 1]")
+        # With rewards >= 0 and a discount of 1, Q grows without bound.
+        if not 0.0 <= self.discount < 1.0:
+            raise ValueError("discount must lie in [0, 1)")
         if self.values is None:
             self.values = np.zeros((self.n_bins, 2))
         v = self.values
@@ -262,14 +267,6 @@ class QLearningController(Controller):
         old = q[i]
         q[i] = old + self._learn_rate * (stack.received + self._discount * best - old)
         self._pending = None
-
-    def update(self, s: int, a: int, reward: float, s_next: int) -> None:
-        """The one-step update ``observe`` makes, for state ``s`` and
-        action ``a`` given ``reward`` and the next state ``s_next``."""
-        q = self._q
-        target = reward + self._discount * max(q[2 * s_next], q[2 * s_next + 1])
-        old = q[2 * s + a]
-        q[2 * s + a] = old + self._learn_rate * (target - old)
 
     def _coin(self) -> int:
         """``integers(2)``: bit 31 of a 32-bit half.  A fresh word gives its

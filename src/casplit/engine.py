@@ -41,9 +41,10 @@ An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
 schedule through the queues.  The PDCP depth and every RLC count are then
 Lindley recursions, so ``Simulation.run`` computes such a run in closed
-form (``CountStack.run_schedule``) and skips the loop.  Every other run
-steps the loop, which stays the reference the tests check the closed form
-and held windows against.  All fill the same trace columns.
+form and skips the loop: it folds the horizon (``CountStack.fold``), cuts
+a burst at its completing slot as a held window is cut, and commits.
+Every other run steps the loop, which stays the reference the tests check
+the closed form and held windows against.  All fill the same trace columns.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 
 from casplit.baselines import ForcedController, OpenLoopController
 from casplit.fuzzy_pid import Controller, HoldWindow, SplitAction
-from casplit.stack import CountStack
+from casplit.stack import CountStack, Fold
 
 BURST = "burst"
 PER_SLOT = "per_slot"
@@ -189,39 +190,52 @@ class Simulation:
         self.scenario = scenario
 
     def run(self) -> RunResult:
+        # The whole horizon is checked up front, so where a run stops does
+        # not decide whether it raises.
+        n = self.max_slots
+        if n and self.caps[:, :n].min() < 0:
+            raise ValueError("capacity must be non-negative")
+        if n and (self.l if self.arrival_mode == BURST else self.arrival_rate) < 0:
+            raise ValueError("arrivals must be non-negative")
         if isinstance(self.plan, OpenLoopController):
             return self._run_schedule(self.plan)
         return self._run_loop()
+
+    def _completion(self, fold: Fold) -> int:
+        """The first slot of ``fold`` on which the burst completes, or its
+        length if none does."""
+        return int(np.cumsum(fold.delivered).searchsorted(self.l - self.stack.delivered))
 
     def _run_schedule(self, plan: OpenLoopController) -> RunResult:
         """An open-loop run in closed form; the same result as the loop."""
         n = self.max_slots
         burst = self.arrival_mode == BURST
         a_p, a_s = plan.schedule(n)
+        caps = self.caps[:, :n]
         if burst:
             arrivals = np.zeros(n, dtype=np.int64)
             arrivals[:1] = self.l
         else:  # a read-only view: one value for every slot, no per-slot storage
             arrivals = np.broadcast_to(np.int64(self.arrival_rate), n)
-        delivered, b, occupancy, completion = self.stack.run_schedule(
-            self.caps, a_p, a_s, arrivals, target=self.l if burst else None,
-            stop_on_complete=self.stop_on_complete, keep_occupancy=self.collect_trace)
-        n = len(delivered)
+        fold = self.stack.fold(caps, a_p, a_s, arrivals, keep_occupancy=self.collect_trace)
+        completion = self._completion(fold) if burst else n
+        if self.stop_on_complete and completion < n - 1:  # fold the slots up to it again
+            n = completion + 1
+            a_p, a_s = a_p[:n], a_s[:n]
+            fold = self.stack.fold(caps[:, :n], a_p, a_s, arrivals[:n],
+                                   keep_occupancy=self.collect_trace)
+        self.stack.commit(fold, n)
         state = None
         if self.collect_trace:  # one state for every slot: read-only views, no storage
             state = [np.broadcast_to(np.array(v, dtype=d), n)
                      for v, d in zip(plan.trace_state(), STATE_DTYPES)]
+        completed = completion < self.max_slots
         return self._result(
-            delivered=delivered, a_p=a_p[:n], a_s=a_s[:n], b=b, occupancy=occupancy,
-            state=state, completed=completion is not None, completion_slot=completion)
+            delivered=fold.delivered, a_p=a_p, a_s=a_s, b=fold.b, occupancy=fold.occupancy,
+            state=state, completed=completed, completion_slot=completion if completed else None)
 
     def _run_loop(self) -> RunResult:
-        # The whole horizon is checked up front, as ``run_schedule`` checks it
-        # for the closed form, so where a run stops does not decide whether
-        # it raises.
         n_slots = self.max_slots
-        if n_slots and self.caps[:, :n_slots].min() < 0:
-            raise ValueError("capacity must be non-negative")
         stack = self.stack
         step = stack.step
         buffer_difference = stack.buffer_difference
@@ -295,7 +309,7 @@ class Simulation:
             t0, repeats = t, 0
             while t < n_slots:
                 n = min(size, n_slots - t)
-                k, part = self._hold(t, held, n, target if burst and not completed else None)
+                k, part = self._hold(t, held, n, burst and not completed)
                 if k:
                     if b_hist:
                         parts.append(_stepped(hist, len(rlc)))
@@ -323,12 +337,12 @@ class Simulation:
             occupancy=trace[0] if trace else None, state=trace[1:] if trace else None,
             completed=completed, completion_slot=completion_slot)
 
-    def _hold(self, t: int, action: SplitAction, n: int, target: int | None):
+    def _hold(self, t: int, action: SplitAction, n: int, cut: bool):
         """Offer the controller ``n`` slots of ``action`` from slot ``t`` and
         commit the slots it holds.  The window is folded in closed form when
         the controller first calls ``window()``, so one that refuses without
-        looking costs no fold.  With a ``target`` (a burst not yet complete),
-        the window stops before the slot that would complete it, so the loop
+        looking costs no fold.  With ``cut`` (a burst not yet complete), the
+        window stops before the slot that would complete it, so the loop
         steps that slot.  Returns the slots held and their columns, as the
         loop keeps them."""
         stack = self.stack
@@ -341,9 +355,7 @@ class Simulation:
                     self._caps_max = int(self.caps[:, :self.max_slots].max())
                 fold = stack.fold_repeat(self.caps[:, t:t + n], action.a_p, action.a_s,
                                          arrivals, t, self._caps_max)
-                m = n
-                if target is not None:  # the first slot the burst would complete on
-                    m = int(np.cumsum(fold.delivered).searchsorted(target - stack.delivered))
+                m = self._completion(fold) if cut else n
                 folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
                                                 fold.occupancy[:, :m],
                                                 [] if self.collect_trace else None)))

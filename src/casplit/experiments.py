@@ -182,7 +182,6 @@ def stationary_sweep_suite(out_dir: Path | None = None, ks=(1, 2, 3, 4, 5, 6),
             l=1, arrival_mode=PER_SLOT, arrival_rate=n_scc + 2, n_scc=n_scc,
             d_xn=0, caps=caps, controller=StationaryKController(k),
             max_slots=window, preseed_rlc=[(window + 1) * ratio] + [0] * n_scc,
-            stop_on_complete=False,
         )
         result = sim.run()
         rows.append([k, result.mean_throughput, result.mean_abs_b])

@@ -201,7 +201,6 @@ def replay_witness(inst: TinyInstance, actions: list[SplitAction]):
         l=inst.l, arrival_mode="burst", arrival_rate=0, n_scc=inst.n_scc,
         d_xn=inst.d_xn, caps=inst.caps_array(len(actions)),
         controller=ScriptedController(actions), max_slots=len(actions),
-        stop_on_complete=True,
     )
     result = sim.run()
     t = result.completion_slot + 1 if result.completed else None
@@ -241,7 +240,7 @@ def verify_nstep_identity(inst: TinyInstance, pattern: list[SplitAction],
         arrival_rate=1 + inst.n_scc,  # covers the widest dispatch a pattern can ask for
         n_scc=inst.n_scc, d_xn=inst.d_xn, caps=inst.caps_array(n),
         controller=ScriptedController([pattern[t % len(pattern)] for t in range(n)]),
-        max_slots=n, preseed_rlc=preseed, stop_on_complete=False,
+        max_slots=n, preseed_rlc=preseed,
     )
     result = sim.run()
     b0 = preseed[0] - sum(preseed[1:])

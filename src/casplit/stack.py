@@ -9,11 +9,11 @@ dispatch and Xn arrivals land in the RLC buffers before service runs in the
 same slot.  ``CountStack.step`` runs that whole slot in one call, which the
 engine's slot loop makes once per slot it steps; ``fold`` and ``commit``
 compute slots of a fixed schedule in closed form, from any state, packets
-on the Xn link included, and ``fold_repeat`` a window of one action
-repeated, which the engine offers a holding controller.  A fold is a few
-dozen numpy calls whatever its length, so a short one folds all carriers
-in one pass.  The separate phase methods are the reference the tests check
-``step`` and the oracle's search over flat state tuples against.
+on the Xn link included: the engine folds a whole open-loop run with
+``fold`` and a held window of one action with ``fold_repeat``.  A fold is a
+few dozen numpy calls whatever its length, so a short one folds all
+carriers in one pass.  The separate phase methods are the reference the
+tests check ``step`` and the oracle's search over flat state tuples against.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class CountStack:
     ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in order.
     ``step`` runs the five phases of one slot in a single call, and
     ``fold`` (or ``fold_repeat``) and ``commit`` replace them for slots whose
-    actions and arrivals are fixed in advance: a whole open-loop run
-    (``run_schedule``) or a window of one repeated action; the phases stay
-    the reference the tests check them against.
+    actions and arrivals are fixed in advance: a whole open-loop run or a
+    window of one repeated action; the phases stay the reference the tests
+    check them against.
     """
 
     def __init__(self, n_scc: int, d_xn: int = 0, preseed_rlc: list[int] | None = None):
@@ -208,46 +208,6 @@ class CountStack:
         """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
         return self.rlc[0] - sum(self.rlc[1:])
 
-    def run_schedule(self, caps, a_p, a_s, arrivals, target: int | None = None,
-                     stop_on_complete: bool = True, keep_occupancy: bool = False):
-        """Slots ``0..n-1`` of a fixed action schedule, in closed form.
-
-        ``a_p``, ``a_s`` and ``arrivals`` give each slot's action and new
-        PDCP packets; none may depend on the queue state (see ``fold``).
-        With a ``target``, the completion slot is the first at which the
-        UE's total (``delivered`` included) reaches it, and
-        ``stop_on_complete`` ends the run after that slot.  Returns the
-        packets served in each slot (all carriers), the buffer difference
-        seen before each slot, with ``keep_occupancy`` the end-of-slot RLC
-        counts, carriers by slots (else None), and the completion slot (or
-        None).  Leaves the stack exactly where the per-slot phases leave
-        it.
-        """
-        n = len(arrivals)
-        if len(a_p) != n or len(a_s) != n:
-            raise ValueError("the schedule must span the arrival slots")
-        caps = caps[:, :n]
-        if caps.shape[1] < n:
-            raise ValueError(f"capacities span fewer than {n} slots")
-        if n and caps.min() < 0:
-            raise ValueError("capacity must be non-negative")
-        arrivals = np.asarray(arrivals, dtype=np.int64)
-        if n and arrivals.min() < 0:
-            raise ValueError("arrivals must be non-negative")
-        fold = self.fold(caps, a_p, a_s, arrivals, keep_occupancy=keep_occupancy)
-        completion = None
-        if target is not None:
-            reached = np.flatnonzero(np.cumsum(fold.delivered) >= target - self.delivered)
-            if reached.size:
-                completion = int(reached[0])
-                if stop_on_complete and completion < n - 1:
-                    # Fold the prefix again, so the arrays end at the completion.
-                    n = completion + 1
-                    fold = self._fold(Fold(0, fold.caps[:, :n], arrivals[:n], fold.pcc[:n],
-                                           fold.scc[:n]), keep_occupancy)
-        self.commit(fold, len(fold.pcc))
-        return fold.delivered, fold.b, fold.occupancy, completion
-
     def fold(self, caps, a_p, a_s, arrivals, t0: int = 0, keep_occupancy: bool = False,
              keep_served: bool = False) -> Fold:
         """A fixed schedule from the current state, starting at slot ``t0``,
@@ -263,7 +223,7 @@ class CountStack:
         slots read.  Each RLC count is the same recursion over its inflow,
         ``q_t = max(0, q_{t-1} + in_t - c_t)``, and slot t serves
         ``q_{t-1} + in_t - q_t``.  ``arrivals`` are int64 and, with ``caps``,
-        already checked non-negative.
+        non-negative (``Simulation.run`` checks them).
         """
         caps = self._clipped(caps, int(arrivals.sum()))
         step = arrivals - a_p

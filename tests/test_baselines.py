@@ -111,10 +111,17 @@ def test_ltr_rate_tracking():
 
 
 def test_qtable_update_arithmetic():
+    """``decide`` in state 3 plays action 0 (the zero table's tie), and
+    ``observe`` of a slot that delivered one packet, next state 4, sets
+    Q[3, 0] to the reward."""
     table = QTable(epsilon=0.0, learn_rate=1.0, discount=0.0)
     c = QLearningController(table, make_rng(0, "q"))
-    c.update(3, 0, 1.0, 4)
-    assert table.values[3, 0] == pytest.approx(1.0)
+    assert (table.bucket(-60), table.bucket(-48)) == (3, 4)
+    assert c.decide(0, -60) == P
+    stack = CountStack(1, 0)
+    stack.received = 1
+    c.observe(0, [1, 0], -48, stack)
+    assert table.values[3, 0] == 1.0
 
 
 def test_qlearning_zero_table_tie_break_is_pcc():

@@ -348,6 +348,10 @@ def test_run_rejects_config_that_is_not_utf8(tiny_config, tmp_path, capsys):
     ("fuzzy_pid", "escape_divisor", "0"),
     ("qlearning", "epsilon", "2"),
     ("qlearning", "n_bins", "0"),
+    ("qlearning", "discount", "5"),
+    ("qlearning", "discount", "1"),
+    ("qlearning", "learn_rate", "-2"),
+    ("qlearning", "learn_rate", "1.5"),
     ("bwa", "k", "3"),
     ("fuzzy_pid", "membership_width", "0"),
     ("fuzzy_pid", "membership_width_change", "0"),

@@ -179,6 +179,48 @@ def test_burst_closed_form_stops_at_completion_by_hand():
     assert sim.stack.out_counts == [2, 2, 1]
 
 
+@pytest.mark.parametrize("collect_trace", [False, True])
+@pytest.mark.parametrize("stop_on_complete", [False, True])
+@pytest.mark.parametrize("l, completion", [(2, 0), (10, 4), (11, None)],
+                         ids=["first-slot", "last-slot", "never"])
+def test_closed_form_cuts_a_burst_where_the_loop_completes(l, completion, stop_on_complete,
+                                                           collect_trace):
+    """Two packets a slot over five slots: a burst that completes on slot 0,
+    on the horizon's last slot or never.  The closed form equals the slot
+    loop, and it folds the run a second time only to end it at a completion
+    before the last slot."""
+    caps = np.ones((2, 5), dtype=np.int64)
+    policy = ForcedController(SplitAction(1, 1))
+    kwargs = dict(l=l, arrival_mode="burst", arrival_rate=0, n_scc=1, d_xn=0, caps=caps,
+                  max_slots=5, stop_on_complete=stop_on_complete, collect_trace=collect_trace)
+    fast = _closed_form(controller=policy, **kwargs)
+    folds = []
+    fold = fast.stack.fold
+
+    def counted(*args, **kw):
+        folds.append(None)
+        return fold(*args, **kw)
+    fast.stack.fold = counted
+    loop = Simulation(controller=_SlotLoopOnly(policy), **kwargs)
+    got = fast.run()
+    _assert_same_run(fast, got, loop, loop.run())
+    assert got.completion_slot == completion
+    assert len(folds) == (2 if stop_on_complete and completion == 0 else 1)
+
+
+@pytest.mark.parametrize("policy", ["forced", "bwa", "fuzzy_pid"])
+@pytest.mark.parametrize("mode", ["burst", "per_slot"])
+def test_a_run_checks_capacities_then_arrivals_over_its_horizon(policy, mode):
+    """Negative capacities with a negative burst or rate raise the capacity
+    message on the closed form and the loop alike; with ``max_slots`` 0
+    neither is read, and the run is empty."""
+    kwargs = dict(**_policy(policy, 1, 0, 4, [SplitAction(1, 1)]), arrival_mode=mode,
+                  l=-3, arrival_rate=-1, n_scc=1, d_xn=0, caps=np.full((2, 5), -1))
+    with pytest.raises(ValueError, match="capacity must be non-negative"):
+        Simulation(max_slots=5, **kwargs).run()
+    assert Simulation(max_slots=0, **kwargs).run().t_slots == 0
+
+
 PCC_BW = {"zero": 0.0, "equal": 100.0, "70:130": 70.0}
 
 

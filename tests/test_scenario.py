@@ -269,6 +269,10 @@ def test_config_round_trip_orders_sccs_numerically(tmp_path):
     ("qlearning", {"epsilon": 2.0}, "controller.epsilon"),
     ("fuzzy_pid", {"kp": float("nan")}, "controller.kp"),
     ("fuzzy_pid", {"t_p": (0.1, float("inf"), 0.3, 0.2)}, "controller.t_p"),
+    ("qlearning", {"discount": 5.0}, "controller.discount"),
+    ("qlearning", {"discount": 1.0}, "controller.discount"),
+    ("qlearning", {"learn_rate": -2.0}, "controller.learn_rate"),
+    ("qlearning", {"learn_rate": 1.5}, "controller.learn_rate"),
 ])
 def test_validate_names_rejected_controller_key(policy, params, key):
     with pytest.raises(ConfigError, match=key):
