@@ -114,11 +114,14 @@ def _cmd_suite(args) -> int:
 def _load_instance(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise sc.ConfigError(f"instance file not found: {path}")
     except json.JSONDecodeError as exc:
         raise sc.ConfigError(f"instance file is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise sc.ConfigError(f"instance file must hold a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _parse_identity(identity, max_slots: int) -> tuple[list[SplitAction], int]:
@@ -155,6 +158,9 @@ def _cmd_oracle(args) -> int:
             print(f"assumption violated: {v}")
         return EXIT_OK
 
+    if any(inst.preseed_rlc):
+        raise sc.ConfigError("preseed_rlc: the min-T search starts from an empty stack; "
+                             "a preseed needs an identity block")
     result = brute_force_min_T(inst, allow_noncomplementary=args.unrestricted)
     if not result.feasible:
         print("no solution within the instance horizon")

@@ -45,11 +45,15 @@ form and skips the loop: it folds the horizon (``CountStack.fold``), cuts
 a burst at its completing slot as a held window is cut, and commits.
 Every other run steps the loop, which stays the reference the tests check
 the closed form and held windows against.  All fill the same trace columns.
+Every fold of a run slices one int64 array of the horizon's capacities,
+made at most once a run (``Simulation._fold_caps``); the loop and the trace
+read the caller's array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import sub
 
@@ -181,7 +185,6 @@ class Simulation:
         self.controller = controller
         self.plan = controller if forced_action is None else ForcedController(forced_action)
         self.max_slots = min(max_slots, caps.shape[1])
-        self._caps_max: int | None = None  # the horizon's largest capacity, once a window needs it
         self.collect_trace = collect_trace
         self.stop_on_complete = stop_on_complete
         self.mode = mode
@@ -201,6 +204,21 @@ class Simulation:
             return self._run_schedule(self.plan)
         return self._run_loop()
 
+    @cached_property
+    def _fold_caps(self) -> np.ndarray:
+        """The horizon's capacities as int64, clipped at the most packets
+        the run can hold: those in the stack now plus the horizon's arrivals.
+        No queue holds more, so the clip serves the same packets and keeps
+        the folds' int64 sums from overflowing.  It runs in the capacities'
+        own dtype, which holds the bound (it lies below their maximum)."""
+        caps = self.caps[:, :self.max_slots]
+        arrivals = self.l if self.arrival_mode == BURST else self.arrival_rate * self.max_slots
+        most = self.stack.total_ingested + arrivals
+        if caps.size and int(caps.max()) > most:
+            return np.minimum(caps, caps.dtype.type(most), out=np.empty(caps.shape, np.int64),
+                              casting="unsafe")
+        return caps.astype(np.int64, copy=False)
+
     def _completion(self, fold: Fold) -> int:
         """The first slot of ``fold`` on which the burst completes, or its
         length if none does."""
@@ -211,7 +229,7 @@ class Simulation:
         n = self.max_slots
         burst = self.arrival_mode == BURST
         a_p, a_s = plan.schedule(n)
-        caps = self.caps[:, :n]
+        caps = self._fold_caps
         if burst:
             arrivals = np.zeros(n, dtype=np.int64)
             arrivals[:1] = self.l
@@ -351,10 +369,8 @@ class Simulation:
         def window() -> HoldWindow:
             if not folded:
                 arrivals = 0 if self.arrival_mode == BURST else self.arrival_rate
-                if self._caps_max is None:  # once a run, for every window's clip test
-                    self._caps_max = int(self.caps[:, :self.max_slots].max())
-                fold = stack.fold_repeat(self.caps[:, t:t + n], action.a_p, action.a_s,
-                                         arrivals, t, self._caps_max)
+                fold = stack.fold_repeat(self._fold_caps[:, t:t + n], action.a_p, action.a_s,
+                                         arrivals, t)
                 m = self._completion(fold) if cut else n
                 folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
                                                 fold.occupancy[:, :m],

@@ -63,7 +63,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     collect = spec.out_dir is not None
     runs: list[RunResult] = []
     etas: list[EtaReport] = []
-    timings: list[dict] = []
+    timings: list[list] = []
 
     for seed in spec.seeds:
         caps = build_caps(cfg, seed)
@@ -85,17 +85,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     return outcome
 
 
-def _timed_run(sim: Simulation, timings: list[dict]) -> RunResult:
+def _timed_run(sim: Simulation, timings: list[list]) -> RunResult:
+    """``sim.run()``, appending its ``timings.csv`` row to ``timings``."""
     t0 = time.perf_counter()
     result = sim.run()
-    timings.append({
-        "scenario": result.scenario,
-        "seed": result.seed,
-        "mode": result.mode,
-        "policy": result.policy,
-        "wall_clock_s": time.perf_counter() - t0,
-        "process_peak_rss_kb": _process_peak_rss_kb(),
-    })
+    timings.append([result.scenario, result.seed, result.mode, result.policy,
+                    time.perf_counter() - t0, _process_peak_rss_kb()])
     return result
 
 
@@ -116,7 +111,10 @@ def _emit(spec, cfg, runs, etas, results, timings) -> list[Path]:
     tr.write_metadata(out / "metadata.json", cfg_path.read_text(encoding="utf-8"),
                       spec.seeds, [m.value for m in spec.modes])
     files.append(out / "metadata.json")
-    tr.write_timings(out / "timings.csv", timings)
+    # Wall-clock seconds per run and the process's peak RSS after it; not
+    # byte-reproducible.
+    tr.write_table(out / "timings.csv", ["scenario", "seed", "mode", "policy", "wall_clock_s",
+                                         "process_peak_rss_kb"], timings)
     files.append(out / "timings.csv")
     return files
 

@@ -78,8 +78,8 @@ class TinyInstance:
         if self.preseed_rlc and (len(self.preseed_rlc) != 1 + self.n_scc or not all(
                 type(c) is int and c >= 0 for c in self.preseed_rlc)):
             raise ValueError("preseed_rlc must list one non-negative integer per carrier")
-        if self.d_xn < 0:
-            raise ValueError("d_xn must be non-negative")
+        if not 0 <= self.d_xn <= MAX_SLOTS:  # a packet delayed past the horizon never lands
+            raise ValueError(f"d_xn must be in [0, {MAX_SLOTS}]")
         width = min(map(len, self.caps))
         try:
             caps = np.array([row[:width] for row in self.caps], dtype=np.int64)

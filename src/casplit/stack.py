@@ -12,7 +12,8 @@ compute slots of a fixed schedule in closed form, from any state, packets
 on the Xn link included: the engine folds a whole open-loop run with
 ``fold`` and a held window of one action with ``fold_repeat``.  A fold is a
 few dozen numpy calls whatever its length, so a short one folds all
-carriers in one pass.  The separate phase methods are the reference the
+carriers in one pass; it takes int64 capacities as given, which the engine
+prepares once a run.  The separate phase methods are the reference the
 tests check ``step`` and the oracle's search over flat state tuples against.
 """
 
@@ -52,7 +53,7 @@ def _fed(scc: np.ndarray, n_scc: int) -> list[int]:
 @dataclass
 class Fold:
     """A fixed schedule folded from a ``CountStack``'s state (``fold``):
-    the slot it starts at, the inputs (clipped capacities, arrivals, packets
+    the slot it starts at, the inputs (int64 capacities, arrivals, packets
     dispatched to the PCC and the number of SCCs fed, per slot) and the
     per-slot results: packets served (all carriers), the buffer difference
     seen before each slot, optionally the end-of-slot RLC counts and the
@@ -222,10 +223,10 @@ class CountStack:
         link surface in the first ``d_xn`` slots, from the ring rows those
         slots read.  Each RLC count is the same recursion over its inflow,
         ``q_t = max(0, q_{t-1} + in_t - c_t)``, and slot t serves
-        ``q_{t-1} + in_t - q_t``.  ``arrivals`` are int64 and, with ``caps``,
-        non-negative (``Simulation.run`` checks them).
+        ``q_{t-1} + in_t - q_t``.  ``caps`` and ``arrivals`` are int64 and
+        non-negative (``Simulation`` prepares and checks them), and small
+        enough that a carrier's summed capacities fit in int64.
         """
-        caps = self._clipped(caps, int(arrivals.sum()))
         step = arrivals - a_p
         step -= np.multiply(a_s, self.n_scc, dtype=np.int64)
         depth = _lindley(self.pdcp_depth, step, out=step)
@@ -238,8 +239,7 @@ class CountStack:
         scc = scc.astype(np.min_scalar_type(self.n_scc))  # one byte a slot below 256 SCCs
         return self._fold(Fold(t0, caps, arrivals, pcc, scc), keep_occupancy, keep_served)
 
-    def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int,
-                    caps_max: int | None = None) -> Fold:
+    def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int) -> Fold:
         """``fold`` of one action repeated over the slots of ``caps``, with
         ``arrivals`` new packets in each, occupancies and served counts
         kept: a held window.  The PDCP recursion then drains
@@ -247,10 +247,8 @@ class CountStack:
         dispatch the full draw while the buffer covers it (all of them if
         ``c <= 0``, else the first ``D // c``), then one slot what is left,
         then the arrivals alone.  The PCC takes the first of each slot's
-        packets, as in ``fold``.  A ``caps_max`` at or above every capacity
-        spares the scan for their maximum."""
+        packets, as in ``fold``, whose preconditions ``caps`` meets."""
         n = caps.shape[1]
-        caps = self._clipped(caps, arrivals * n, caps_max)
         draw = a_p + self.n_scc * a_s
         c = draw - arrivals
         m, left = divmod(self.pdcp_depth, c) if c > 0 else (n, 0)
@@ -264,21 +262,6 @@ class CountStack:
                 scc[start:stop] = disp - to_pcc
                 start = stop
         return self._fold(Fold(t0, caps, np.full(n, arrivals, np.int64), pcc, scc), True, True)
-
-    def _clipped(self, caps, arrivals: int, caps_max: int | None = None):
-        """``caps`` clipped at the packets in the stack now plus ``arrivals``.
-        No queue ever holds more, so a clipped capacity serves the same
-        packets.  The clip keeps the int64 sums of ``_lindley`` from
-        overflowing, and turns uint64, which numpy would mix with the int64
-        queues in float64, into int64.  The bound is counted from the queues
-        themselves, not from ``total_ingested``, which a caller that sets
-        ``pdcp_depth`` directly does not raise.  ``caps_max``, if known,
-        stands in for the capacities' maximum."""
-        most = self.pdcp_depth + sum(self.rlc) + sum(map(sum, self.xn)) + arrivals
-        if caps.shape[1] and (not np.can_cast(caps.dtype, np.int64) or
-                              (caps.max() if caps_max is None else caps_max) > most):
-            caps = np.minimum(caps, most, out=np.empty(caps.shape, np.int64), casting="unsafe")
-        return caps
 
     def _fold(self, fold: Fold, keep_occupancy: bool, keep_served: bool = False) -> Fold:
         """Fill in ``fold``'s per-slot deliveries and buffer differences from

@@ -47,7 +47,7 @@ def write_trace(path, result: RunResult, n_scc: int) -> None:
     ints = (result.b, result.a_p, result.a_s, *result.occupancy, *result.capacity,
             result.delivered)
     columns = [list(map(str, range(result.t_slots))),
-               *(_formatted(c.astype(np.int64, copy=False), str) for c in ints),
+               *(_formatted(c, str) for c in ints),
                *(_formatted(c, _f) for c in (kp, ki, kd, g)), _formatted(k, str),
                mode.tolist()]
     lines = [",".join(trace_columns(n_scc)), *map(",".join, zip(*columns))]
@@ -93,18 +93,6 @@ def write_metadata(path, config_text: str, seeds: list[int], modes: list[str]) -
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
-
-
-def write_timings(path, rows: list[dict]) -> None:
-    """Wall-clock seconds per run and the process's peak RSS after it;
-    not byte-reproducible."""
-    lines = ["scenario,seed,mode,policy,wall_clock_s,process_peak_rss_kb"]
-    for r in rows:
-        lines.append(",".join([
-            r["scenario"], str(r["seed"]), r["mode"], r["policy"],
-            _f(r["wall_clock_s"]), str(r["process_peak_rss_kb"]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_table(path, columns: list[str], rows: list[list]) -> None:

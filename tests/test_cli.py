@@ -5,6 +5,7 @@ import pytest
 
 from casplit import scenario as sc
 from casplit.cli import main
+from casplit.oracle import MAX_SLOTS
 from casplit.scenario import default_static_scenario
 from casplit.trace import trace_columns
 
@@ -185,14 +186,27 @@ def test_trace_file_golden_prefix(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("caps", [[1] * 24, [1, -1] + [1] * 22]),
     ("preseed_rlc", [3, -1]),
+    ("d_xn", MAX_SLOTS + 1),
+    ("preseed_rlc", [3, 0]),
 ])
 def test_oracle_rejects_negative_counts(tmp_path, capsys, field, value):
+    """A negative count, an Xn delay past the horizon or, without an
+    ``identity`` block, a preseed the min-T search cannot start from exits
+    1 naming its key, before any search."""
     inst = {"l": 3, "n_scc": 1, "caps": [[1] * 24, [1] * 24], field: value}
     path = tmp_path / "neg.json"
     path.write_text(json.dumps(inst), encoding="utf-8")
     assert run_cli("oracle", "--instance", str(path)) == 1
     captured = capsys.readouterr()
     assert field in captured.err and "t_star" not in captured.out
+
+
+@pytest.mark.parametrize("raw", [[1, 2], 3, "l", None])
+def test_oracle_rejects_an_instance_that_is_not_an_object(tmp_path, capsys, raw):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    assert "instance file must hold a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_slots", [0, -2])

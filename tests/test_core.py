@@ -618,6 +618,23 @@ def test_column_writer_matches_row_writer(data, policy, n_scc):
         assert new.read_bytes() == old.read_bytes()
 
 
+def test_a_traced_run_writes_capacities_as_given():
+    """uint64 capacities reach the trace as the caller gave them, in the
+    closed form and the slot loop: 2**64 - 1, not -1."""
+    caps = np.full((2, 3), 2**64 - 1, np.uint64)
+    for policy in ({"forced_action": SplitAction(1, 1)},
+                   {"controller": FuzzyPidController(4, 1)}):
+        result = Simulation(l=5, arrival_mode="per_slot", arrival_rate=2, n_scc=1, d_xn=0,
+                            caps=caps, max_slots=3, collect_trace=True, **policy).run()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "trace.csv")
+            trace.write_trace(path, result, 1)
+            lines = path.read_text().splitlines()
+        at = [trace.trace_columns(1).index(c) for c in ("cap_pcc", "cap_scc1")]
+        assert [[row.split(",")[i] for i in at] for row in lines[1:]] == \
+            [["18446744073709551615"] * 2] * 3
+
+
 def test_float_column_tells_values_apart_by_bits():
     """Each float is formatted as itself: 0.0 and -0.0, and NaN, included."""
     values = [0.1, 0.0, -0.0, float("nan"), 0.1 + 0.2, 1e-7, -0.0, 123456789.0, 0.1]
@@ -707,6 +724,14 @@ def test_slot_loop_matches_phase_reference_across_chunks(policy):
     _assert_same_learning(sim.controller, ref.controller)
 
 
+def _scaled(caps, dtype, top):
+    """``caps`` drawn from 0 to 4 as ``dtype``; with ``top``, each positive
+    capacity c becomes ``top - 4 + c``, and 0 stays an outage."""
+    if top is None:
+        return caps.astype(dtype)
+    return np.where(caps > 0, caps.astype(object) + (top - 4), 0).astype(dtype)
+
+
 @pytest.mark.parametrize("policy", HOLDERS)
 def test_held_windows_match_phase_reference(policy):
     """With ``HOLD_MIN`` 2 and windows of 4 to 16 slots, runs of every
@@ -714,14 +739,19 @@ def test_held_windows_match_phase_reference(policy):
     equal the per-phase reference loop, which steps every slot: every
     ``RunResult`` field, trace rows included, the end state and ltr's
     learned rates.  Burst and per-slot arrivals, d_xn 0 to 3, traced and
-    untraced runs, capacity chunks of 1 to 40 slots; across the runs,
+    untraced runs, capacity chunks of 1 to 40 slots, and capacities as
+    drawn, as int8, or scaled up to 127 (int8), 2**62 and 2**63 - 1 (int64)
+    or 2**64 - 1 (uint64), which the folds take clipped; across the runs,
     windows were committed."""
     held = []
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.integers(1, 3), st.booleans(), st.integers(1, 40))
-    def check(data, n_scc, collect_trace, chunk):
+    @given(st.data(), st.integers(1, 3), st.booleans(), st.integers(1, 40),
+           st.sampled_from([(np.int64, None), (np.int8, None), (np.int8, 127),
+                            (np.int64, 2**62), (np.int64, 2**63 - 1), (np.uint64, 2**64 - 1)]))
+    def check(data, n_scc, collect_trace, chunk, scale):
         kwargs, horizon, actions = data.draw(loop_runs(n_scc, collect_trace))
+        kwargs["caps"] = _scaled(kwargs["caps"], *scale)
         d_xn = kwargs["d_xn"]
         sim = Simulation(**_policy(policy, n_scc, d_xn, horizon, actions), **kwargs)
         ref = _PhaseLoop(**_policy(policy, n_scc, d_xn, horizon, actions, reference=True),

@@ -322,16 +322,15 @@ def test_fold_matches_per_carrier_reference(data, n_scc, d_xn, t0, all_slots, ke
        st.integers(0, 1), st.integers(0, 1), st.integers(0, 6))
 def test_fold_repeat_matches_fold(data, n_scc, d_xn, t0, a_p, a_s, arrivals):
     """A window of one action repeated with the same arrivals each slot,
-    folded by ``fold_repeat``, with or without a bound on the capacities,
-    equals ``fold`` over the constant schedule: the dispatches, every
-    per-slot result and, after a committed prefix, the whole end state."""
+    folded by ``fold_repeat``, equals ``fold`` over the constant schedule:
+    the dispatches, every per-slot result and, after a committed prefix, the
+    whole end state."""
     n = data.draw(st.integers(1, 40))
     caps = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                                        min_size=1 + n_scc, max_size=1 + n_scc)), np.int64)
     stack, ref = _warm_stacks(data, n_scc, d_xn, t0)
     stack.pdcp_depth = ref.pdcp_depth = stack.pdcp_depth + data.draw(st.integers(0, 40))
-    caps_max = data.draw(st.sampled_from([None, int(caps.max()), 2**62]))
-    got = stack.fold_repeat(caps, a_p, a_s, arrivals, t0, caps_max)
+    got = stack.fold_repeat(caps, a_p, a_s, arrivals, t0)
     want = ref.fold(caps, np.full(n, a_p, np.int8), np.full(n, a_s, np.int8),
                     np.full(n, arrivals, np.int64), t0=t0, keep_occupancy=True, keep_served=True)
     for name in ("pcc", "scc", "arrivals", "delivered", "b", "occupancy", "served"):
@@ -357,9 +356,9 @@ def test_commit_counts_each_sccs_packets_either_way(n_scc, fed, all_slots):
 
 
 def test_fold_serves_a_pdcp_depth_set_directly():
-    """``fold`` bounds its capacities by the packets in the queues, so a
-    PDCP depth set without ``pdcp_ingest`` (``total_ingested`` stays 0) is
-    served as ``step`` serves it."""
+    """``fold`` reads the queues, not ``total_ingested``, so a PDCP depth set
+    without ``pdcp_ingest`` (``total_ingested`` stays 0) is served as
+    ``step`` serves it."""
     stack, ref = CountStack(1, 0), CountStack(1, 0)
     stack.pdcp_depth = ref.pdcp_depth = 1
     fold = stack.fold(np.array([[1], [0]], np.int64), np.array([1], np.int8),
