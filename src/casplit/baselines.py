@@ -6,16 +6,20 @@ The bandwidth-weighted, stationary-k and forced policies are open loop:
 their action in slot t depends on t alone, so besides ``decide`` they list
 a whole run's actions at once (``OpenLoopController.schedule``).  The
 delay-based policy holds: it tells the engine how many slots of a window it
-would keep on the PCC (``LtrController.hold``); Q-learning never does.  It
-steps every slot, so it pays only for its arithmetic: it reads and writes
-its Q table in place through a flat float view, and takes its exploration
-draws from raw generator words fetched ``DRAW_CHUNK`` at a time, the same
-stream per-slot ``random()`` and ``integers(2)`` calls would draw.  It owns
-that generator, which a run leaves up to one chunk ahead of those draws."""
+would keep on the PCC (``LtrController.hold``).  Q-learning holds too, over
+a window of its own schedule (``QLearningController.hold``): it takes its
+exploration draws from raw generator words fetched ``DRAW_CHUNK`` at a
+time, the same stream per-slot ``random()`` and ``integers(2)`` calls would
+draw, so the slots a window explores on, and their coins, are known before
+the window is folded; between them it plays its greedy action, which
+rarely changes.  It reads and writes its Q table in place through a flat
+float view.  It owns its generator, which a run leaves up to one chunk
+ahead of those draws."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -132,7 +136,8 @@ class LtrController(Controller):
         self._action = (PCC_ONLY_ACTION if rlc[0] / max(rates[0], eps) <= best
                         else SCC_ONLY_ACTION)
 
-    def hold(self, t: int, action: SplitAction, window: Callable[[], HoldWindow]) -> int:
+    def hold(self, t: int, action: SplitAction, n: int,
+             window: Callable[..., HoldWindow]) -> int:
         """From a slot it plays on the PCC, the leading slots that leave the
         PCC's RLC buffer empty: its estimate is then 0, which no SCC estimate
         undercuts, so ``observe`` keeps the PCC whatever the rates.  The
@@ -187,15 +192,24 @@ class QTable:
                              f"shape ({self.n_bins}, 2)")
 
         # The bucket of every integer x in [-b_max, b_max]: n_bins equal
-        # bins over the range, the top edge in the last.
+        # bins over the range, the top edge in the last.  The same IEEE
+        # quotient and product as ``min(int((x + bm) / (2 * bm) * n), n - 1)``,
+        # as an array for held windows and a list for single slots.
         bm, n = self.b_max, self.n_bins
-        self._buckets = [min(int((x + bm) / (2 * bm) * n), n - 1) for x in range(-bm, bm + 1)]
+        frac = np.arange(2 * bm + 1) / (2 * bm)
+        self._bucket_array = np.minimum((frac * n).astype(np.intp), n - 1)
+        self._buckets = self._bucket_array.tolist()
 
     def bucket(self, b: int) -> int:
         """The state of integer buffer difference ``b``, clamped to
         ``[-b_max, b_max]``: one lookup in the list built at construction."""
         bm = self.b_max
         return self._buckets[min(max(b, -bm), bm) + bm]
+
+    def buckets(self, b: np.ndarray) -> np.ndarray:
+        """``bucket`` of each integer of ``b``, in one array lookup."""
+        bm = self.b_max
+        return self._bucket_array[np.clip(b, -bm, bm) + bm]
 
 
 class QLearningController(Controller):
@@ -208,7 +222,8 @@ class QLearningController(Controller):
     state and action, and the next ``decide`` takes that state instead of
     bucketing the same ``b``.  The Q table is read and written in place
     through a flat view of ``table.values`` (state s, action a at
-    ``2 s + a``), as Python floats.
+    ``2 s + a``), as Python floats.  ``hold`` makes the same updates over a
+    held window, whose schedule it builds from its buffered draws.
 
     Exploration draws come from the controller's own generator, so channel
     noise is untouched.  The controller owns that generator: from its first
@@ -222,6 +237,7 @@ class QLearningController(Controller):
 
     name = "qlearning"
     observes = True
+    holds = True
 
     def __init__(self, table: QTable, rng: np.random.Generator):
         if type(rng.bit_generator) is not np.random.PCG64:
@@ -267,6 +283,88 @@ class QLearningController(Controller):
         old = q[i]
         q[i] = old + self._learn_rate * (stack.received + self._discount * best - old)
         self._pending = None
+
+    def hold(self, t: int, action: SplitAction, n: int,
+             window: Callable[..., HoldWindow]) -> int:
+        """From a slot whose greedy choice is ``action``, the leading slots
+        that keep that greedy choice wherever they do not explore.  Whether
+        a slot explores, and its coin, come from the buffered words alone,
+        so the window's schedule is known before it is folded: the greedy
+        action, a coin on each exploring slot, up to where the buffered
+        words end (the loop fetches more where ``decide`` would).  The fold
+        is then replayed slot by slot with ``observe``'s arithmetic: each
+        slot's reward is its delivered total and its next state the bucket
+        of its end-of-slot RLC counts.  The first slot that does not explore
+        and whose greedy choice has changed ends the window; the words the
+        held slots drew are then taken off the buffer."""
+        q = self._q
+        row = 2 * self._state  # set by the ``observe`` of the slot before
+        g = 1 if q[row + 1] > q[row] else 0
+        if action is not (SCC_ONLY_ACTION if g else PCC_ONLY_ACTION):
+            return 0
+        below = self._explore_below
+        plan = [None] * n  # each slot's coin, None where it plays the greedy action
+        if below:
+            words = self._words or self._fetch()
+            # For each exploring slot: the slot, the words drawn up to it
+            # and the half left after it, as ``decide`` and ``_coin`` draw.
+            marks = []
+            half, coins = self._half, 0
+            draws = reversed(words)
+            m = 0
+            for m, w in enumerate(draws, 1):
+                if w < below:
+                    if half is None:
+                        w = next(draws, None)
+                        if w is None:  # the coin's word is not fetched yet
+                            m -= 1
+                            break
+                        plan[m - 1], half = (w >> 31) & 1, w >> 63
+                        coins += 1
+                    else:
+                        plan[m - 1], half = half, None
+                    marks.append((m - 1, m + coins, half))
+                if m == n:
+                    break
+            a_s = np.full(m, g, np.int8)
+            for j, _, _ in marks:
+                a_s[j] = plan[j]
+            held = window(1 - a_s, a_s)
+        else:
+            held = window()
+
+        # Each slot's next state, as the flat index 2 s of its row in Q.
+        rlc = held.rlc
+        rows = (2 * self.table.buckets(rlc[0] - rlc[1:].sum(axis=0))).tolist()
+        learn_rate, discount = self._learn_rate, self._discount
+        k = len(rows)
+        for j, (coin, row_next, reward) in enumerate(zip(plan, rows, held.delivered.tolist())):
+            if coin is None:
+                if (q[row + 1] > q[row]) != g:  # the greedy choice changed
+                    k = j
+                    break
+                i = row + g
+            else:
+                i = row + coin
+            best = q[row_next]  # as ``observe``: the first unless the second is greater
+            other = q[row_next + 1]
+            if other > best:
+                best = other
+            old = q[i]
+            q[i] = old + learn_rate * (reward + discount * best - old)
+            row = row_next
+        if not k:
+            return 0
+        self._state = row // 2
+        if below:  # take the held slots' words off the buffer
+            last = bisect_left(marks, (k,))
+            if last:
+                j, drawn, self._half = marks[last - 1]
+                drawn += k - 1 - j
+            else:
+                drawn = k
+            del words[len(words) - drawn:]
+        return k
 
     def _coin(self) -> int:
         """``integers(2)``: bit 31 of a 32-bit half.  A fresh word gives its

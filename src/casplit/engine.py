@@ -19,16 +19,20 @@ it steps, not its horizon.  The same loop serves the η runs, oracle
 witness replay and the window-identity check.
 
 Most slots of a closed-loop run only repeat the last action: fuzzy_pid in
-its ``static`` mode, ltr on the PCC while the PCC's queue drains.  A
-controller whose ``holds`` is true skips them.  Once it has played one
-action object ``HOLD_MIN`` slots in a row, the loop folds a window of that
-action from the current state in closed form (``CountStack.fold_repeat``;
-packets still on the Xn link surface in its first ``d_xn`` slots), when
-the controller asks for it: ``HOLD_WINDOW`` slots, doubling while the
+its ``static`` mode, ltr on the PCC while the PCC's queue drains,
+qlearning on its greedy action between exploring slots.  A controller
+whose ``holds`` is true skips them.  Once it has played one action object
+``HOLD_MIN`` slots in a row, the loop folds a window of that action from
+the current state in closed form (``CountStack.fold_repeat``; packets
+still on the Xn link surface in its first ``d_xn`` slots), when the
+controller asks for it: ``HOLD_WINDOW`` slots, doubling while the
 controller holds them whole, up to ``HOLD_MAX_WINDOW``, and never past the
-horizon or the slot that completes a burst.  The controller's ``hold``
-says how many leading slots it would itself have played that action on,
-and the stack commits just those (``CountStack.commit``); the loop then
+horizon or the slot that completes a burst.  A controller that knows its
+own schedule hands the fold its per-slot actions instead
+(``CountStack.fold``): qlearning, whose exploring slots and coins come
+from generator words it has already buffered.  The controller's ``hold``
+says how many leading slots it would itself have played, and the stack
+commits just those (``CountStack.commit``); the loop then
 reads the buffer difference once and steps on, converting capacity rows
 afresh from ``CAPS_FIRST_CHUNK`` slots.  An offer that is folded costs
 about as much as 20 stepped slots, whatever the window's length, so the
@@ -359,31 +363,40 @@ class Simulation:
         """Offer the controller ``n`` slots of ``action`` from slot ``t`` and
         commit the slots it holds.  The window is folded in closed form when
         the controller first calls ``window()``, so one that refuses without
-        looking costs no fold.  With ``cut`` (a burst not yet complete), the
-        window stops before the slot that would complete it, so the loop
-        steps that slot.  Returns the slots held and their columns, as the
-        loop keeps them."""
+        looking costs no fold; ``window(a_p, a_s)`` folds the controller's
+        own per-slot actions, at most ``n`` slots of them, instead.  With
+        ``cut`` (a burst not yet complete), the window stops before the slot
+        that would complete it, so the loop steps that slot.  Returns the
+        slots held and their columns, as the loop keeps them."""
         stack = self.stack
         folded: list[tuple] = []
 
-        def window() -> HoldWindow:
+        def window(a_p: np.ndarray | None = None, a_s: np.ndarray | None = None) -> HoldWindow:
             if not folded:
                 arrivals = 0 if self.arrival_mode == BURST else self.arrival_rate
-                fold = stack.fold_repeat(self._fold_caps[:, t:t + n], action.a_p, action.a_s,
-                                         arrivals, t)
-                m = self._completion(fold) if cut else n
+                if a_p is None:
+                    fold = stack.fold_repeat(self._fold_caps[:, t:t + n], action.a_p,
+                                             action.a_s, arrivals, t)
+                else:
+                    m = len(a_p)
+                    fold = stack.fold(self._fold_caps[:, t:t + m], a_p, a_s,
+                                      np.full(m, arrivals, np.int64), t, keep_occupancy=True,
+                                      keep_served=True)
+                m = self._completion(fold) if cut else len(fold.b)
                 folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
-                                                fold.occupancy[:, :m],
-                                                [] if self.collect_trace else None)))
+                                                fold.occupancy[:, :m], fold.delivered[:m],
+                                                [] if self.collect_trace else None),
+                               a_p, a_s))
             return folded[0][1]
 
-        k = self.plan.hold(t, action, window)
+        k = self.plan.hold(t, action, n, window)
         if not k:
             return 0, ()
-        fold, held = folded[0]
+        fold, held, a_p, a_s = folded[0]
         stack.commit(fold, k)
-        part = (fold.delivered[:k], np.full(k, action.a_p, np.int8),
-                np.full(k, action.a_s, np.int8), fold.b[:k])
+        if a_p is None:  # the repeated action
+            a_p, a_s = np.full(k, action.a_p, np.int8), np.full(k, action.a_s, np.int8)
+        part = (fold.delivered[:k], a_p[:k], a_s[:k], fold.b[:k])
         states = held.states
         if states is not None:  # the held slots after the last change of state
             states.append((k - sum(c for c, _ in states), self.plan.trace_state()))

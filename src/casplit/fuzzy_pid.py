@@ -73,12 +73,15 @@ class Controller:
 
     A controller whose ``holds`` is true may skip slots it would only repeat
     its action on: after it has played one action object for a while, the
-    engine calls ``hold(t, action, window)``, where ``window()`` computes a
-    ``HoldWindow`` of that action from slot ``t`` on.  ``hold`` returns how
-    many leading slots of it the controller would itself play ``action`` on,
-    and leaves its state exactly as ``decide`` and ``observe`` would have
-    left it after those slots; a controller that can tell it holds none
-    returns 0 without calling ``window``, which costs a closed-form fold."""
+    engine calls ``hold(t, action, n, window)``, where ``window()`` computes
+    a ``HoldWindow`` of ``n`` slots of that action from slot ``t`` on, and
+    ``window(a_p, a_s)`` one of the per-slot actions of two int8 vectors of
+    at most ``n`` slots instead, for a controller that knows its schedule
+    (qlearning's exploration).  ``hold`` returns how many leading slots of
+    the window it would itself have played, and leaves its state exactly as
+    ``decide`` and ``observe`` would have left it after those slots; a
+    controller that can tell it holds none returns 0 without calling
+    ``window``, which costs a closed-form fold."""
 
     name: str
     observes = False
@@ -90,7 +93,8 @@ class Controller:
     def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
         pass
 
-    def hold(self, t: int, action: SplitAction, window: Callable[[], "HoldWindow"]) -> int:
+    def hold(self, t: int, action: SplitAction, n: int,
+             window: Callable[..., "HoldWindow"]) -> int:
         return 0
 
     def trace_state(self) -> tuple[float, float, float, float, int, str]:
@@ -99,18 +103,19 @@ class Controller:
 
 @dataclass
 class HoldWindow:
-    """Slots ``t, t + 1, ...`` of one action repeated, as a holding
-    controller is offered them: the buffer difference each slot's ``decide``
-    would get, and the packets served per carrier and the end-of-slot RLC
-    counts, carriers by slots.  In a traced run ``states`` is a list: where
-    the controller's ``trace_state`` changes inside the slots it holds,
-    ``hold`` appends ``(n_slots, trace_state())`` for each stretch before a
-    change, in slot order, and the engine adds the rest of the held slots
-    with the state ``hold`` leaves.  Otherwise it is None."""
+    """Slots ``t, t + 1, ...`` of a fixed schedule, as a holding controller
+    is offered them: the buffer difference each slot's ``decide`` would get,
+    the packets served per carrier and the end-of-slot RLC counts, carriers
+    by slots, and each slot's delivered total.  In a traced run ``states``
+    is a list: where the controller's ``trace_state`` changes inside the
+    slots it holds, ``hold`` appends ``(n_slots, trace_state())`` for each
+    stretch before a change, in slot order, and the engine adds the rest of
+    the held slots with the state ``hold`` leaves.  Otherwise it is None."""
 
     b: np.ndarray
     served: np.ndarray
     rlc: np.ndarray
+    delivered: np.ndarray
     states: list | None = None
 
 
@@ -347,7 +352,8 @@ class FuzzyPidController(Controller):
         self.history.append(action)
         return action
 
-    def hold(self, t: int, action: SplitAction, window: Callable[[], HoldWindow]) -> int:
+    def hold(self, t: int, action: SplitAction, n: int,
+             window: Callable[..., HoldWindow]) -> int:
         """The leading slots that stay ``static``: each one's ``b`` keeps the
         sign of the one before and does not run away past the escape band.
         The gain updates due on them are made as ``decide`` makes them."""

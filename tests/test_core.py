@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import casplit
-from casplit import engine, trace
+from casplit import baselines, engine, trace
 from casplit.baselines import (BwaController, ForcedController, LtrController, QLearningController,
                                QTable, StationaryKController)
 from casplit.core import make_rng
@@ -426,7 +426,10 @@ class _LegacyQLearning(QLearningController):
     ``observe`` reading the stack: the formula twice a slot, the next state
     from a copy of the RLC counts, per-slot ``rng.random()`` and
     ``rng.integers(2)`` draws, and Q read by ``ndarray.item`` in an
-    ``update`` that ``observe`` calls."""
+    ``update`` that ``observe`` calls.  It steps every slot, as the
+    controller did before it held windows."""
+
+    holds = False
 
     def decide(self, t, b):
         s = _bucket_formula(self.table, b)
@@ -491,6 +494,27 @@ def test_bucket_lookup_matches_formula(n_bins, b_max):
         assert table.bucket(b) == _bucket_formula(table, b), b
 
 
+@pytest.mark.parametrize("n_bins, b_max", [
+    (16, 96), (16, 192), (16, 1_200_000), (1, 1), (3, 1), (5, 35), (7, 1000), (40, 200),
+    (13, 999_983)])
+def test_bucket_lists_match_formula_at_the_ends_and_bin_edges(n_bins, b_max):
+    """The lookups built by one numpy expression give the scalar formula's
+    bucket at ``-b_max`` and ``b_max``, one past each end (clamped), and at
+    the integers around every bin edge, up to the ``b_max`` of 1,200,000
+    that qlearning gets with ``n = 200000``; ``buckets`` gives ``bucket``
+    of each value of an array.  At (5, 35), multiplying by the reciprocal of
+    ``2 b_max`` instead of dividing by it moves three of the edges."""
+    table = QTable(n_bins=n_bins, b_max=b_max)
+    xs = {-b_max - 1, -b_max, b_max, b_max + 1}
+    for j in range(1, n_bins):
+        edge = -b_max + j * 2 * b_max // n_bins
+        xs.update(range(edge - 2, edge + 3))
+    xs = sorted(xs)
+    want = [_bucket_formula(table, x) for x in xs]
+    assert [table.bucket(x) for x in xs] == want
+    assert table.buckets(np.array(xs, np.int64)).tolist() == want
+
+
 def _held_windows(sim, offered=None):
     """Wrap ``sim``'s controller's ``hold``: returns the list of slots each
     committed window held, filled as the run goes.  With ``offered``, also
@@ -498,8 +522,8 @@ def _held_windows(sim, offered=None):
     held = []
     hold = sim.plan.hold
 
-    def counted(t, action, window):
-        k = hold(t, action, window)
+    def counted(t, action, n, window):
+        k = hold(t, action, n, window)
         if offered is not None:
             offered.append((t, len(window().b), k))
         if k:
@@ -509,7 +533,7 @@ def _held_windows(sim, offered=None):
     return held
 
 
-HOLDERS = ("fuzzy_pid", "nofuzzy_pid", "ltr")
+HOLDERS = ("fuzzy_pid", "nofuzzy_pid", "ltr", "qlearning")
 LOOP_POLICIES = ("fuzzy_pid", "nofuzzy_pid", "ltr", "qlearning", "scripted")
 ALL_POLICIES = LOOP_POLICIES + ("forced", "bwa", "stationary_k")
 
@@ -737,19 +761,22 @@ def test_held_windows_match_phase_reference(policy):
     """With ``HOLD_MIN`` 2 and windows of 4 to 16 slots, runs of every
     holding controller, whose held windows the engine computes in closed form,
     equal the per-phase reference loop, which steps every slot: every
-    ``RunResult`` field, trace rows included, the end state and ltr's
-    learned rates.  Burst and per-slot arrivals, d_xn 0 to 3, traced and
-    untraced runs, capacity chunks of 1 to 40 slots, and capacities as
-    drawn, as int8, or scaled up to 127 (int8), 2**62 and 2**63 - 1 (int64)
-    or 2**64 - 1 (uint64), which the folds take clipped; across the runs,
-    windows were committed."""
+    ``RunResult`` field, trace rows included, the end state, ltr's learned
+    rates and qlearning's Q table.  Burst and per-slot arrivals, d_xn 0 to
+    3, traced and untraced runs, capacity chunks of 1 to 40 slots,
+    capacities as drawn, as int8, or scaled up to 127 (int8), 2**62 and
+    2**63 - 1 (int64) or 2**64 - 1 (uint64), which the folds take clipped,
+    and qlearning's words fetched 1, 2, 7 or 1024 at a time, so its windows
+    end where a chunk of words ends; across the runs, windows were
+    committed."""
     held = []
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 3), st.booleans(), st.integers(1, 40),
            st.sampled_from([(np.int64, None), (np.int8, None), (np.int8, 127),
-                            (np.int64, 2**62), (np.int64, 2**63 - 1), (np.uint64, 2**64 - 1)]))
-    def check(data, n_scc, collect_trace, chunk, scale):
+                            (np.int64, 2**62), (np.int64, 2**63 - 1), (np.uint64, 2**64 - 1)]),
+           st.sampled_from([1, 2, 7, 1024]))
+    def check(data, n_scc, collect_trace, chunk, scale, draw_chunk):
         kwargs, horizon, actions = data.draw(loop_runs(n_scc, collect_trace))
         kwargs["caps"] = _scaled(kwargs["caps"], *scale)
         d_xn = kwargs["d_xn"]
@@ -758,7 +785,8 @@ def test_held_windows_match_phase_reference(policy):
                          **kwargs)
         windows = _held_windows(sim)
         with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4, HOLD_MAX_WINDOW=16,
-                                 CAPS_CHUNK=chunk):
+                                 CAPS_CHUNK=chunk), \
+                mock.patch.object(baselines, "DRAW_CHUNK", draw_chunk):
             got = sim.run()
         _assert_same_run(sim, got, ref, ref.run())
         _assert_same_learning(sim.controller, ref.controller)
@@ -786,16 +814,19 @@ def test_ltr_holds_no_window_it_would_start_on_an_scc():
     _assert_same_learning(sim.controller, ref.controller)
 
 
-@pytest.mark.parametrize("policy", HOLDERS[::2])
+@pytest.mark.parametrize("policy", HOLDERS[::2] + ("qlearning",))
 @pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
 def test_default_runs_hold_most_of_their_slots(preset, policy):
     """On both presets, fuzzy_pid and ltr hold at least 80% of a run's
-    slots: the loop steps only where the controller decides."""
+    slots: the loop steps only where the controller decides.  qlearning
+    holds at least 90% on mobile, where its greedy choice hardly changes
+    (97.2% at seed 1), and 60% on static, where it flickers (67.9%)."""
     cfg = preset(3)
     sim = build_run(cfg, RunMode.CA, policy=policy)
     held = _held_windows(sim)
     result = sim.run()
-    assert sum(held) >= 0.8 * result.t_slots, (sum(held), result.t_slots)
+    floor = 0.8 if policy != "qlearning" else 0.9 if preset is default_mobile_scenario else 0.6
+    assert sum(held) >= floor * result.t_slots, (sum(held), result.t_slots)
 
 
 @pytest.mark.parametrize("policy", HOLDERS)
@@ -803,9 +834,10 @@ def test_default_runs_hold_most_of_their_slots(preset, policy):
     dict(l=300), dict(l=2000), dict(l=2000, max_slots=1000), dict(l=400, max_slots=531),
     dict(arrival_mode="per_slot", max_slots=777)], ids=str)
 def test_no_hold_crosses_completion_or_horizon(policy, changes):
-    """Every window offered to a controller ends at the horizon or before
-    it, and, in a burst run, at the completion slot or before it: the loop
-    steps the slot that completes the burst.  Without ``stop_on_complete``,
+    """Every window offered to a controller, qlearning's schedule of its
+    own included, ends at the horizon or before it, and, in a burst run, at
+    the completion slot or before it: the loop steps the slot that completes
+    the burst.  Without ``stop_on_complete``,
     ltr, which keeps the PCC on the drained queues, holds windows after the
     completion too."""
     cfg = default_static_scenario(2).copy(**changes)
@@ -996,22 +1028,40 @@ def test_only_ltr_sums_the_xn_ring_per_slot(policy):
 
 
 def test_qlearning_buckets_its_state_once_per_slot():
-    """qlearning's ``observe`` buckets the stack's buffer difference, and the
+    """Each slot's state is bucketed once, whether stepped or held.  A
+    stepped slot's ``observe`` buckets the stack's buffer difference, and the
     next ``decide`` takes that state instead of bucketing the same value
-    again: one lookup a slot, and one more for the first slot's ``decide``."""
+    again: one lookup a stepped slot, and one more for the first slot's
+    ``decide``.  A window qlearning folds buckets its slots' states in one
+    array lookup, and the slot after the window takes the last held slot's
+    state."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy="qlearning")
     table = sim.controller.table
-    calls = []
-    method = table.bucket
+    calls, arrays, looked, held = [], [], [], []
+    bucket, buckets, hold = table.bucket, table.buckets, sim.plan.hold
 
     def counted(b):
         calls.append(b)
-        return method(b)
-    table.bucket = counted
+        return bucket(b)
+
+    def counted_array(b):
+        arrays.append(len(b))
+        return buckets(b)
+
+    def counted_hold(t, action, n, window):
+        def seen(*schedule):
+            offered = window(*schedule)
+            looked.append(len(offered.b))
+            return offered
+        k = hold(t, action, n, seen)
+        held.append(k)
+        return k
+    table.bucket, table.buckets, sim.plan.hold = counted, counted_array, counted_hold
     result = sim.run()
-    assert result.t_slots > 100
-    assert len(calls) == result.t_slots + 1
+    assert result.t_slots > 100 and sum(held) > 0
+    assert len(calls) == result.t_slots - sum(held) + 1
+    assert arrays == looked
 
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
