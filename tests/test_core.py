@@ -837,9 +837,8 @@ def test_no_hold_crosses_completion_or_horizon(policy, changes):
     """Every window offered to a controller, qlearning's schedule of its
     own included, ends at the horizon or before it, and, in a burst run, at
     the completion slot or before it: the loop steps the slot that completes
-    the burst.  Without ``stop_on_complete``,
-    ltr, which keeps the PCC on the drained queues, holds windows after the
-    completion too."""
+    the burst.  Without ``stop_on_complete``, ltr, which keeps the PCC on
+    the drained queues, holds windows after the completion too."""
     cfg = default_static_scenario(2).copy(**changes)
     for stop in (True, False):
         sim = build_run(cfg, RunMode.CA, policy=policy)
@@ -1028,13 +1027,14 @@ def test_only_ltr_sums_the_xn_ring_per_slot(policy):
 
 
 def test_qlearning_buckets_its_state_once_per_slot():
-    """Each slot's state is bucketed once, whether stepped or held.  A
-    stepped slot's ``observe`` buckets the stack's buffer difference, and the
+    """qlearning buckets each slot's state once where the slot is played,
+    stepped or held.  A stepped slot's ``observe`` buckets the stack's buffer difference, and the
     next ``decide`` takes that state instead of bucketing the same value
     again: one lookup a stepped slot, and one more for the first slot's
-    ``decide``.  A window qlearning folds buckets its slots' states in one
-    array lookup, and the slot after the window takes the last held slot's
-    state."""
+    ``decide``.  A window qlearning folds buckets the states of all its
+    slots in one array lookup, once, and the slot after the held ones takes
+    the last held slot's state; the slots of a window cut short are
+    bucketed there and again when they are stepped."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy="qlearning")
     table = sim.controller.table
