@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -288,15 +289,16 @@ class QLearningController(Controller):
              window: Callable[..., HoldWindow]) -> int:
         """From a slot whose greedy choice is ``action``, the leading slots
         that keep that greedy choice wherever they do not explore.  Whether
-        a slot explores, and its coin, come from the buffered words alone,
-        so the window's schedule is known before it is folded: the greedy
-        action, a coin on each exploring slot, up to where the buffered
-        words end (the loop fetches more where ``decide`` would).  The fold
-        is then replayed slot by slot with ``observe``'s arithmetic: each
-        slot's reward is its delivered total and its next state the bucket
-        of its end-of-slot RLC counts.  The first slot that does not explore
-        and whose greedy choice has changed ends the window; the words the
-        held slots drew are then taken off the buffer."""
+        a slot explores, and its coin, come from generator words alone, so
+        the window's schedule is known before it is folded: the greedy
+        action, a coin on each exploring slot.  The words are the buffered
+        ones, then chunks fetched where they run out, as ``decide`` would
+        fetch them.  The fold is then replayed slot by slot with
+        ``observe``'s arithmetic: each slot's reward is its delivered total
+        and its next state the bucket of its end-of-slot RLC counts.  The
+        first slot that does not explore and whose greedy choice has changed
+        ends the window; the words the held slots drew are then taken off
+        the buffer (``_take``)."""
         q = self._q
         row = 2 * self._state  # set by the ``observe`` of the slot before
         g = 1 if q[row + 1] > q[row] else 0
@@ -306,27 +308,22 @@ class QLearningController(Controller):
         plan = [None] * n  # each slot's coin, None where it plays the greedy action
         if below:
             words = self._words or self._fetch()
+            fetched: list[tuple[dict, list[int]]] = []
+            draws = chain.from_iterable(self._chunks(fetched))
             # For each exploring slot: the slot, the words drawn up to it
             # and the half left after it, as ``decide`` and ``_coin`` draw.
             marks = []
             half, coins = self._half, 0
-            draws = reversed(words)
-            m = 0
-            for m, w in enumerate(draws, 1):
+            for j, w in zip(range(n), draws):
                 if w < below:
                     if half is None:
-                        w = next(draws, None)
-                        if w is None:  # the coin's word is not fetched yet
-                            m -= 1
-                            break
-                        plan[m - 1], half = (w >> 31) & 1, w >> 63
+                        w = next(draws)
+                        plan[j], half = (w >> 31) & 1, w >> 63
                         coins += 1
                     else:
-                        plan[m - 1], half = half, None
-                    marks.append((m - 1, m + coins, half))
-                if m == n:
-                    break
-            a_s = np.full(m, g, np.int8)
+                        plan[j], half = half, None
+                    marks.append((j, j + 1 + coins, half))
+            a_s = np.full(n, g, np.int8)
             for j, _, _ in marks:
                 a_s[j] = plan[j]
             held = window(1 - a_s, a_s)
@@ -353,18 +350,42 @@ class QLearningController(Controller):
             old = q[i]
             q[i] = old + learn_rate * (reward + discount * best - old)
             row = row_next
-        if not k:
-            return 0
         self._state = row // 2
-        if below:  # take the held slots' words off the buffer
+        if below:
             last = bisect_left(marks, (k,))
             if last:
                 j, drawn, self._half = marks[last - 1]
                 drawn += k - 1 - j
             else:
                 drawn = k
-            del words[len(words) - drawn:]
+            self._take(words, fetched, drawn)
         return k
+
+    def _chunks(self, fetched: list):
+        """The words ``decide`` would draw from here on, chunk by chunk: the
+        buffered ones, then each chunk the generator gives when they run
+        out, recorded in ``fetched`` with the generator state before it."""
+        yield reversed(self._words)
+        bg = self.rng.bit_generator
+        while True:
+            state = bg.state
+            fetched.append((state, bg.random_raw(DRAW_CHUNK)[::-1].tolist()))
+            yield reversed(fetched[-1][1])
+
+    def _take(self, words: list[int], fetched: list, drawn: int) -> None:
+        """Take ``drawn`` words off the buffer ``words`` and then off the
+        chunks ``fetched`` after it, and buffer the rest of the chunk the
+        last of them came from.  The first chunk none was drawn from, and any
+        after it, goes back: the generator returns to its state before it,
+        so it stands where ``decide``'s fetches would have left it."""
+        for state, chunk in fetched:
+            if drawn <= len(words):
+                self.rng.bit_generator.state = state
+                break
+            drawn -= len(words)
+            words = chunk
+        del words[len(words) - drawn:]
+        self._words = words
 
     def _coin(self) -> int:
         """``integers(2)``: bit 31 of a 32-bit half.  A fresh word gives its

@@ -72,7 +72,7 @@ PER_SLOT = "per_slot"
 CAPS_FIRST_CHUNK = 16  # capacity columns a run converts to Python rows first
 CAPS_CHUNK = 1024  # the most capacity columns converted at a time
 HOLD_MIN = 16  # slots one action is played in a row before a hold is tried
-HOLD_WINDOW = 64  # the first window a hold is offered; it doubles while held whole
+HOLD_WINDOW = 256  # the first window a hold is offered; it doubles while held whole
 HOLD_MAX_WINDOW = 1024  # and stops doubling here
 STATE_DTYPES = (np.float64,) * 4 + (np.int64, object)  # of the trace_state columns
 
