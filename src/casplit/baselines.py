@@ -12,9 +12,10 @@ exploration draws from raw generator words fetched ``DRAW_CHUNK`` at a
 time, the same stream per-slot ``random()`` and ``integers(2)`` calls would
 draw, so the slots a window explores on, and their coins, are known before
 the window is folded; between them it plays its greedy action, which
-rarely changes.  It reads and writes its Q table in place through a flat
-float view.  It owns its generator, which a run leaves up to one chunk
-ahead of those draws."""
+rarely changes.  A window runs on where the buffered words end, fetching
+the next chunk as ``decide`` would.  It reads and writes its Q table in
+place through a flat float view.  It owns its generator, which a run
+leaves less than one chunk ahead of those draws."""
 
 from __future__ import annotations
 
@@ -224,14 +225,15 @@ class QLearningController(Controller):
     bucketing the same ``b``.  The Q table is read and written in place
     through a flat view of ``table.values`` (state s, action a at
     ``2 s + a``), as Python floats.  ``hold`` makes the same updates over a
-    held window, whose schedule it builds from its buffered draws.
+    held window, whose schedule it builds from its draws, buffered or
+    fetched for the window.
 
     Exploration draws come from the controller's own generator, so channel
     noise is untouched.  The controller owns that generator: from its first
     exploring ``decide`` it takes raw PCG64 words ``DRAW_CHUNK`` at a time
     and turns them into the draws per-slot ``rng.random()`` and
     ``rng.integers(2)`` calls would return, so after a run the generator
-    stands up to one chunk ahead of them.  With ``epsilon`` 0 it draws
+    stands less than one chunk ahead of them.  With ``epsilon`` 0 it draws
     nothing.  It reads the table's ``epsilon``, ``learn_rate`` and
     ``discount`` once, when it is built.
     """
@@ -307,7 +309,8 @@ class QLearningController(Controller):
         below = self._explore_below
         plan = [None] * n  # each slot's coin, None where it plays the greedy action
         if below:
-            words = self._words or self._fetch()
+            if not self._words:
+                self._fetch()
             fetched: list[tuple[dict, list[int]]] = []
             draws = chain.from_iterable(self._chunks(fetched))
             # For each exploring slot: the slot, the words drawn up to it
@@ -358,7 +361,7 @@ class QLearningController(Controller):
                 drawn += k - 1 - j
             else:
                 drawn = k
-            self._take(words, fetched, drawn)
+            self._take(fetched, drawn)
         return k
 
     def _chunks(self, fetched: list):
@@ -372,12 +375,13 @@ class QLearningController(Controller):
             fetched.append((state, bg.random_raw(DRAW_CHUNK)[::-1].tolist()))
             yield reversed(fetched[-1][1])
 
-    def _take(self, words: list[int], fetched: list, drawn: int) -> None:
-        """Take ``drawn`` words off the buffer ``words`` and then off the
-        chunks ``fetched`` after it, and buffer the rest of the chunk the
-        last of them came from.  The first chunk none was drawn from, and any
-        after it, goes back: the generator returns to its state before it,
-        so it stands where ``decide``'s fetches would have left it."""
+    def _take(self, fetched: list, drawn: int) -> None:
+        """Take ``drawn`` words off the buffer and then off the chunks
+        ``fetched`` after it, and buffer the rest of the chunk the last of
+        them came from.  The first chunk none was drawn from, and any after
+        it, goes back: the generator returns to its state before it, so it
+        stands where ``decide``'s fetches would have left it."""
+        words = self._words
         for state, chunk in fetched:
             if drawn <= len(words):
                 self.rng.bit_generator.state = state

@@ -30,13 +30,16 @@ controller holds them whole, up to ``HOLD_MAX_WINDOW``, and never past the
 horizon or the slot that completes a burst.  A controller that knows its
 own schedule hands the fold its per-slot actions instead
 (``CountStack.fold``): qlearning, whose exploring slots and coins come
-from generator words it has already buffered.  The controller's ``hold``
-says how many leading slots it would itself have played, and the stack
-commits just those (``CountStack.commit``); the loop then
+from generator words it buffers a chunk at a time.  The controller's
+``hold`` says how many leading slots it would itself have played, and the
+stack commits just those (``CountStack.commit``); the loop then
 reads the buffer difference once and steps on, converting capacity rows
-afresh from ``CAPS_FIRST_CHUNK`` slots.  An offer that is folded costs
-about as much as 20 stepped slots, whatever the window's length, so the
-loop offers only after ``HOLD_MIN`` repeats: offering after 8 or 4 made
+afresh from ``CAPS_FIRST_CHUNK`` slots.  A fold costs almost the same
+whatever the window's length (FOLD_COSTS), so an offer that is folded
+costs about as much as OFFER_SLOTS stepped slots.  Hence the first window
+of 256 slots: a static stretch of 100 to 400 slots, the common kind on the
+static preset, takes one or two offers instead of three.  And the loop
+offers only after ``HOLD_MIN`` repeats: offering after 8 or 4 made
 fuzzy_pid's runs slower, because more windows were cut short.  A
 held window adds its trace as columns, not per-slot rows.  A controller
 that does not hold never counts its repeated actions.
@@ -72,7 +75,9 @@ PER_SLOT = "per_slot"
 CAPS_FIRST_CHUNK = 16  # capacity columns a run converts to Python rows first
 CAPS_CHUNK = 1024  # the most capacity columns converted at a time
 HOLD_MIN = 16  # slots one action is played in a row before a hold is tried
-HOLD_WINDOW = 256  # the first window a hold is offered; it doubles while held whole
+# The first window offered, doubling while held whole: a fold of 256 slots
+# costs little more than one of 64 (module docstring).
+HOLD_WINDOW = 256
 HOLD_MAX_WINDOW = 1024  # and stops doubling here
 STATE_DTYPES = (np.float64,) * 4 + (np.int64, object)  # of the trace_state columns
 
