@@ -401,11 +401,13 @@ class Simulation:
         stack.commit(fold, k)
         if a_p is None:  # the repeated action
             a_p, a_s = np.full(k, action.a_p, np.int8), np.full(k, action.a_s, np.int8)
-        part = (fold.delivered[:k], a_p[:k], a_s[:k], fold.b[:k])
+        # Copies, so that a window cut short does not keep the whole fold's
+        # columns alive until the run's columns are joined.
+        part = (fold.delivered[:k].copy(), a_p[:k], a_s[:k], fold.b[:k].copy())
         states = held.states
         if states is not None:  # the held slots after the last change of state
             states.append((k - sum(c for c, _ in states), self.plan.trace_state()))
-            part += (fold.occupancy[:, :k], *_state_columns(states))
+            part += (fold.occupancy[:, :k].copy(), *_state_columns(states))
         return k, part
 
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,
