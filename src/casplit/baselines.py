@@ -103,7 +103,6 @@ class LtrController(Controller):
 
     name = "ltr"
     observes = True
-    holds = True
 
     def __init__(self, n_scc: int, d_xn: int, eps_rate: float = 0.05,
                  smoothing: float = 0.05):
@@ -240,7 +239,6 @@ class QLearningController(Controller):
 
     name = "qlearning"
     observes = True
-    holds = True
 
     def __init__(self, table: QTable, rng: np.random.Generator):
         if type(rng.bit_generator) is not np.random.PCG64:

@@ -20,14 +20,14 @@ witness replay and the window-identity check.
 
 Most slots of a closed-loop run only repeat the last action: fuzzy_pid in
 its ``static`` mode, ltr on the PCC while the PCC's queue drains,
-qlearning on its greedy action between exploring slots.  A controller
-whose ``holds`` is true skips them.  Once it has played one action object
-``HOLD_MIN`` slots in a row, the loop folds a window of that action from
-the current state in closed form (``CountStack.fold_repeat``; packets
-still on the Xn link surface in its first ``d_xn`` slots), when the
-controller asks for it: ``HOLD_WINDOW`` slots, doubling while the
-controller holds them whole, up to ``HOLD_MAX_WINDOW``, and never past the
-horizon or the slot that completes a burst.  A controller that knows its
+qlearning on its greedy action between exploring slots.  The loop skips
+them: once any controller has played one action object ``HOLD_MIN`` slots
+in a row, the loop folds a window of that action from the current state
+in closed form (``CountStack.fold_repeat``; packets still on the Xn link
+surface in its first ``d_xn`` slots), when the controller asks for it:
+``HOLD_WINDOW`` slots, doubling while the controller holds them whole, up
+to ``HOLD_MAX_WINDOW``, and never past the horizon or the slot that
+completes a burst.  A controller that knows its
 own schedule hands the fold its per-slot actions instead
 (``CountStack.fold``): qlearning, whose exploring slots and coins come
 from generator words it buffers a chunk at a time.  The controller's
@@ -41,9 +41,11 @@ about 4 to 6 µs (shared 2-core host).  Hence the first window of 256
 slots: a ``static`` stretch of 100 to 400 slots (38 of fuzzy_pid's 57 on
 static seed 1001) takes one or two offers instead of three.  And the loop
 offers only after ``HOLD_MIN`` repeats: offering after 8 or 4 made
-fuzzy_pid's runs slower, because more windows were cut short.  A
-held window adds its trace as columns, not per-slot rows.  A controller
-that does not hold never counts its repeated actions.
+fuzzy_pid's runs slower, because more windows were cut short.  Each
+stepped slot appends one flat row to one list, which becomes columns a
+stretch at a time, and a traced run's controller states are one
+run-length list for stepped slots, held windows and the closed form
+alike (``_add_state``), which ``_result`` turns into columns once.
 
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
@@ -63,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import sub
+from operator import is_, sub
 
 import numpy as np
 
@@ -130,28 +132,35 @@ class RunResult:
 
 
 def _state_columns(runs: list[tuple[int, tuple]]) -> list[np.ndarray]:
-    """The ``trace_state`` columns of ``(n_slots, state)`` runs."""
+    """The ``trace_state`` columns of a run's ``(n_slots, state)`` entries;
+    read-only views that take no storage when there is one entry."""
+    if len(runs) == 1:
+        (n, state), = runs
+        return [np.broadcast_to(np.array(v, dtype=d), n) for v, d in zip(state, STATE_DTYPES)]
     counts = [n for n, _ in runs]
-    return [np.repeat(np.array(col, dtype=d), counts)
-            for col, d in zip(zip(*(state for _, state in runs)), STATE_DTYPES)]
+    return [np.repeat(np.array([state[i] for _, state in runs], dtype=d), counts)
+            for i, d in enumerate(STATE_DTYPES)]
 
 
-def _stepped(hist: tuple[list, ...], n_carriers: int) -> tuple:
-    """The columns of the per-slot rows the loop appended for the slots it
-    stepped: delivered, ``a_p``, ``a_s``, ``b`` and, in a traced run, the
-    occupancy (carriers by slots) and the six state columns.  Empties the
-    row lists for the next stretch."""
-    n = len(hist[3])
-    part = (np.fromiter(hist[0], np.int64, n), np.fromiter(hist[1], np.int8, n),
-            np.fromiter(hist[2], np.int8, n), np.fromiter(hist[3], np.int64, n))
-    if len(hist) > 4:
-        occ_rows, states = hist[4:]
-        part += (np.array(occ_rows, dtype=np.int64).reshape(-1, n_carriers).T,
-                 *(np.array(col, dtype=d) for col, d in
-                   zip(zip(*states) if states else [()] * 6, STATE_DTYPES)))
-    for rows in hist:
-        rows.clear()
-    return part
+def _add_state(states: list[tuple[int, tuple]], n: int, state: tuple) -> None:
+    """Add ``n`` slots of ``state`` to a run-length list of trace states,
+    joined to the last entry if it is made of the same objects (so 0.0 and
+    -0.0 stay apart)."""
+    if states and all(map(is_, state, states[-1][1])):
+        n += states.pop()[0]
+    states.append((n, state))
+
+
+def _stepped(rows: list[int], width: int) -> tuple:
+    """The columns of the flat rows of ``width`` ints the loop appended for
+    the slots it stepped: delivered, ``a_p``, ``a_s``, ``b`` and, in a
+    traced run, the occupancy (carriers by slots).  Each is a copy, so no
+    column keeps the whole row array alive.  Empties the list for the next
+    stretch."""
+    cols = np.fromiter(rows, np.int64, len(rows)).reshape(-1, width).T
+    rows.clear()
+    part = (cols[0].copy(), cols[1].astype(np.int8), cols[2].astype(np.int8), cols[3].copy())
+    return part + (cols[4:].copy(),) if width > 4 else part
 
 
 def _cap_rows(caps: np.ndarray, n_slots: int, start: int = 0):
@@ -253,14 +262,11 @@ class Simulation:
             fold = self.stack.fold(caps[:, :n], a_p, a_s, arrivals[:n],
                                    keep_occupancy=self.collect_trace)
         self.stack.commit(fold, n)
-        state = None
-        if self.collect_trace:  # one state for every slot: read-only views, no storage
-            state = [np.broadcast_to(np.array(v, dtype=d), n)
-                     for v, d in zip(plan.trace_state(), STATE_DTYPES)]
         completed = completion < self.max_slots
         return self._result(
             delivered=fold.delivered, a_p=a_p, a_s=a_s, b=fold.b, occupancy=fold.occupancy,
-            state=state, completed=completed, completion_slot=completion if completed else None)
+            states=[(n, plan.trace_state())] if self.collect_trace else None,
+            completed=completed, completion_slot=completion if completed else None)
 
     def _run_loop(self) -> RunResult:
         n_slots = self.max_slots
@@ -271,7 +277,6 @@ class Simulation:
         plan = self.plan
         decide = plan.decide
         observe = plan.observe if plan.observes else None
-        holds = plan.holds
         trace_state = plan.trace_state
         collect_trace = self.collect_trace
         stop_on_complete = self.stop_on_complete
@@ -279,47 +284,40 @@ class Simulation:
         rate = self.arrival_rate
         target = self.l
 
-        delivered_hist: list[int] = []
-        ap_hist: list[int] = []
-        as_hist: list[int] = []
-        b_hist: list[int] = []
-        occ_rows: list[tuple] = []
-        states: list[tuple] = []
-        hist = (delivered_hist, ap_hist, as_hist, b_hist) + (
-            (occ_rows, states) if collect_trace else ())
+        # Each stepped slot's row, flat: delivered, a_p, a_s, b and, in a
+        # traced run, the RLC counts.
+        rows: list[int] = []
+        record = rows.extend
+        width = 4 + len(rlc) if collect_trace else 4
+        # The run's trace states, run-length: (n_slots, trace_state()).
+        states: list[tuple[int, tuple]] | None = [] if collect_trace else None
         # The run's columns as arrays: one part for each stretch of stepped
-        # slots, whose per-slot rows are above, and each held window.
+        # slots and each held window.
         parts: list[tuple] = []
 
         completed = False
         completion_slot: int | None = None
         held, repeats, size = None, 0, HOLD_WINDOW
-        rows = chain.from_iterable(_cap_rows(self.caps, n_slots))
+        caps_rows = chain.from_iterable(_cap_rows(self.caps, n_slots))
         t = 0
         b = buffer_difference()
         while True:
-            for t, caps_t in enumerate(rows, t):
+            for t, caps_t in enumerate(caps_rows, t):
                 action = decide(t, b)
                 arrivals = (target if t == 0 else 0) if burst else rate
                 served = step(t, arrivals, action.a_p, action.a_s, caps_t)
-                b_hist.append(b)
+                record((stack.received, action.a_p, action.a_s, b))
                 b = buffer_difference()
                 if observe is not None:
                     observe(t, served, b, stack)
-
-                delivered_hist.append(stack.received)
-                ap_hist.append(action.a_p)
-                as_hist.append(action.a_s)
                 if collect_trace:
-                    occ_rows.append(tuple(rlc))
-                    states.append(trace_state())
+                    record(rlc)
+                    _add_state(states, 1, trace_state())
                 if burst and not completed and stack.delivered >= target:
                     completed = True
                     completion_slot = t
                     if stop_on_complete:
                         break
-                if not holds:  # no repeats to count
-                    continue
                 if action is not held:
                     held, repeats = action, 1
                 else:
@@ -337,10 +335,10 @@ class Simulation:
             t0, repeats = t, 0
             while t < n_slots:
                 n = min(size, n_slots - t)
-                k, part = self._hold(t, held, n, burst and not completed)
+                k, part = self._hold(t, held, n, burst and not completed, states)
                 if k:
-                    if b_hist:
-                        parts.append(_stepped(hist, len(rlc)))
+                    if rows:
+                        parts.append(_stepped(rows, width))
                     parts.append(part)
                     t += k
                     b = buffer_difference()
@@ -353,19 +351,20 @@ class Simulation:
                 # slots first.  The next window comes after HOLD_MIN >=
                 # CAPS_FIRST_CHUNK stepped slots, so no stretch converts more
                 # than twice the slots it steps, and the bound above holds.
-                rows = chain.from_iterable(_cap_rows(self.caps, n_slots, t))
+                caps_rows = chain.from_iterable(_cap_rows(self.caps, n_slots, t))
 
-        del rows  # free the last capacity chunk before the columns are built
-        columns = _stepped(hist, len(rlc))
+        del caps_rows  # free the last capacity chunk before the columns are built
+        columns = _stepped(rows, width)
         if parts:  # the parts in slot order, then the last stepped stretch
             columns = [np.concatenate(col, axis=-1) for col in zip(*parts, columns)]
-        delivered, a_p, a_s, b, *trace = columns
+        delivered, a_p, a_s, b, *occupancy = columns
         return self._result(
             delivered=delivered, a_p=a_p, a_s=a_s, b=b,
-            occupancy=trace[0] if trace else None, state=trace[1:] if trace else None,
+            occupancy=occupancy[0] if occupancy else None, states=states,
             completed=completed, completion_slot=completion_slot)
 
-    def _hold(self, t: int, action: SplitAction, n: int, cut: bool):
+    def _hold(self, t: int, action: SplitAction, n: int, cut: bool,
+              states: list | None):
         """Offer the controller ``n`` slots of ``action`` from slot ``t`` and
         commit the slots it holds.  The window is folded in closed form when
         the controller first calls ``window()``, so one that refuses without
@@ -373,9 +372,11 @@ class Simulation:
         own per-slot actions, at most ``n`` slots of them, instead.  With
         ``cut`` (a burst not yet complete), the window stops before the slot
         that would complete it, so the loop steps that slot.  Returns the
-        slots held and their columns, as the loop keeps them."""
+        slots held and their columns, and adds the held slots to a traced
+        run's ``states``, which the window hands the controller."""
         stack = self.stack
         folded: list[tuple] = []
+        mark = len(states or ())
 
         def window(a_p: np.ndarray | None = None, a_s: np.ndarray | None = None) -> HoldWindow:
             if not folded:
@@ -390,29 +391,27 @@ class Simulation:
                                       keep_served=True)
                 m = self._completion(fold) if cut else len(fold.b)
                 folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
-                                                fold.occupancy[:, :m], fold.delivered[:m],
-                                                [] if self.collect_trace else None),
+                                                fold.occupancy[:, :m], fold.delivered[:m], states),
                                a_p, a_s))
             return folded[0][1]
 
         k = self.plan.hold(t, action, n, window)
         if not k:
             return 0, ()
-        fold, held, a_p, a_s = folded[0]
+        fold, _, a_p, a_s = folded[0]
         stack.commit(fold, k)
         if a_p is None:  # the repeated action
             a_p, a_s = np.full(k, action.a_p, np.int8), np.full(k, action.a_s, np.int8)
         # Copies, so that a window cut short does not keep the whole fold's
         # columns alive until the run's columns are joined.
         part = (fold.delivered[:k].copy(), a_p[:k], a_s[:k], fold.b[:k].copy())
-        states = held.states
         if states is not None:  # the held slots after the last change of state
-            states.append((k - sum(c for c, _ in states), self.plan.trace_state()))
-            part += (fold.occupancy[:, :k].copy(), *_state_columns(states))
+            _add_state(states, k - sum(c for c, _ in states[mark:]), self.plan.trace_state())
+            part += (fold.occupancy[:, :k].copy(),)
         return k, part
 
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,
-                b: np.ndarray, occupancy: np.ndarray | None, state: list | None,
+                b: np.ndarray, occupancy: np.ndarray | None, states: list | None,
                 completed: bool, completion_slot: int | None) -> RunResult:
         stack = self.stack
         final_rlc = stack.rlc_occupancy()
@@ -437,8 +436,8 @@ class Simulation:
             a_s=a_s,
             b=b,
             occupancy=occupancy,
-            capacity=None if state is None else self.caps[:, :len(delivered)],
-            state=state,
+            capacity=None if states is None else self.caps[:, :len(delivered)],
+            state=None if states is None else _state_columns(states),
             final_rlc=final_rlc,
             final_inflight=final_inflight,
             served=served,

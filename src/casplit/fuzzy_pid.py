@@ -28,7 +28,7 @@ enters negated: a negative B means the SCC side is overloaded, which must
 *increase* the number of PCC impulses.  Gains are adapted by the fuzzy
 rule tables only at window boundaries.
 
-A static stretch only repeats an action, so the controller ``holds``: given
+A static stretch only repeats an action, so the controller holds it: given
 a window of the repeated action computed in closed form, ``hold`` finds
 the leading slots that stay static from their buffer differences alone and
 makes the gain updates due on them, and the engine skips those slots.  A
@@ -71,9 +71,9 @@ class Controller:
     the slot's served total); ``trace_state``, the
     trace's controller columns (PID gains, PID value, spacing k, mode).
 
-    A controller whose ``holds`` is true may skip slots it would only repeat
-    its action on: after it has played one action object for a while, the
-    engine calls ``hold(t, action, n, window)``, where ``window()`` computes
+    A controller may skip slots it would only repeat its action on: after
+    it has played one action object for a while, the engine calls
+    ``hold(t, action, n, window)``, where ``window()`` computes
     a ``HoldWindow`` of ``n`` slots of that action from slot ``t`` on, and
     ``window(a_p, a_s)`` one of the per-slot actions of two int8 vectors of
     at most ``n`` slots instead, for a controller that knows its schedule
@@ -81,11 +81,11 @@ class Controller:
     the window it would itself have played, and leaves its state exactly as
     ``decide`` and ``observe`` would have left it after those slots; a
     controller that can tell it holds none returns 0 without calling
-    ``window``, which costs a closed-form fold."""
+    ``window``, which costs a closed-form fold; the base ``hold`` holds
+    none."""
 
     name: str
     observes = False
-    holds = False
 
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError
@@ -107,10 +107,12 @@ class HoldWindow:
     is offered them: the buffer difference each slot's ``decide`` would get,
     the packets served per carrier and the end-of-slot RLC counts, carriers
     by slots, and each slot's delivered total.  In a traced run ``states``
-    is a list: where the controller's ``trace_state`` changes inside the
-    slots it holds, ``hold`` appends ``(n_slots, trace_state())`` for each
-    stretch before a change, in slot order, and the engine adds the rest of
-    the held slots with the state ``hold`` leaves.  Otherwise it is None."""
+    is the run's run-length list of trace states: where the controller's
+    ``trace_state`` changes inside the slots it holds, ``hold`` appends
+    ``(n_slots, trace_state())`` for each stretch before a change, in slot
+    order, and leaves the entries already there alone; the engine adds the
+    rest of the held slots with the state ``hold`` leaves.  Otherwise it is
+    None."""
 
     b: np.ndarray
     served: np.ndarray
@@ -266,7 +268,6 @@ class FuzzyPidController(Controller):
 
     name = "fuzzy_pid"
     adapt_gains = True
-    holds = True
 
     def __init__(self, n: int, n_scc: int, cfg: FuzzyConfig | None = None,
                  gains: PidGains = DEFAULT_GAINS):

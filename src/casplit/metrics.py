@@ -34,20 +34,19 @@ def utilization_window(ca: RunResult) -> int:
     return ca.t_slots
 
 
-def utilization_ratio(ca: RunResult, pcc_only: RunResult, scc_only: RunResult,
-                      window: int | None = None) -> EtaReport:
+def utilization_ratio(ca: RunResult, pcc_only: RunResult, scc_only: RunResult) -> EtaReport:
     """CA deliveries over the summed single-carrier deliveries.
 
     All three runs must come from the same scenario and seed (common random
     numbers); the single-carrier runs must be saturated so their sums track
     link capacity.  A zero denominator (total outage) is reported as
-    undefined rather than raised.
+    undefined rather than raised.  The sums run over
+    ``utilization_window(ca)``.
     """
     for ref in (pcc_only, scc_only):
         if (ref.scenario, ref.seed) != (ca.scenario, ca.seed):
             raise ValueError("utilization compares runs of one scenario and seed")
-    if window is None:
-        window = utilization_window(ca)
+    window = utilization_window(ca)
     if pcc_only.t_slots < window or scc_only.t_slots < window:
         raise ValueError("single-carrier runs shorter than the comparison window")
     num = int(ca.delivered[:window].sum())

@@ -439,8 +439,10 @@ def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
     fields = {}
     for section in ("workload", "channel", "run"):
         fields.update(_read(parser[section], _SECTIONS[section]))
-    params = _read(parser["controller"], _SECTIONS["controller"],
-                   _policy_keys(parser["controller"].get("policy")))
+    controller = parser["controller"]
+    if "policy" not in controller:  # named before the keys it decides are checked
+        raise ConfigError("controller.policy: missing key")
+    params = _read(controller, _SECTIONS["controller"], _policy_keys(controller["policy"]))
     fields.update((k, params.pop(k)) for k in _SECTIONS["controller"])
     return ScenarioConfig(**fields, policy_params=params, carriers=carriers,
                           trajectory=trajectory)

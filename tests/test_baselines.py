@@ -185,10 +185,12 @@ class _NumpyScalarQLearning(QLearningController):
     """The controller's arithmetic before it read the Q row as Python floats:
     per-slot ``rng.random()`` and ``rng.integers(2)`` draws, ``np.argmax``
     and ``np.max`` on the row, and an in-place element update that
-    ``observe`` calls.  It steps every slot: the inherited ``hold`` reads
-    buffered words, which this ``decide`` never fills."""
+    ``observe`` calls.  It steps every slot: its ``hold`` refuses every
+    window, since the inherited one reads buffered words, which this
+    ``decide`` never fills."""
 
-    holds = False
+    def hold(self, t, action, n, window):
+        return 0
 
     def decide(self, t, b):
         s = self.table.bucket(b)

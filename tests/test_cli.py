@@ -276,6 +276,7 @@ def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
     ("carriers.pcc", "sigma_2", "0.0004"),
     ("carriers.scc1", "sigma_2", "0.27"),
     ("workload", "l", None),
+    ("controller", "policy", None),
 ])
 def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, section, key, value):
     """A malformed, non-finite or out-of-range value, an unknown key or a

@@ -153,6 +153,7 @@ def test_forced_scc_closed_form_by_hand():
     assert [occ for occ, *_ in rows] == [(1, 1), (0, 1), (0, 2), (0, 2), (0, 1)]
     assert rows[0][1:] == ((1, 0), (0.0, 0.0, 0.0), 0.0, 0, "forced")
     assert result.capacity.base is caps  # a slice, not a copy
+    assert [col.strides for col in result.state] == [(0,)] * 6  # one state, no storage
     assert (result.final_rlc, result.final_inflight, result.served) == ([0, 1], [2], [2, 3])
     assert result.total_delivered == 5 and not result.completed
     # Xn ring rows: slot 3 lands in row (3 + 2) % 3, slot 4 in row (4 + 2) % 3.
@@ -374,7 +375,7 @@ class _PhaseLoop(Simulation):
         return self._result(
             delivered=np.array(delivered, dtype=np.int64), a_p=np.array(a_p, dtype=np.int8),
             a_s=np.array(a_s, dtype=np.int8), b=np.array(bs, dtype=np.int64),
-            occupancy=None, state=None, completed=completed, completion_slot=completion_slot)
+            occupancy=None, states=None, completed=completed, completion_slot=completion_slot)
 
 
 def _bucket_formula(table, b):
@@ -427,9 +428,11 @@ class _LegacyQLearning(QLearningController):
     from a copy of the RLC counts, per-slot ``rng.random()`` and
     ``rng.integers(2)`` draws, and Q read by ``ndarray.item`` in an
     ``update`` that ``observe`` calls.  It steps every slot, as the
-    controller did before it held windows."""
+    controller did before it held windows: its ``hold`` refuses every
+    window."""
 
-    holds = False
+    def hold(self, t, action, n, window):
+        return 0
 
     def decide(self, t, b):
         s = _bucket_formula(self.table, b)
@@ -1033,7 +1036,62 @@ def test_only_open_loop_runs_skip_the_slot_loop(policy, closed_form):
         assert result.t_slots > 0
         steps = 0 if closed_form else result.t_slots - sum(held)
         assert calls == {**dict.fromkeys(PHASES, 0), "step": steps}, (policy, mode)
-        assert bool(held) == sim.plan.holds, (policy, mode)
+        assert bool(held) == (not closed_form), (policy, mode)
+
+
+def test_scripted_replay_is_offered_a_window_and_folds_none():
+    """The loop counts repeated actions for every closed-loop controller.  A
+    scripted replay is offered a window after ``HOLD_MIN`` repeats, and the
+    base ``hold`` refuses it without calling ``window``: no fold, and every
+    slot is stepped."""
+    n = 2 * engine.HOLD_MIN
+    sim = Simulation(controller=ScriptedController([PCC_ONLY_ACTION] * n), l=0,
+                     arrival_mode="per_slot", arrival_rate=1, n_scc=1, d_xn=1,
+                     caps=np.ones((2, n), dtype=np.int64), max_slots=n)
+    offers, steps = [], []
+    hold, step = sim.plan.hold, sim.stack.step
+
+    def offered(t, action, size, window):
+        offers.append(t)
+        return hold(t, action, size, window)
+
+    def stepped(t, *args):
+        steps.append(t)
+        return step(t, *args)
+
+    def folded(*args, **kwargs):
+        raise AssertionError("a refused window was folded")
+    sim.plan.hold, sim.stack.step = offered, stepped
+    sim.stack.fold = sim.stack.fold_repeat = folded
+    result = sim.run()
+    assert offers == [engine.HOLD_MIN]
+    assert steps == list(range(n)) and result.t_slots == n
+    assert result.a_p.tolist() == [1] * n
+
+
+class _SignedZeroState(Controller):
+    """Plays the PCC and reports ``g`` as 0.0 for three slots, then -0.0
+    for three, and so on: states equal under ``==`` that print apart."""
+
+    name = "signed_zero"
+
+    def decide(self, t, b):
+        self.t = t
+        return PCC_ONLY_ACTION
+
+    def trace_state(self):
+        return (0.0, 0.0, 0.0, -0.0 if self.t // 3 % 2 else 0.0, 0, "fixed")
+
+
+def test_run_length_trace_states_keep_the_sign_of_zero():
+    """The loop joins a stepped slot's state to the entry before only when
+    it is made of the same objects, so a -0.0 is not folded into a 0.0."""
+    n = 40
+    sim = Simulation(controller=_SignedZeroState(), l=0, arrival_mode="per_slot",
+                     arrival_rate=1, n_scc=1, d_xn=1, caps=np.ones((2, n), dtype=np.int64),
+                     max_slots=n, collect_trace=True)
+    g = sim.run().state[3]
+    assert np.signbit(g).tolist() == [t // 3 % 2 == 1 for t in range(n)]
 
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])

@@ -28,7 +28,7 @@ def test_eta_direct_arithmetic():
     ca = stub_run("ca", [1350])
     p = stub_run("pcc", [500])
     s = stub_run("scc", [1000])
-    report = utilization_ratio(ca, p, s, window=1)
+    report = utilization_ratio(ca, p, s)
     assert report.eta == pytest.approx(0.90)
 
 
