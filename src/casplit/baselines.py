@@ -102,7 +102,6 @@ class LtrController(Controller):
     """
 
     name = "ltr"
-    observes = True
 
     def __init__(self, n_scc: int, d_xn: int, eps_rate: float = 0.05,
                  smoothing: float = 0.05):
@@ -167,7 +166,7 @@ class QTable:
     epsilon: float = 0.1
     learn_rate: float = 0.1
     discount: float = 0.9
-    values: np.ndarray = field(default=None)  # (n_bins, 2)
+    values: np.ndarray = field(init=False)  # (n_bins, 2), zeros when built
 
     def __post_init__(self) -> None:
         # Every message starts with the field name; the config layer
@@ -183,14 +182,7 @@ class QTable:
         # With rewards >= 0 and a discount of 1, Q grows without bound.
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
-        if self.values is None:
-            self.values = np.zeros((self.n_bins, 2))
-        v = self.values
-        # The controller reads and writes it as flat native doubles.
-        if not (isinstance(v, np.ndarray) and v.shape == (self.n_bins, 2)
-                and v.dtype == np.float64 and v.flags.c_contiguous and v.flags.writeable):
-            raise ValueError(f"values must be a writeable C-contiguous float64 array of "
-                             f"shape ({self.n_bins}, 2)")
+        self.values = np.zeros((self.n_bins, 2))
 
         # The bucket of every integer x in [-b_max, b_max]: n_bins equal
         # bins over the range, the top edge in the last.  The same IEEE
@@ -238,7 +230,6 @@ class QLearningController(Controller):
     """
 
     name = "qlearning"
-    observes = True
 
     def __init__(self, table: QTable, rng: np.random.Generator):
         if type(rng.bit_generator) is not np.random.PCG64:

@@ -49,9 +49,13 @@ class CarrierConfig:
     rx_calibration_db: float = 0.0
 
     def __post_init__(self) -> None:
-        # Every message names the key as a config file does
-        # (``carriers.<name>.<key>``), and every field's kind is checked, as
-        # ``ScenarioConfig.validate`` checks it, before any value is compared.
+        self.validate()
+        if not self.name:
+            self.name = self.kind
+
+    def validate(self) -> None:
+        """Every message names the key as a config file does (``carriers.<name>.<key>``),
+        and every field's kind is checked before any value is compared."""
         where = f"carriers.{self.name or self.kind}"
         for key, kind in _CARRIER_KINDS.items():
             check_kind(f"{where}.{key}", getattr(self, key), kind)
@@ -75,8 +79,6 @@ class CarrierConfig:
         if self.pl_model not in PATH_LOSS_MODELS:
             raise ConfigError(f"{where}.pl_model: unknown model {self.pl_model!r}, "
                               f"use one of {PATH_LOSS_MODELS}")
-        if not self.name:
-            self.name = self.kind
 
 
 _CARRIER_KINDS = field_kinds(CarrierConfig)

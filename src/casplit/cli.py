@@ -70,6 +70,16 @@ def _check_list(option: str, values: list, text: str) -> None:
         raise sc.ConfigError(f"{option}: each value may appear once, got {text!r}")
 
 
+def _out_dir(text: str) -> Path:
+    """``--out``, made before any run: a path that cannot be a directory is refused first."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise sc.ConfigError(f"--out: cannot make directory {text!r}: {exc.strerror}") from None
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = sc.from_file(args.config)
     text = str(cfg.seed) if args.seeds is None else args.seeds
@@ -95,7 +105,7 @@ def _cmd_run(args) -> int:
     if policies and policies[0] not in sc.POLICIES:
         raise sc.ConfigError(f"--policy: unknown policy {policies[0]!r}")
     spec = ExperimentSpec(config=cfg, seeds=seeds, modes=modes,
-                          out_dir=Path(args.out), policies=policies)
+                          out_dir=_out_dir(args.out), policies=policies)
     outcome = run_experiment(spec)
     log.info("wrote %d files to %s", len(outcome.files), args.out)
     return EXIT_OK
@@ -105,9 +115,7 @@ def _cmd_suite(args) -> int:
     if args.name not in FIGURE_SUITES:
         raise sc.ConfigError(
             f"--name: unknown suite {args.name!r} (known: {sorted(FIGURE_SUITES)})")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    FIGURE_SUITES[args.name](out)
+    FIGURE_SUITES[args.name](_out_dir(args.out))
     return EXIT_OK
 
 

@@ -8,9 +8,9 @@ Channel sampling is precomputed outside the loop (phase 1 logically,
 vectorized physically) so each slot the loop steps is one ``decide``, one
 ``CountStack.step`` (the whole queue transition), one read of the
 buffer difference, which the next ``decide`` takes, and, for a controller
-whose ``observes`` is true, one ``observe`` given the slot's served counts,
-that buffer difference and the stack itself, so a controller pays only for
-the state it reads.
+whose class overrides ``Controller.observe``, one ``observe`` given the
+slot's served counts, that buffer difference and the stack itself, so a
+controller pays only for the state it reads.
 Capacity rows become Python ints in chunks that start at
 ``CAPS_FIRST_CHUNK`` slots and double the slots converted so far, up to
 ``CAPS_CHUNK`` at a time, so a run that stops at slot s converts at most
@@ -276,7 +276,7 @@ class Simulation:
         rlc = stack.rlc  # ``step`` and ``commit`` update it in place
         plan = self.plan
         decide = plan.decide
-        observe = plan.observe if plan.observes else None
+        observe = plan.observe if type(plan).observe is not Controller.observe else None
         trace_state = plan.trace_state
         collect_trace = self.collect_trace
         stop_on_complete = self.stop_on_complete

@@ -100,7 +100,7 @@ def _emit(spec, cfg, runs, etas, results, timings) -> list[Path]:
     files = []
     for (seed, label), result in sorted(results.items(), key=lambda kv: (kv[0][0], kv[0][1])):
         path = out / f"trace_{cfg.name}_{label}_{seed}.csv"
-        tr.write_trace(path, result, cfg.n_scc)
+        tr.write_trace(path, result)
         files.append(path)
     summary_path = out / "summary.csv"
     tr.write_summary(summary_path, runs, etas)

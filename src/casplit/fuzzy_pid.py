@@ -65,8 +65,8 @@ class SplitAction:
 class Controller:
     """A splitting policy as the engine drives it: ``decide`` each slot from
     the buffer difference; ``observe(t, served, b, stack)`` after the slot,
-    only if ``observes`` is true, with the packets served per carrier, the
-    buffer difference the next ``decide`` gets, and the run's
+    only if the class overrides it, with the packets served per carrier,
+    the buffer difference the next ``decide`` gets, and the run's
     ``CountStack``, which it reads and never writes (its ``received`` is
     the slot's served total); ``trace_state``, the
     trace's controller columns (PID gains, PID value, spacing k, mode).
@@ -85,7 +85,6 @@ class Controller:
     none."""
 
     name: str
-    observes = False
 
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError

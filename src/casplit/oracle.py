@@ -214,8 +214,6 @@ class IdentityReport:
     delta_h: int
     workload: int
     delivered: int
-    b0: int
-    dispatched: list[int]
     violations: list[str] = field(default_factory=list)
 
 
@@ -233,19 +231,15 @@ def verify_nstep_identity(inst: TinyInstance, pattern: list[SplitAction],
     """
     if n > inst.max_slots:
         raise ValueError("window exceeds instance horizon")
-    n_car = 1 + inst.n_scc
-    preseed = list(inst.preseed_rlc) if inst.preseed_rlc else [0] * n_car
     sim = Simulation(
         l=inst.l, arrival_mode="per_slot",
         arrival_rate=1 + inst.n_scc,  # covers the widest dispatch a pattern can ask for
         n_scc=inst.n_scc, d_xn=inst.d_xn, caps=inst.caps_array(n),
         controller=ScriptedController([pattern[t % len(pattern)] for t in range(n)]),
-        max_slots=n, preseed_rlc=preseed,
+        max_slots=n, preseed_rlc=inst.preseed_rlc,
     )
     result = sim.run()
-    b0 = preseed[0] - sum(preseed[1:])
     out = sim.stack.out_counts  # preseed plus dispatched, per carrier
-    dispatched = [o - p for o, p in zip(out, preseed)]
     delivered = result.total_delivered
     cap_sums = [sum(row[:n]) for row in inst.caps]
     pcc_at_cap = result.served[0] == cap_sums[0]
@@ -269,11 +263,11 @@ def verify_nstep_identity(inst: TinyInstance, pattern: list[SplitAction],
             violations.append("an scc served below capacity in the window")
         if not pcc_end_empty:
             violations.append("pcc backlog survives the window")
-        return IdentityReport(None, None, 0, 0, delivered, b0, dispatched, violations)
+        return IdentityReport(None, None, 0, 0, delivered, violations)
 
     workload = sum(out)
     holds = delivered == workload - abs(delta_h)
-    return IdentityReport(case, holds, delta_h, workload, delivered, b0, dispatched)
+    return IdentityReport(case, holds, delta_h, workload, delivered)
 
 
 def drift_objective(inst: TinyInstance, pattern: list[SplitAction], n: int) -> float:

@@ -147,9 +147,12 @@ class ScenarioConfig:
         for section, kinds in _SECTIONS.items():
             for key, kind in kinds.items():
                 check_kind(f"{section}.{key}", getattr(self, key), kind)
+        # The name is part of every trace file's name and a CSV field.
+        if not re.fullmatch(r"[A-Za-z0-9._-]*", self.name):
+            raise ConfigError(f"run.name must hold only letters, digits, '.', '_' and '-', "
+                              f"got {self.name!r}")
         for c in self.carriers:
-            for key, kind in _KINDS[CarrierConfig].items():
-                check_kind(f"carriers.{c.name}.{key}", getattr(c, key), kind)
+            c.validate()
         traj = self.trajectory
         if not isinstance(traj, Trajectory):
             raise ConfigError(f"trajectory: expected a Trajectory, got {traj!r}")

@@ -38,7 +38,7 @@ def _formatted(column: np.ndarray, fmt) -> list[str]:
     return np.array([fmt(x) for x in column[first].tolist()], dtype=object)[index].tolist()
 
 
-def write_trace(path, result: RunResult, n_scc: int) -> None:
+def write_trace(path, result: RunResult) -> None:
     """One CSV row per simulated slot; requires a trace-collecting run.
     Each column is formatted whole, then the columns are joined by row."""
     if result.state is None:
@@ -50,7 +50,7 @@ def write_trace(path, result: RunResult, n_scc: int) -> None:
                *(_formatted(c, str) for c in ints),
                *(_formatted(c, _f) for c in (kp, ki, kd, g)), _formatted(k, str),
                mode.tolist()]
-    lines = [",".join(trace_columns(n_scc)), *map(",".join, zip(*columns))]
+    lines = [",".join(trace_columns(len(result.occupancy) - 1)), *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -169,16 +169,29 @@ def test_qlearning_bucket_clamps():
 
 @pytest.mark.parametrize("field, value", [
     ("n_bins", 0), ("b_max", 0), ("epsilon", -0.1), ("epsilon", 1.5),
-    ("values", np.zeros((16, 2), dtype=np.float32)),  # read as doubles: garbage
-    ("values", np.zeros((15, 2))),
-    ("values", np.zeros((2, 16)).T),  # the right shape, not C-contiguous
-    ("values", np.zeros((16, 2), dtype=np.dtype(np.float64).newbyteorder())),  # swapped bytes
-    ("values", np.frombuffer(bytes(256), dtype=np.float64).reshape(16, 2)),  # read-only
-    ("values", [[0.0, 0.0]] * 16),
 ])
 def test_qtable_rejects_out_of_range_fields(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         QTable(**{field: value})
+
+
+def test_qtable_owns_zero_values_the_controller_updates():
+    """A new table holds the values as writeable C-contiguous float64 zeros
+    of shape ``(n_bins, 2)``, the flat native doubles the controller reads
+    and writes, and an update by ``observe`` lands in them."""
+    table = QTable(n_bins=5, epsilon=0.0, learn_rate=1.0, discount=0.0)
+    v = table.values
+    assert v.shape == (5, 2) and v.dtype == np.float64 and not v.any()
+    assert v.flags.c_contiguous and v.flags.writeable
+    with pytest.raises(TypeError):
+        QTable(values=np.ones((16, 2)))
+    c = QLearningController(table, make_rng(0, "q"))
+    s = table.bucket(0)
+    assert c.decide(0, 0) == P
+    stack = CountStack(1, 0)
+    stack.received = 2
+    c.observe(0, [2, 0], 0, stack)
+    assert table.values is v and v[s, 0] == 2.0 and np.count_nonzero(v) == 1
 
 
 class _NumpyScalarQLearning(QLearningController):
@@ -328,7 +341,8 @@ def test_qlearning_greedy_approaches_best_stationary():
     table = QTable(epsilon=0.1, learn_rate=0.1, discount=0.9, b_max=32)
     trainer = QLearningController(table, make_rng(11, "q-train"))
     _window_throughput(trainer, caps, 1, slots)
-    frozen = QTable(epsilon=0.0, values=table.values.copy(), b_max=32)
+    frozen = QTable(epsilon=0.0, b_max=32)
+    frozen.values[:] = table.values
     greedy = QLearningController(frozen, make_rng(12, "q-eval"))
     achieved = _window_throughput(greedy, caps, 1, slots)
     assert achieved >= 0.85 * best

@@ -5,6 +5,7 @@ import pytest
 
 from casplit import scenario as sc
 from casplit.cli import main
+from casplit.engine import Simulation
 from casplit.oracle import MAX_SLOTS
 from casplit.scenario import default_static_scenario
 from casplit.trace import trace_columns
@@ -71,6 +72,23 @@ def test_unknown_mode_exit_code_1(tiny_config, tmp_path, capsys):
                    "--mode", "bogus", "--out", str(tmp_path / "o"))
     assert code == 1
     assert "mode" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_a_directory_exits_1_before_any_run(tiny_config, tmp_path,
+                                                                capsys, monkeypatch):
+    """An ``--out`` naming an existing file is refused naming ``--out``, by
+    ``run`` before it computes any run and by ``suite`` alike."""
+    path, _ = tiny_config
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+
+    def refused(sim):
+        raise AssertionError("a run was computed")
+    monkeypatch.setattr(Simulation, "run", refused)
+    for argv in (("run", "--config", str(path), "--seeds", "1,2", "--mode", "ca,pcc,scc"),
+                 ("suite", "--name", "fig6")):
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("config error: --out: ")
 
 
 def test_unknown_suite_rejected(tmp_path, capsys):
@@ -277,6 +295,8 @@ def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
     ("carriers.scc1", "sigma_2", "0.27"),
     ("workload", "l", None),
     ("controller", "policy", None),
+    ("run", "name", "a,b"),
+    ("run", "name", "a/b"),
 ])
 def test_run_rejects_malformed_typed_field(tiny_config, tmp_path, capsys, section, key, value):
     """A malformed, non-finite or out-of-range value, an unknown key or a

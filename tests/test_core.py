@@ -122,7 +122,6 @@ class _SlotLoopOnly(Controller):
     def __init__(self, policy):
         self.policy = policy
         self.name = policy.name
-        self.observes = policy.observes
 
     def decide(self, t, b):
         return self.policy.decide(t, b)
@@ -318,8 +317,8 @@ class _PhaseLoop(Simulation):
     ``Controller`` interface: eight stack calls per slot (the buffer
     difference, the five phases, occupancy and in-flight counts), one
     whole-matrix capacity conversion, ``observe`` called for every
-    controller (so a controller whose ``observes`` is false yet reads
-    feedback makes the two loops differ), a branch for a forced action, and
+    controller (the engine calls it only where the class overrides
+    ``Controller.observe``), a branch for a forced action, and
     the trace kept in ``rows`` as one tuple per slot, read off the
     controller by ``getattr``.  ``run`` always steps this loop, open-loop
     policies included.  The test-side ltr and qlearning references
@@ -391,7 +390,6 @@ class _LegacyLtr(Controller):
     ``decide`` built the delay estimates and a new action every slot."""
 
     name = "ltr"
-    observes = True
 
     def __init__(self, n_scc, d_xn, eps_rate=0.05, smoothing=0.05):
         self.n_scc = n_scc
@@ -653,7 +651,7 @@ def test_column_writer_matches_row_writer(data, policy, n_scc):
     want = ref.run()
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
-        trace.write_trace(new, got, n_scc)
+        trace.write_trace(new, got)
         _write_trace_rows(old, want, ref.rows, n_scc)
         assert new.read_bytes() == old.read_bytes()
 
@@ -668,7 +666,7 @@ def test_a_traced_run_writes_capacities_as_given():
                             caps=caps, max_slots=3, collect_trace=True, **policy).run()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "trace.csv")
-            trace.write_trace(path, result, 1)
+            trace.write_trace(path, result)
             lines = path.read_text().splitlines()
         at = [trace.trace_columns(1).index(c) for c in ("cap_pcc", "cap_scc1")]
         assert [[row.split(",")[i] for i in at] for row in lines[1:]] == \
@@ -1092,6 +1090,48 @@ def test_run_length_trace_states_keep_the_sign_of_zero():
                      max_slots=n, collect_trace=True)
     g = sim.run().state[3]
     assert np.signbit(g).tolist() == [t // 3 % 2 == 1 for t in range(n)]
+
+
+class _Observer(Controller):
+    """Plays the PCC and records each slot it is observed on; it overrides
+    ``observe`` and declares nothing else."""
+
+    name = "observer"
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, t, b):
+        return PCC_ONLY_ACTION
+
+    def observe(self, t, served, b, stack):
+        self.seen.append(t)
+
+
+class _PccOnly(Controller):
+    name = "pcc_only"
+
+    def decide(self, t, b):
+        return PCC_ONLY_ACTION
+
+
+def test_observe_is_called_only_where_the_class_overrides_it():
+    """A controller whose class overrides ``observe`` gets one call per
+    stepped slot (the base ``hold`` refuses every window, so all are
+    stepped); one whose class does not gets none."""
+    n = 2 * engine.HOLD_MIN + 3
+
+    def run(controller):
+        return Simulation(controller=controller, l=0, arrival_mode="per_slot",
+                          arrival_rate=1, n_scc=1, d_xn=1,
+                          caps=np.ones((2, n), dtype=np.int64), max_slots=n).run()
+    observer = _Observer()
+    assert run(observer).t_slots == n
+    assert observer.seen == list(range(n))
+    calls = []
+    with mock.patch.object(Controller, "observe", lambda self, *feedback: calls.append(1)):
+        assert run(_PccOnly()).t_slots == n
+    assert calls == []
 
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])

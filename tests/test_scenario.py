@@ -103,6 +103,18 @@ def test_validation_messages_name_fields():
         bad.validate()
 
 
+def test_validate_runs_each_carriers_own_check():
+    """``ScenarioConfig.validate`` checks the ranges of a carrier changed in
+    place, with the message the carrier gives when it is built."""
+    cfg = default_static_scenario(1)
+    with pytest.raises(ConfigError) as direct:
+        dataclasses.replace(cfg.carriers[1], sigma2=-1.0)
+    cfg.carriers[1].sigma2 = -1.0
+    with pytest.raises(ConfigError) as validated:
+        cfg.validate()
+    assert str(direct.value) == str(validated.value) == "carriers.scc1.sigma2 must be non-negative"
+
+
 @pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
 def test_copy_owns_its_mutable_parts(preset):
     """A copy gets its own trajectory, carriers and policy parameters:
