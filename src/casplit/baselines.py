@@ -120,7 +120,7 @@ class LtrController(Controller):
     def decide(self, t: int, b: int) -> SplitAction:
         return self._action
 
-    def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
+    def observe(self, served: list, b: int, stack: CountStack) -> None:
         a, keep, eps, d = self.smoothing, self._keep, self.eps_rate, self.d_xn
         rates = self.rates
         for c, n in enumerate(served):
@@ -147,7 +147,7 @@ class LtrController(Controller):
             return 0
         window = window()
         queued = np.flatnonzero(window.rlc[0])
-        k = int(queued[0]) if queued.size else len(window.b)
+        k = int(queued[0]) if queued.size else len(window.delivered)
         a, keep, rates = self.smoothing, self._keep, self.rates
         for c, counts in enumerate(window.served[:, :k].tolist()):
             r = rates[c]
@@ -262,7 +262,7 @@ class QLearningController(Controller):
         self._pending = i + a
         return PCC_ONLY_ACTION if a == 0 else SCC_ONLY_ACTION
 
-    def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
+    def observe(self, served: list, b: int, stack: CountStack) -> None:
         i = self._pending
         if i is None:
             return
@@ -286,10 +286,11 @@ class QLearningController(Controller):
         ones, then chunks fetched where they run out, as ``decide`` would
         fetch them.  The fold is then replayed slot by slot with
         ``observe``'s arithmetic: each slot's reward is its delivered total
-        and its next state the bucket of its end-of-slot RLC counts.  The
-        first slot that does not explore and whose greedy choice has changed
-        ends the window; the words the held slots drew are then taken off
-        the buffer (``_take``)."""
+        and its next state the bucket of the buffer difference after it
+        (the window's slot edges from 1 on).  The first slot that does not
+        explore and whose greedy choice has changed ends the window; the
+        words the held slots drew are then taken off the buffer
+        (``_take``)."""
         q = self._q
         row = 2 * self._state  # set by the ``observe`` of the slot before
         g = 1 if q[row + 1] > q[row] else 0
@@ -323,8 +324,7 @@ class QLearningController(Controller):
             held = window()
 
         # Each slot's next state, as the flat index 2 s of its row in Q.
-        rlc = held.rlc
-        rows = (2 * self.table.buckets(rlc[0] - rlc[1:].sum(axis=0))).tolist()
+        rows = (2 * self.table.buckets(held.b[1:])).tolist()
         learn_rate, discount = self._learn_rate, self._discount
         k = len(rows)
         for j, (coin, row_next, reward) in enumerate(zip(plan, rows, held.delivered.tolist())):

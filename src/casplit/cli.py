@@ -2,9 +2,9 @@
 
 Subcommands: ``run`` (batch of seeds x modes from a scenario config file),
 ``suite`` (named figure-style presets), ``oracle`` (brute-force solver and
-identity checks on a tiny instance file).  Exit codes: 0 success, 1
-configuration error, 2 runtime failure.  Set CASPLIT_LOG=debug|info|...
-for verbosity.
+identity checks on a tiny instance file).  Exit codes: 0 success (``--help``
+included), 1 configuration or usage error, 2 runtime failure.  Set
+CASPLIT_LOG=debug|info|... for verbosity.
 """
 
 from __future__ import annotations
@@ -183,7 +183,10 @@ def _cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # argparse's exit: 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "run":
             return _cmd_run(args)

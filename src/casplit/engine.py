@@ -10,7 +10,9 @@ vectorized physically) so each slot the loop steps is one ``decide``, one
 buffer difference, which the next ``decide`` takes, and, for a controller
 whose class overrides ``Controller.observe``, one ``observe`` given the
 slot's served counts, that buffer difference and the stack itself, so a
-controller pays only for the state it reads.
+controller pays only for the state it reads.  Only the stack computes the
+buffer difference: ``CountStack.buffer_difference`` after a stepped slot,
+and a fold at every slot edge of a closed-form run or held window.
 Capacity rows become Python ints in chunks that start at
 ``CAPS_FIRST_CHUNK`` slots and double the slots converted so far, up to
 ``CAPS_CHUNK`` at a time, so a run that stops at slot s converts at most
@@ -198,7 +200,6 @@ class Simulation:
         self.l = l
         self.arrival_mode = arrival_mode
         self.arrival_rate = arrival_rate
-        self.n_scc = n_scc
         self.stack = CountStack(n_scc, d_xn, preseed_rlc)
         self.caps = caps
         self.controller = controller
@@ -264,7 +265,7 @@ class Simulation:
         self.stack.commit(fold, n)
         completed = completion < self.max_slots
         return self._result(
-            delivered=fold.delivered, a_p=a_p, a_s=a_s, b=fold.b, occupancy=fold.occupancy,
+            delivered=fold.delivered, a_p=a_p, a_s=a_s, b=fold.b[:n], occupancy=fold.occupancy,
             states=[(n, plan.trace_state())] if self.collect_trace else None,
             completed=completed, completion_slot=completion if completed else None)
 
@@ -309,7 +310,7 @@ class Simulation:
                 record((stack.received, action.a_p, action.a_s, b))
                 b = buffer_difference()
                 if observe is not None:
-                    observe(t, served, b, stack)
+                    observe(served, b, stack)
                 if collect_trace:
                     record(rlc)
                     _add_state(states, 1, trace_state())
@@ -389,8 +390,8 @@ class Simulation:
                     fold = stack.fold(self._fold_caps[:, t:t + m], a_p, a_s,
                                       np.full(m, arrivals, np.int64), t, keep_occupancy=True,
                                       keep_served=True)
-                m = self._completion(fold) if cut else len(fold.b)
-                folded.append((fold, HoldWindow(fold.b[:m], fold.served[:, :m],
+                m = self._completion(fold) if cut else len(fold.delivered)
+                folded.append((fold, HoldWindow(fold.b[:m + 1], fold.served[:, :m],
                                                 fold.occupancy[:, :m], fold.delivered[:m], states),
                                a_p, a_s))
             return folded[0][1]

@@ -64,7 +64,7 @@ class SplitAction:
 
 class Controller:
     """A splitting policy as the engine drives it: ``decide`` each slot from
-    the buffer difference; ``observe(t, served, b, stack)`` after the slot,
+    the buffer difference; ``observe(served, b, stack)`` after the slot,
     only if the class overrides it, with the packets served per carrier,
     the buffer difference the next ``decide`` gets, and the run's
     ``CountStack``, which it reads and never writes (its ``received`` is
@@ -89,7 +89,7 @@ class Controller:
     def decide(self, t: int, b: int) -> SplitAction:
         raise NotImplementedError
 
-    def observe(self, t: int, served: list, b: int, stack: CountStack) -> None:
+    def observe(self, served: list, b: int, stack: CountStack) -> None:
         pass
 
     def hold(self, t: int, action: SplitAction, n: int,
@@ -102,16 +102,17 @@ class Controller:
 
 @dataclass
 class HoldWindow:
-    """Slots ``t, t + 1, ...`` of a fixed schedule, as a holding controller
-    is offered them: the buffer difference each slot's ``decide`` would get,
-    the packets served per carrier and the end-of-slot RLC counts, carriers
-    by slots, and each slot's delivered total.  In a traced run ``states``
-    is the run's run-length list of trace states: where the controller's
-    ``trace_state`` changes inside the slots it holds, ``hold`` appends
-    ``(n_slots, trace_state())`` for each stretch before a change, in slot
-    order, and leaves the entries already there alone; the engine adds the
-    rest of the held slots with the state ``hold`` leaves.  Otherwise it is
-    None."""
+    """Slots ``t, t + 1, ..., t + m - 1`` of a fixed schedule, as a holding
+    controller is offered them: the buffer difference at slot edges
+    ``0..m``, before each slot (what its ``decide`` would get) and after
+    the last, the packets served per carrier and the end-of-slot RLC
+    counts, carriers by slots, and each slot's delivered total.  In a
+    traced run ``states`` is the run's run-length list of trace states:
+    where the controller's ``trace_state`` changes inside the slots it
+    holds, ``hold`` appends ``(n_slots, trace_state())`` for each stretch
+    before a change, in slot order, and leaves the entries already there
+    alone; the engine adds the rest of the held slots with the state
+    ``hold`` leaves.  Otherwise it is None."""
 
     b: np.ndarray
     served: np.ndarray
@@ -360,10 +361,8 @@ class FuzzyPidController(Controller):
         if self.mode != "static":
             return 0
         window = window()
-        b = window.b
-        prev = np.empty_like(b)
-        prev[:1] = self._b_prev
-        prev[1:] = b[:-1]
+        edges = np.concatenate(([self._b_prev], window.b))
+        prev, b = edges[:-2], edges[1:-1]
         mag, mag_prev = np.abs(b), np.abs(prev)
         static = (np.sign(b) * np.sign(prev) > 0) & ((mag <= mag_prev) | (mag <= self._escape))
         k = len(b) if static.all() else int(static.argmin())

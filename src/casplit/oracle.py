@@ -27,8 +27,10 @@ from itertools import chain
 
 import numpy as np
 
+from casplit.core import check_kind
 from casplit.engine import Simulation
 from casplit.fuzzy_pid import Controller, SplitAction, PCC_ONLY_ACTION, SCC_ONLY_ACTION
+from casplit.stack import CountStack
 
 MAX_L = 14
 MAX_SCC = 2
@@ -57,11 +59,8 @@ class TinyInstance:
     _caps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # ``type(x) is int`` also rejects bools, which subclass int.
         for name in ("l", "n_scc", "d_xn", "max_slots"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_kind(name, getattr(self, name), int)
         if not 1 <= self.l <= MAX_L:
             raise ValueError(f"l must be in [1, {MAX_L}]")
         if not 1 <= self.n_scc <= MAX_SCC:
@@ -283,7 +282,7 @@ def drift_objective(inst: TinyInstance, pattern: list[SplitAction], n: int) -> f
     slots = [pattern[t % len(pattern)] for t in range(n)]
     mean_p = sum(a.a_p for a in slots) / n
     mean_s = sum(a.a_s for a in slots) / n
-    b0 = (inst.preseed_rlc[0] - sum(inst.preseed_rlc[1:])) if inst.preseed_rlc else 0
+    b0 = CountStack(inst.n_scc, inst.d_xn, inst.preseed_rlc).buffer_difference()
     return abs(b0 + (n + 1) * (mean_p - inst.n_scc * mean_s - drift))
 
 

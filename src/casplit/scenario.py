@@ -424,6 +424,8 @@ def _carrier_order(carrier: CarrierConfig) -> tuple:
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ScenarioConfig:
+    if defaults := parser.defaults():  # configparser copies these into every section
+        raise ConfigError(f"[DEFAULT] {', '.join(defaults)}: a DEFAULT section is not read")
     for section in _SECTIONS:
         if not parser.has_section(section):
             raise ConfigError(f"missing config section [{section}]")

@@ -56,8 +56,9 @@ class Fold:
     the slot it starts at, the inputs (int64 capacities, arrivals, packets
     dispatched to the PCC and the number of SCCs fed, per slot) and the
     per-slot results: packets served (all carriers), the buffer difference
-    seen before each slot, optionally the end-of-slot RLC counts and the
-    packets served per carrier (carriers by slots), and the final counts."""
+    at each of the n + 1 slot edges (before every slot, and after the last
+    one), optionally the end-of-slot RLC counts and the packets served per
+    carrier (carriers by slots), and the final counts."""
 
     t0: int
     caps: np.ndarray
@@ -223,7 +224,10 @@ class CountStack:
         link surface in the first ``d_xn`` slots, from the ring rows those
         slots read.  Each RLC count is the same recursion over its inflow,
         ``q_t = max(0, q_{t-1} + in_t - c_t)``, and slot t serves
-        ``q_{t-1} + in_t - q_t``.  ``caps`` and ``arrivals`` are int64 and
+        ``q_{t-1} + in_t - q_t``.  The buffer difference ``b`` is taken at
+        all n + 1 slot edges: ``b[t]`` before slot t, and ``b[n]`` after the
+        last slot, where ``buffer_difference`` stands once the n slots are
+        committed.  ``caps`` and ``arrivals`` are int64 and
         non-negative (``Simulation`` prepares and checks them), and small
         enough that a carrier's summed capacities fit in int64.
         """
@@ -264,10 +268,10 @@ class CountStack:
         return self._fold(Fold(t0, caps, np.full(n, arrivals, np.int64), pcc, scc), True, True)
 
     def _fold(self, fold: Fold, keep_occupancy: bool, keep_served: bool = False) -> Fold:
-        """Fill in ``fold``'s per-slot deliveries and buffer differences from
-        every carrier's RLC recursion, plus the occupancies and per-carrier
-        served counts (if kept) and the final counts; leaves the stack
-        unchanged.  The carriers are folded in blocks of rows: all of them
+        """Fill in ``fold``'s per-slot deliveries and its buffer differences
+        at every slot edge from every carrier's RLC recursion, plus the
+        occupancies and per-carrier served counts (if kept) and the final
+        counts; leaves the stack unchanged.  The carriers are folded in blocks of rows: all of them
         in one pass over a window of at most ``FOLD_ALL_SLOTS`` slots, one at
         a time over a longer one, whose rows then stay small enough to sit in
         cache, and whose work memory, unless the occupancies are kept, is a
@@ -281,7 +285,7 @@ class CountStack:
         served = np.zeros((n_car, n), np.int64) if keep_served or rows > 1 else None
         fold.served = served if keep_served else None
         fold.delivered = delivered = np.zeros(n, np.int64)
-        fold.b = b = np.zeros(n, np.int64)
+        fold.b = b = np.zeros(n + 1, np.int64)
         fold.final_rlc = final_rlc = []
         # The packets on the Xn link surface in the first d_xn slots: SCCs
         # by slots, or None when the link is empty.
@@ -317,11 +321,11 @@ class CountStack:
             _lindley(0, walk, out=walk)
             out += before
             out -= q
-            # b is the PCC's count less the SCCs', before each slot.
+            # b is the PCC's count less the SCCs', at each slot edge.
             if not lo:
-                b += before[0]
+                b += walk[0]
             if first < rows:
-                b -= before[first:].sum(axis=0) if rows > 1 else before[0]
+                b -= walk[first:].sum(axis=0) if rows > 1 else walk[0]
             final_rlc += walk[:, -1].tolist()
         fold.occupancy = counts[:, 1:] if keep_occupancy else None
         if served is not None:

@@ -188,16 +188,17 @@ def _lindley_1d(start: int, walk: np.ndarray) -> None:
 
 def fold_reference(stack, fold, keep_occupancy: bool, keep_served: bool = False):
     """``CountStack._fold`` one carrier at a time, about eleven numpy calls
-    each: fills in ``fold``'s deliveries, buffer differences, occupancies
-    and served counts (if kept) and final counts from ``stack``'s state,
-    the packets on its Xn link surfacing in the first ``d_xn`` slots."""
+    each: fills in ``fold``'s deliveries, buffer differences at the n + 1
+    slot edges, occupancies and served counts (if kept) and final counts
+    from ``stack``'s state, the packets on its Xn link surfacing in the
+    first ``d_xn`` slots."""
     caps, pcc, scc = fold.caps, fold.pcc, fold.scc
     n = len(pcc)
     d = stack.d_xn
     ring = [stack.xn[(fold.t0 + j) % (d + 1)] for j in range(min(d, n))]
     fold.served = served = np.zeros((stack.n_carriers, n), np.int64) if keep_served else None
     fold.delivered = delivered = np.zeros(n, dtype=np.int64)
-    fold.b = b = np.zeros(n, dtype=np.int64)
+    fold.b = b = np.zeros(n + 1, dtype=np.int64)
     fold.final_rlc = final_rlc = []
     counts = np.empty((stack.n_carriers if keep_occupancy else 1, n + 1), np.int64)
     for c, start in enumerate(stack.rlc):
@@ -216,9 +217,9 @@ def fold_reference(stack, fold, keep_occupancy: bool, keep_served: bool = False)
         out += before
         out -= q
         if c == 0:
-            b += before
+            b += walk
         else:
-            b -= before
+            b -= walk
         final_rlc.append(int(walk[-1]))
     fold.occupancy = counts[:, 1:] if keep_occupancy else None
     if keep_served:

@@ -71,7 +71,7 @@ def test_bwa_complementary():
 
 def test_ltr_prefers_lowest_delay():
     c = LtrController(n_scc=2, d_xn=2, smoothing=0.0)  # rates stay 1.0
-    c.observe(0, [0, 0, 0], -7, CountStack(2, 2, preseed_rlc=[3, 5, 5]))
+    c.observe([0, 0, 0], -7, CountStack(2, 2, preseed_rlc=[3, 5, 5]))
     assert c.rates == [1.0, 1.0, 1.0]
     assert c.decide(1, 0) == P  # 3 < 5+2
 
@@ -79,13 +79,13 @@ def test_ltr_prefers_lowest_delay():
 def test_ltr_tie_goes_to_pcc():
     c = LtrController(n_scc=1, d_xn=0, smoothing=0.0)
     assert c.decide(0, 0) == P  # no feedback yet: every queue empty
-    c.observe(0, [0, 0], 0, CountStack(1, 0, preseed_rlc=[2, 2]))
+    c.observe([0, 0], 0, CountStack(1, 0, preseed_rlc=[2, 2]))
     assert c.decide(1, 0) == P
 
 
 def test_ltr_pcc_outage_pushes_to_scc():
     c = LtrController(n_scc=1, d_xn=0, eps_rate=0.05, smoothing=1.0)
-    c.observe(0, [0, 1], 3, CountStack(1, 0, preseed_rlc=[4, 1]))
+    c.observe([0, 1], 3, CountStack(1, 0, preseed_rlc=[4, 1]))
     assert c.rates == [0.0, 1.0]  # PCC service collapsed
     assert c.decide(1, 0) == S
 
@@ -98,15 +98,15 @@ def test_ltr_counts_xn_inflight_packets():
         stack.pdcp_dispatch(0, 1, t)
     assert stack.xn_inflight() == [3]
     c = LtrController(n_scc=1, d_xn=0, smoothing=0.0)
-    c.observe(0, [0, 0], stack.buffer_difference(), stack)
+    c.observe([0, 0], stack.buffer_difference(), stack)
     assert c.decide(1, 0) == P  # 2 < 0 + 3
 
 
 def test_ltr_rate_tracking():
     c = LtrController(n_scc=1, d_xn=0, smoothing=0.5)
     stack = CountStack(1, 0)
-    c.observe(0, [2, 0], 0, stack)
-    c.observe(1, [2, 0], 0, stack)
+    c.observe([2, 0], 0, stack)
+    c.observe([2, 0], 0, stack)
     assert c.rates[0] > 1.0 and c.rates[1] < 1.0
 
 
@@ -120,7 +120,7 @@ def test_qtable_update_arithmetic():
     assert c.decide(0, -60) == P
     stack = CountStack(1, 0)
     stack.received = 1
-    c.observe(0, [1, 0], -48, stack)
+    c.observe([1, 0], -48, stack)
     assert table.values[3, 0] == 1.0
 
 
@@ -138,7 +138,7 @@ def test_qlearning_decide_takes_the_observed_state_once():
     table.values[1, 1] = 1.0  # state 1 prefers the SCC group
     c = QLearningController(table, make_rng(0, "q"))
     assert c.decide(0, -1) == P  # state 0, an all-zero row: ties go to the PCC
-    c.observe(0, [0, 0], 1, CountStack(1, 0, preseed_rlc=[1, 0]))  # b = 1: state 1
+    c.observe([0, 0], 1, CountStack(1, 0, preseed_rlc=[1, 0]))  # b = 1: state 1
     assert table.values[0, 0] > 0  # the update read state 1's best value
     assert c.decide(1, -1) == S  # the observed state 1, not the bucket of -1
     assert c.decide(2, -1) == P  # no observe since: state 0 from b
@@ -156,7 +156,7 @@ def test_qlearning_values_bounded():
                      int(rng.integers(0, 2))]
         stack.rlc[:] = [int(rng.integers(0, 9)) for _ in range(3)]
         stack.received = sum(delivered)  # the reward, as ``step`` leaves it
-        c.observe(t, delivered, stack.buffer_difference(), stack)
+        c.observe(delivered, stack.buffer_difference(), stack)
     assert np.max(np.abs(table.values)) <= r_max / (1 - table.discount) + 1e-9
 
 
@@ -190,7 +190,7 @@ def test_qtable_owns_zero_values_the_controller_updates():
     assert c.decide(0, 0) == P
     stack = CountStack(1, 0)
     stack.received = 2
-    c.observe(0, [2, 0], 0, stack)
+    c.observe([2, 0], 0, stack)
     assert table.values is v and v[s, 0] == 2.0 and np.count_nonzero(v) == 1
 
 
@@ -214,7 +214,7 @@ class _NumpyScalarQLearning(QLearningController):
         self._pending = (s, a)
         return P if a == 0 else S
 
-    def observe(self, t, served, b, stack):
+    def observe(self, served, b, stack):
         if self._pending is None:
             return
         s, a = self._pending

@@ -349,7 +349,8 @@ def test_run_rejects_the_old_trajectory_format(tiny_config, tmp_path, capsys, ol
     (lambda text: "l = 60\n" + text, "no section headers"),
     (lambda text: text + "[run]\nseed = 2\n", "section 'run' already exists"),
     (lambda text: text.replace("l = 60\n", "l = 60\nl = 70\n"), "workload.l"),
-], ids=["no-section-header", "repeated-section", "repeated-key"])
+    (lambda text: "[DEFAULT]\nseed = 3\n" + text, "[DEFAULT] seed"),
+], ids=["no-section-header", "repeated-section", "repeated-key", "default-section"])
 def test_run_rejects_malformed_ini(tiny_config, tmp_path, capsys, edit, names):
     path, _ = tiny_config
     path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
@@ -358,6 +359,20 @@ def test_run_rejects_malformed_ini(tiny_config, tmp_path, capsys, edit, names):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err
+
+
+@pytest.mark.parametrize("argv, code, names", [
+    (["run", "--config", "x.ini"], 1, "--out"),
+    (["frobnicate"], 1, "frobnicate"),
+    (["--frob"], 1, "error:"),
+    (["--help"], 0, "usage:"),
+], ids=["missing-out", "unknown-command", "unknown-flag", "help"])
+def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code, names):
+    """argparse's usage errors are configuration errors (exit 1, with its
+    message naming what is wrong); ``--help`` succeeds."""
+    assert run_cli(*argv) == code
+    captured = capsys.readouterr()
+    assert names in (captured.err if code else captured.out)
 
 
 def test_run_rejects_config_that_is_not_utf8(tiny_config, tmp_path, capsys):

@@ -323,7 +323,7 @@ class _PhaseLoop(Simulation):
     controller by ``getattr``.  ``run`` always steps this loop, open-loop
     policies included.  The test-side ltr and qlearning references
     (``_reference``) get the old ``observe(t, served, occ, inflight)``;
-    every other controller gets ``observe(t, served, b, stack)``, with the
+    every other controller gets ``observe(served, b, stack)``, with the
     stack's buffer difference after the slot."""
 
     def run(self):
@@ -353,7 +353,7 @@ class _PhaseLoop(Simulation):
             if isinstance(controller, LEGACY_OBSERVERS):
                 controller.observe(t, served, occ, inflight)
             elif controller is not None:
-                controller.observe(t, served, stack.buffer_difference(), stack)
+                controller.observe(served, stack.buffer_difference(), stack)
             delivered.append(n_rx)
             a_p.append(action.a_p)
             a_s.append(action.a_s)
@@ -539,7 +539,7 @@ def _held_windows(sim, offered=None):
     def counted(t, action, n, window):
         k = hold(t, action, n, window)
         if offered is not None:
-            offered.append((t, len(window().b), k))
+            offered.append((t, len(window().delivered), k))
         if k:
             held.append(k)
         return k
@@ -1093,8 +1093,8 @@ def test_run_length_trace_states_keep_the_sign_of_zero():
 
 
 class _Observer(Controller):
-    """Plays the PCC and records each slot it is observed on; it overrides
-    ``observe`` and declares nothing else."""
+    """Plays the PCC and records the stack's delivered count each time it is
+    observed; it overrides ``observe`` and declares nothing else."""
 
     name = "observer"
 
@@ -1104,8 +1104,8 @@ class _Observer(Controller):
     def decide(self, t, b):
         return PCC_ONLY_ACTION
 
-    def observe(self, t, served, b, stack):
-        self.seen.append(t)
+    def observe(self, served, b, stack):
+        self.seen.append(stack.delivered)
 
 
 class _PccOnly(Controller):
@@ -1126,8 +1126,9 @@ def test_observe_is_called_only_where_the_class_overrides_it():
                           arrival_rate=1, n_scc=1, d_xn=1,
                           caps=np.ones((2, n), dtype=np.int64), max_slots=n).run()
     observer = _Observer()
-    assert run(observer).t_slots == n
-    assert observer.seen == list(range(n))
+    result = run(observer)
+    assert result.t_slots == n
+    assert observer.seen == np.cumsum(result.delivered).tolist()
     calls = []
     with mock.patch.object(Controller, "observe", lambda self, *feedback: calls.append(1)):
         assert run(_PccOnly()).t_slots == n
@@ -1181,7 +1182,7 @@ def test_qlearning_buckets_its_state_once_per_slot():
     def counted_hold(t, action, n, window):
         def seen(*schedule):
             offered = window(*schedule)
-            looked.append(len(offered.b))
+            looked.append(len(offered.delivered))
             return offered
         k = hold(t, action, n, seen)
         held.append(k)

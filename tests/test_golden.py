@@ -2,12 +2,13 @@
 
 ``casplit run --mode ca,pcc,scc --seeds 1,2`` for every policy on the static
 and mobile presets at n_scc 1 and 3 (3000 slots; the static burst is cut to
-2000 packets so that it completes inside them), and ``casplit oracle``
-with and without ``--unrestricted`` on generated instances, must write the
-same bytes as when ``golden_digests.json`` was made: every trace,
-``summary.csv``, the ``scenario.ini`` a run writes back (so the config
-format changes only on purpose) and the oracle's printed report.  A change that means to
-alter outputs regenerates the file, and says so:
+2000 packets so that it completes inside them), ``casplit oracle`` with
+and without ``--unrestricted`` on generated instances, and ``casplit
+suite`` for every figure preset must write the same bytes as when
+``golden_digests.json`` was made: every trace, ``summary.csv``, the
+``scenario.ini`` a run writes back (so the config format changes only on
+purpose), the oracle's printed report and every CSV a suite writes.  A
+change that means to alter outputs regenerates the file, and says so:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 """
@@ -27,6 +28,7 @@ import pytest
 from casplit import scenario as sc
 from casplit.cli import main
 from casplit.core import make_rng
+from casplit.experiments import FIGURE_SUITES
 from casplit.oracle import gen_min_t_instance
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -78,6 +80,13 @@ def oracle_digests(tmp: Path) -> dict[str, str]:
     return out
 
 
+def suite_digests(name: str, tmp: Path) -> dict[str, str]:
+    """The digest of each CSV ``casplit suite --name <name>`` writes."""
+    out = tmp / name
+    assert main(["suite", "--name", name, "--out", str(out)]) == 0
+    return {p.name: _sha(p.read_bytes()) for p in sorted(out.glob("*.csv"))}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -92,9 +101,15 @@ def test_oracle_outputs_match_pinned_digests(golden, tmp_path):
     assert oracle_digests(tmp_path) == golden["oracle"]
 
 
+@pytest.mark.parametrize("name", sorted(FIGURE_SUITES))
+def test_suite_outputs_match_pinned_digests(name, golden, tmp_path):
+    assert suite_digests(name, tmp_path) == golden["suite"][name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc = {"run": {case: run_digests(case, Path(tmp)) for case in RUN_CASES},
-               "oracle": oracle_digests(Path(tmp))}
+               "oracle": oracle_digests(Path(tmp)),
+               "suite": {name: suite_digests(name, Path(tmp)) for name in sorted(FIGURE_SUITES)}}
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

@@ -267,19 +267,23 @@ def _schedule(data, n_car, n, max_arrivals=4):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 13))
-def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 13),
+       st.sampled_from([0, 2048]))
+def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0, all_slots):
     """A fixed schedule folded from slot ``t0`` on, from a state with
     packets on the Xn link or none, and any prefix of it committed, equals
     ``step`` over the same slots: served counts per carrier, end-of-slot
-    counts, the buffer difference before each slot, and the whole end
-    state, Xn ring rows included, which depend on the slot the fold started
-    at."""
+    counts, the buffer difference at every slot edge (before each slot and
+    after the last), and the whole end state, Xn ring rows included, which
+    depend on the slot the fold started at.  It holds with all carriers
+    folded in one pass and one at a time (``FOLD_ALL_SLOTS`` 0)."""
     n = data.draw(st.integers(1, 30))
     a_p, a_s, arrivals, caps = _schedule(data, 1 + n_scc, n)
     k = data.draw(st.integers(1, n))
     stack, ref = _warm_stacks(data, n_scc, d_xn, t0)
-    fold = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=True, keep_served=True)
+    with mock.patch.object(stack_module, "FOLD_ALL_SLOTS", all_slots):
+        fold = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=True,
+                          keep_served=True)
     for t in range(n):
         assert fold.b[t] == ref.buffer_difference()
         served = ref.step(t0 + t, int(arrivals[t]), int(a_p[t]), int(a_s[t]),
@@ -289,6 +293,7 @@ def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0):
         if t == k - 1:
             want = (ref.snapshot(), list(ref.out_counts), ref.total_ingested, ref.delivered)
     assert fold.final_rlc == ref.rlc
+    assert len(fold.b) == n + 1 and fold.b[n] == ref.buffer_difference()
     stack.commit(fold, k)
     assert (stack.snapshot(), stack.out_counts, stack.total_ingested, stack.delivered) == want
 
