@@ -38,7 +38,7 @@ def _setup_logging() -> None:
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(prog="casplit")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="run a scenario over seeds and modes")
     p_run.add_argument("--config", required=True, help="scenario .ini file")
@@ -58,7 +58,14 @@ def _parse_args(argv):
     p_oracle.add_argument("--instance", required=True, help="instance .json file")
     p_oracle.add_argument("--unrestricted", action="store_true",
                           help="search the full two-bit action space")
-    return parser.parse_args(argv)
+    # argparse checks for a missing subcommand before it reports unknown
+    # flags, so ``casplit --frob`` would not name ``--frob``: check both here.
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if args.command is None:
+        parser.error("the following arguments are required: command")
+    return args
 
 
 def _check_list(option: str, values: list, text: str) -> None:

@@ -7,8 +7,11 @@ and the RLC buffers and Xn pipelines are FIFOs.  ``capacity_reference``
 is the scalar channel chain that ``channel.capacity_series`` vectorises,
 and ``distance_reference`` the scalar form of ``Trajectory.distances``.
 ``fold_reference`` folds a ``CountStack`` window one carrier at a time,
-and ``update_gains_reference`` and ``compute_k_reference`` are the fuzzy
-controller's table sum and history count as generator expressions.
+``update_gains_reference`` and ``compute_k_reference`` are the fuzzy
+controller's table sum and history count as generator expressions, and
+``write_trace_reference`` writes a trace column by column into Python
+strings joined row by row, as ``trace.write_trace`` did before it wrote one
+byte matrix.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import chain
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from casplit.channel import PCC
 from casplit.fuzzy_pid import PidGains
+from casplit.trace import _f, trace_columns
 
 
 class ProtocolStack:
@@ -225,3 +230,25 @@ def fold_reference(stack, fold, keep_occupancy: bool, keep_served: bool = False)
     if keep_served:
         served.sum(axis=0, out=delivered)
     return fold
+
+
+def _formatted(column: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of each entry, called once per value; a float is told apart
+    by its bits, so 0.0 from -0.0."""
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return np.array([fmt(x) for x in column[first].tolist()], dtype=object)[index].tolist()
+
+
+def write_trace_reference(path, result) -> None:
+    """``trace.write_trace``'s file, each column formatted whole into Python
+    strings and the columns joined by row."""
+    kp, ki, kd, g, k, mode = result.state
+    ints = (result.b, result.a_p, result.a_s, *result.occupancy, *result.capacity,
+            result.delivered)
+    columns = [list(map(str, range(result.t_slots))),
+               *(_formatted(c, str) for c in ints),
+               *(_formatted(c, _f) for c in (kp, ki, kd, g)), _formatted(k, str),
+               mode.tolist()]
+    lines = [",".join(trace_columns(len(result.occupancy) - 1)), *map(",".join, zip(*columns))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -364,9 +364,10 @@ def test_run_rejects_malformed_ini(tiny_config, tmp_path, capsys, edit, names):
 @pytest.mark.parametrize("argv, code, names", [
     (["run", "--config", "x.ini"], 1, "--out"),
     (["frobnicate"], 1, "frobnicate"),
-    (["--frob"], 1, "error:"),
+    (["--frob"], 1, "--frob"),
+    ([], 1, "required: command"),
     (["--help"], 0, "usage:"),
-], ids=["missing-out", "unknown-command", "unknown-flag", "help"])
+], ids=["missing-out", "unknown-command", "unknown-flag", "no-command", "help"])
 def test_usage_errors_exit_1_and_help_exits_0(capsys, argv, code, names):
     """argparse's usage errors are configuration errors (exit 1, with its
     message naming what is wrong); ``--help`` succeeds."""

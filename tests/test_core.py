@@ -15,6 +15,7 @@ from casplit.baselines import (BwaController, ForcedController, LtrController, Q
                                QTable, StationaryKController)
 from casplit.core import make_rng
 from casplit.engine import RunResult, Simulation
+from casplit.experiments import ETA_POLICIES, ExperimentSpec, run_experiment
 from casplit.fuzzy_pid import (PCC_ONLY_ACTION, SCC_ONLY_ACTION, Controller, FuzzyPidController,
                                NoFuzzyController, SplitAction)
 from casplit.oracle import ScriptedController
@@ -22,7 +23,7 @@ from casplit.scenario import (RunMode, build_caps, build_run, default_mobile_sce
                               default_static_scenario, make_controller)
 from casplit.stack import CountStack
 
-from reference import ProtocolStack, fold_reference
+from reference import ProtocolStack, fold_reference, write_trace_reference
 
 
 def test_rng_streams_reproducible_and_independent():
@@ -673,10 +674,83 @@ def test_a_traced_run_writes_capacities_as_given():
             [["18446744073709551615"] * 2] * 3
 
 
+def _texts(block: np.ndarray) -> list[str]:
+    """The text of each row of a ``trace._column_bytes`` block: its bytes
+    with the 0-byte padding dropped."""
+    return [bytes(row[row != 0]).decode() for row in block]
+
+
 def test_float_column_tells_values_apart_by_bits():
     """Each float is formatted as itself: 0.0 and -0.0, and NaN, included."""
     values = [0.1, 0.0, -0.0, float("nan"), 0.1 + 0.2, 1e-7, -0.0, 123456789.0, 0.1]
-    assert trace._formatted(np.array(values), trace._f) == [trace._f(x) for x in values]
+    assert _texts(trace._column_bytes(np.array(values))) == [trace._f(x) for x in values]
+
+
+_INT_BOUNDS = {np.int8: (-128, 127), np.int64: (-2**63, 2**63 - 1), np.uint64: (0, 2**64 - 1)}
+_MODES = ("init", "dynamic", "static", "escape", "fixed", "forced")
+
+
+@st.composite
+def trace_column(draw, bound):
+    """A trace column: int8, int64 or uint64 over its whole range, near 0
+    or next to ``±bound``, float64 with signed zeros, NaN and infinities,
+    or mode strings; empty or not, and perhaps one value broadcast with
+    stride 0."""
+    dtype = draw(st.sampled_from([np.int8, np.int64, np.uint64, np.float64, object]))
+    if dtype is np.float64:
+        values = st.floats(width=64) | st.sampled_from([0.0, -0.0, float("nan"),
+                                                        float("inf"), float("-inf")])
+    elif dtype is object:
+        values = st.sampled_from(_MODES)
+    else:
+        lo, hi = _INT_BOUNDS[dtype]
+        edges = (st.just(v) for v in (-bound, 1 - bound, bound - 1, bound) if lo <= v <= hi)
+        values = st.one_of(st.integers(lo, hi), st.integers(max(lo, -300), min(hi, 300)), *edges)
+    if draw(st.booleans()):
+        return np.broadcast_to(np.array(draw(values), dtype=dtype), draw(st.integers(0, 50)))
+    return np.array(draw(st.lists(values, max_size=50)), dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([1, 7, 100, 1000, trace.DECIMALS_MAX]))
+def test_column_bytes_format_each_value(data, bound):
+    """``trace._column_bytes`` gives ``str`` of each integer or string and
+    ``_f`` of each float, for integers within the decimal table's bound and
+    past it.  The table grows from empty over the drawn columns and never
+    past its bound."""
+    columns = data.draw(st.lists(trace_column(bound), min_size=1, max_size=4))
+    with mock.patch.multiple(trace, DECIMALS_MAX=bound, _decimals=np.zeros((0, 1), np.uint8)):
+        for column in columns:
+            block = trace._column_bytes(column)
+            fmt = trace._f if column.dtype == np.float64 else str
+            assert block.dtype == np.uint8 and len(block) == len(column)
+            assert _texts(block) == [fmt(x) for x in column.tolist()]
+            assert len(trace._decimals) <= bound
+
+
+def test_a_run_of_no_slots_writes_the_header_alone(tmp_path):
+    result = Simulation(l=5, arrival_mode="burst", arrival_rate=0, n_scc=2, d_xn=0,
+                        caps=np.ones((3, 0), np.int64), max_slots=0, collect_trace=True,
+                        controller=FuzzyPidController(4, 2)).run()
+    trace.write_trace(tmp_path / "trace.csv", result)
+    assert (tmp_path / "trace.csv").read_text() == ",".join(trace.trace_columns(2)) + "\n"
+
+
+@pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
+def test_trace_writer_matches_reference_on_default_presets(preset, tmp_path):
+    """Every trace of one seed of a default preset, all five η policies and
+    both references, is written with the same bytes as the reference
+    writer's: up to 60,000 rows, negative buffer differences and hundreds
+    of distinct gains."""
+    cfg = preset(3)
+    outcome = run_experiment(ExperimentSpec(cfg, seeds=[1], out_dir=tmp_path,
+                                            policies=list(ETA_POLICIES)))
+    assert len(outcome.results) == len(ETA_POLICIES) + 2
+    for (seed, label), result in outcome.results.items():
+        reference = tmp_path / "reference.csv"
+        write_trace_reference(reference, result)
+        written = tmp_path / f"trace_{cfg.name}_{label}_{seed}.csv"
+        assert written.read_bytes() == reference.read_bytes(), label
 
 
 def _chunk_starts(n_slots):
