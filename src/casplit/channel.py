@@ -122,4 +122,4 @@ def capacity_series(cfg: CarrierConfig, distances_m: np.ndarray, alphas: np.ndar
     thr_rho = cfg.rho if cfg.kind == SCC else rho_s
     above = thr_rho * np.log2(1.0 + gamma_lin) >= cfg.n_th
     unit = int(cfg.rho // rho_s) if cfg.kind == PCC else 1
-    return np.where(above, unit, 0).astype(np.int64)
+    return above.astype(np.int64) * unit

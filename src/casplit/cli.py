@@ -108,7 +108,7 @@ def _cmd_run(args) -> int:
         except ValueError:
             raise sc.ConfigError(f"--mode: unknown mode {m!r} (use ca,pcc,scc)")
     _check_list("--mode", modes, args.mode)
-    policies = [args.policy] if args.policy else None
+    policies = None if args.policy is None else [args.policy]  # "" is refused below
     if policies and policies[0] not in sc.POLICIES:
         raise sc.ConfigError(f"--policy: unknown policy {policies[0]!r}")
     spec = ExperimentSpec(config=cfg, seeds=seeds, modes=modes,
@@ -140,9 +140,12 @@ def _load_instance(path: str) -> dict:
 
 
 def _parse_identity(identity, max_slots: int) -> tuple[list[SplitAction], int]:
-    """The ``identity`` block: a non-empty list of [a_p, a_s] pairs and a window."""
+    """The ``identity`` block: a non-empty list of [a_p, a_s] pairs of int
+    bits (no bool or float) and a window."""
     try:
-        pattern = [SplitAction(*pair) for pair in identity["pattern"]]
+        pairs = identity["pattern"]
+        ints = all(type(bit) is int for pair in pairs for bit in pair)
+        pattern = [SplitAction(*pair) for pair in pairs] if ints else None
     except (KeyError, TypeError, ValueError):
         pattern = None
     if not pattern:

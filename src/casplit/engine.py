@@ -47,7 +47,9 @@ fuzzy_pid's runs slower, because more windows were cut short.  Each
 stepped slot appends one flat row to one list, which becomes columns a
 stretch at a time, and a traced run's controller states are one
 run-length list for stepped slots, held windows and the closed form
-alike (``_add_state``), which ``_result`` turns into columns once.
+alike (``_add_state``).  The result keeps that list as it is
+(``RunResult.state_runs``): ``trace.write_trace`` formats it entry by
+entry, and ``RunResult.state`` expands it into columns only when read.
 
 An open-loop run, whose action in slot t depends on t alone (an
 ``OpenLoopController``: bwa, stationary_k or forced), feeds a fixed
@@ -107,13 +109,21 @@ class RunResult:
     b: np.ndarray  # buffer difference observed at decision time
     # The trace columns, kept with ``collect_trace``: end-of-slot RLC counts
     # and a slice of the capacities (carriers by slots, PCC first), and the
-    # controller's ``trace_state`` columns.
+    # controller's states, run-length: ``(n_slots, trace_state())`` entries
+    # in slot order (``state`` expands them).
     occupancy: np.ndarray | None = field(default=None, repr=False)
     capacity: np.ndarray | None = field(default=None, repr=False)
-    state: list[np.ndarray] | None = field(default=None, repr=False)
+    state_runs: list[tuple[int, tuple]] | None = field(default=None, repr=False)
     final_rlc: list[int] = field(default_factory=list)
     final_inflight: list[int] = field(default_factory=list)
     served: list[int] = field(default_factory=list)  # per-carrier totals, preseed included
+
+    @property
+    def state(self) -> list[np.ndarray] | None:
+        """The six ``trace_state`` columns, one entry per slot, derived from
+        ``state_runs`` on each read: read-only views that take no storage
+        when there is one entry."""
+        return None if self.state_runs is None else expand_states(self.state_runs)
 
     @property
     def mean_throughput(self) -> float:
@@ -133,15 +143,16 @@ class RunResult:
         return out
 
 
-def _state_columns(runs: list[tuple[int, tuple]]) -> list[np.ndarray]:
-    """The ``trace_state`` columns of a run's ``(n_slots, state)`` entries;
-    read-only views that take no storage when there is one entry."""
+def expand_states(runs: list[tuple[int, tuple]], convert=np.asarray) -> list[np.ndarray]:
+    """The six ``trace_state`` columns of a run-length list of states: each
+    column's values, one per entry, passed through ``convert`` (an array
+    with a row per entry, such as ``trace._column_bytes``) and each row
+    repeated for its entry's slots.  Read-only views that take no storage
+    when there is one entry."""
+    columns = [convert(np.array([s[i] for _, s in runs], d)) for i, d in enumerate(STATE_DTYPES)]
     if len(runs) == 1:
-        (n, state), = runs
-        return [np.broadcast_to(np.array(v, dtype=d), n) for v, d in zip(state, STATE_DTYPES)]
-    counts = [n for n, _ in runs]
-    return [np.repeat(np.array([state[i] for _, state in runs], dtype=d), counts)
-            for i, d in enumerate(STATE_DTYPES)]
+        return [np.broadcast_to(c, (runs[0][0], *c.shape[1:])) for c in columns]
+    return [np.repeat(c, [n for n, _ in runs], axis=0) for c in columns]
 
 
 def _add_state(states: list[tuple[int, tuple]], n: int, state: tuple) -> None:
@@ -414,6 +425,10 @@ class Simulation:
     def _result(self, *, delivered: np.ndarray, a_p: np.ndarray, a_s: np.ndarray,
                 b: np.ndarray, occupancy: np.ndarray | None, states: list | None,
                 completed: bool, completion_slot: int | None) -> RunResult:
+        """The run's ``RunResult``.  A traced run's controller states are kept
+        as the run-length ``states`` list (``state_runs``), not expanded into
+        per-slot columns: ``write_trace`` formats them entry by entry, and
+        ``RunResult.state`` derives the columns from them on each read."""
         stack = self.stack
         final_rlc = stack.rlc_occupancy()
         final_inflight = stack.xn_inflight()
@@ -438,7 +453,7 @@ class Simulation:
             b=b,
             occupancy=occupancy,
             capacity=None if states is None else self.caps[:, :len(delivered)],
-            state=None if states is None else _state_columns(states),
+            state_runs=states,
             final_rlc=final_rlc,
             final_inflight=final_inflight,
             served=served,

@@ -81,7 +81,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     results = {(r.seed, r.policy): r for r in runs}
     outcome = ExperimentOutcome(runs, etas, results)
     if spec.out_dir is not None:
-        outcome.files = _emit(spec, cfg, runs, etas, results, timings)
+        outcome.files = _emit(spec, cfg, policies, runs, etas, results, timings)
     return outcome
 
 
@@ -94,7 +94,7 @@ def _timed_run(sim: Simulation, timings: list[list]) -> RunResult:
     return result
 
 
-def _emit(spec, cfg, runs, etas, results, timings) -> list[Path]:
+def _emit(spec, cfg, policies, runs, etas, results, timings) -> list[Path]:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -109,7 +109,7 @@ def _emit(spec, cfg, runs, etas, results, timings) -> list[Path]:
     sc.to_file(cfg, cfg_path)
     files.append(cfg_path)
     tr.write_metadata(out / "metadata.json", cfg_path.read_text(encoding="utf-8"),
-                      spec.seeds, [m.value for m in spec.modes])
+                      spec.seeds, [m.value for m in spec.modes], ",".join(policies))
     files.append(out / "metadata.json")
     # Wall-clock seconds per run and the process's peak RSS after it; not
     # byte-reproducible.

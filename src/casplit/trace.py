@@ -6,7 +6,8 @@ timings file that is excluded from the determinism contract.
 A trace is written as one byte matrix, a row per slot, built a column at a
 time with numpy: integers near 0 from a process-wide table of decimal
 strings (at most ``DECIMALS_MAX`` rows), other values formatted once per
-distinct value."""
+distinct value.  The controller's state columns are formatted once per
+entry of the run's run-length state list and repeated from there."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from casplit import __version__
-from casplit.engine import RunResult
+from casplit.engine import RunResult, expand_states
 from casplit.metrics import EtaReport
 
 FLOAT_FMT = "{:.6g}"
@@ -88,23 +89,26 @@ def write_trace(path, result: RunResult) -> None:
     """One CSV row per simulated slot; requires a trace-collecting run.
 
     Each column becomes a block of ASCII bytes (``_column_bytes``), one row
-    per slot, padded with 0 bytes.  The blocks and their ``,`` and ``\\n``
-    bytes fill one byte matrix, and the file is the header followed by the
-    matrix's bytes with the 0 bytes dropped."""
-    if result.state is None:
+    per slot, padded with 0 bytes.  The controller's states stay run-length
+    until here: each of their six columns is formatted once per entry of
+    ``result.state_runs`` and its byte rows repeated for the entry's slots
+    (a view when there is one entry), so no per-slot state column is built.
+    The blocks, each followed by a ``,`` byte column and the last by ``\n``,
+    form one byte matrix, and the file is the header followed by the
+    matrix's bytes with the 0 bytes dropped, written through one open file."""
+    if result.state_runs is None:
         raise ValueError("run was not executed with collect_trace=True")
-    n = result.t_slots
-    columns = (np.arange(n), result.b, result.a_p, result.a_s, *result.occupancy,
-               *result.capacity, result.delivered, *result.state)
-    blocks = [_column_bytes(c) for c in columns]
-    matrix = np.full((n, sum(b.shape[1] + 1 for b in blocks)), ord(","), np.uint8)
-    at = 0
-    for block in blocks:
+    columns = (np.arange(result.t_slots), result.b, result.a_p, result.a_s, *result.occupancy,
+               *result.capacity, result.delivered)
+    blocks = [_column_bytes(c) for c in columns] + expand_states(result.state_runs, _column_bytes)
+    starts = np.cumsum([0] + [b.shape[1] + 1 for b in blocks])
+    matrix = np.full((result.t_slots, starts[-1]), ord(","), np.uint8)
+    for block, at in zip(blocks, starts):
         matrix[:, at:at + block.shape[1]] = block
-        at += block.shape[1] + 1
     matrix[:, -1] = ord("\n")
-    header = ",".join(trace_columns(len(result.occupancy) - 1)) + "\n"
-    Path(path).write_bytes(header.encode() + matrix[matrix != 0].tobytes())
+    with open(path, "wb") as fh:
+        fh.writelines([f"{','.join(trace_columns(len(result.occupancy) - 1))}\n".encode(),
+                       matrix[matrix != 0]])
 
 
 SUMMARY_COLUMNS = [
@@ -137,11 +141,16 @@ def write_summary(path, runs: list[RunResult], etas: list[EtaReport]) -> None:
                           encoding="utf-8")
 
 
-def write_metadata(path, config_text: str, seeds: list[int], modes: list[str]) -> None:
+def write_metadata(path, config_text: str, seeds: list[int], modes: list[str],
+                   policy: str) -> None:
+    """The run's sidecar.  ``policy`` is the CA policy that ran (comma
+    separated when an experiment ran several): ``--policy`` where given,
+    which ``config_text`` does not record, else the config's."""
     payload = {
         "artifact_version": __version__,
         "seeds": seeds,
         "modes": modes,
+        "policy": policy,
         "config": config_text,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",

@@ -74,6 +74,33 @@ def test_unknown_mode_exit_code_1(tiny_config, tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["", "bogus", "fuzzy"])
+def test_run_refuses_an_empty_or_unknown_policy(tiny_config, tmp_path, capsys, policy):
+    """An empty ``--policy`` is refused like an unknown one, naming
+    ``--policy``, not read as no override."""
+    path, _ = tiny_config
+    code = run_cli("run", "--config", str(path), "--seeds", "1", "--mode", "ca",
+                   "--out", str(tmp_path / "o"), "--policy", policy)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: --policy: unknown policy {policy!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override", [None, "bwa"])
+def test_metadata_records_the_policy_that_ran(tiny_config, tmp_path, override):
+    """``metadata.json`` names the CA policy that ran: ``--policy`` where
+    given, which ``scenario.ini`` does not record, else the config's."""
+    path, cfg = tiny_config
+    out = tmp_path / "o"
+    policy = [] if override is None else ["--policy", override]
+    assert run_cli("run", "--config", str(path), "--seeds", "1", "--mode", "ca",
+                   "--out", str(out), *policy) == 0
+    meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
+    assert meta["policy"] == (override or cfg.policy) and cfg.policy == "fuzzy_pid"
+    assert (out / f"trace_{cfg.name}_{meta['policy']}_1.csv").exists()
+    assert "policy = fuzzy_pid\n" in (out / "scenario.ini").read_text(encoding="utf-8")
+
+
 def test_out_that_cannot_be_a_directory_exits_1_before_any_run(tiny_config, tmp_path,
                                                                 capsys, monkeypatch):
     """An ``--out`` naming an existing file is refused naming ``--out``, by
@@ -245,6 +272,9 @@ def test_oracle_rejects_empty_horizon(tmp_path, capsys, max_slots):
     ({"pattern": [[1, 0], [0, 1]]}, "identity.window"),
     ({"pattern": [], "window": 10}, "identity.pattern"),
     ({"pattern": [[1, 2]], "window": 10}, "identity.pattern"),
+    ({"pattern": [[True, False]], "window": 10}, "identity.pattern"),
+    ({"pattern": [[1.0, 0]], "window": 10}, "identity.pattern"),
+    ({"pattern": [[1, 0], [0, 1.0]], "window": 10}, "identity.pattern"),
 ])
 def test_oracle_rejects_malformed_identity_block(tmp_path, capsys, identity, key):
     inst = {"l": 1, "n_scc": 1, "caps": [[1] * 24, [1] * 24], "max_slots": 24,

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import pickle
+import string
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -292,11 +294,11 @@ def _assert_same_run(sim, got, ref, want):
     keeps its trace as per-slot rows, slot by slot."""
     for f in dataclasses.fields(RunResult):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name in ("occupancy", "capacity", "state") and isinstance(ref, _PhaseLoop):
+        if f.name in ("occupancy", "capacity", "state_runs") and isinstance(ref, _PhaseLoop):
             assert b is None and (a is None) == (ref.rows is None), f.name
-        elif f.name == "state" and b is not None:
-            assert len(a) == len(b) == 6
-            for i, (x, y) in enumerate(zip(a, b)):
+        elif f.name == "state_runs" and b is not None:  # compared expanded, as columns
+            assert len(got.state) == len(want.state) == 6
+            for i, (x, y) in enumerate(zip(got.state, want.state)):
                 _assert_same_arrays(x, y, f"state[{i}]")
         elif isinstance(b, np.ndarray):
             _assert_same_arrays(a, b, f.name)
@@ -734,6 +736,56 @@ def test_a_run_of_no_slots_writes_the_header_alone(tmp_path):
                         controller=FuzzyPidController(4, 2)).run()
     trace.write_trace(tmp_path / "trace.csv", result)
     assert (tmp_path / "trace.csv").read_text() == ",".join(trace.trace_columns(2)) + "\n"
+
+
+_STATE_FLOATS = st.floats(width=64) | st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                                                       float("-inf")])
+
+
+@st.composite
+def state_runs(draw):
+    """A run-length list of ``trace_state`` entries: none, one or many, of 0
+    slots or more.  An entry may repeat the values of the one before in
+    other objects, or change one float to 0.0, -0.0, NaN or an infinity;
+    ``k`` spans int64 and ``mode`` may be empty."""
+    runs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if runs and draw(st.booleans()):
+            state = list(pickle.loads(pickle.dumps(runs[-1][1])))  # equal values, new objects
+            state[draw(st.integers(0, 3))] = draw(st.sampled_from([0.0, -0.0, float("nan"),
+                                                                   float("inf"), float("-inf")]))
+        else:
+            state = [draw(_STATE_FLOATS) for _ in range(4)]
+            state.append(draw(st.integers(-300, 300) | st.integers(-2**63, 2**63 - 1)))
+            state.append(draw(st.sampled_from(_MODES) | st.text(string.ascii_letters, max_size=8)))
+        runs.append((draw(st.integers(0, 12)), tuple(state)))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), state_runs(), st.integers(1, 3))
+def test_trace_writer_matches_reference_on_random_state_runs(data, runs, n_scc):
+    """``trace.write_trace`` formatting the run-length states entry by entry
+    writes the same bytes as the reference writer over the expanded
+    ``state`` columns, for a 0-slot run and a single entry included; those
+    columns hold each entry's values for its slots, signed zeros kept."""
+    n = sum(count for count, _ in runs)
+    ints = arrays(np.int64, (2 * (1 + n_scc) + 2, n), elements=st.integers(-10**6, 10**6))
+    b, delivered, *cols = data.draw(ints)
+    a_p, a_s = data.draw(arrays(np.int8, (2, n), elements=st.integers(0, 1)))
+    result = RunResult(mode="ca", policy="drawn", seed=0, scenario="drawn", l=0,
+                       arrival_mode="burst", t_slots=n, completed=False, completion_slot=None,
+                       total_delivered=0, delivered=delivered, a_p=a_p, a_s=a_s, b=b,
+                       occupancy=np.array(cols[:1 + n_scc]), capacity=np.array(cols[1 + n_scc:]),
+                       state_runs=runs)
+    slots = [state for count, state in runs for _ in range(count)]
+    assert [list(map(repr, row)) for row in zip(*(c.tolist() for c in result.state))] == \
+        [list(map(repr, state)) for state in slots]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+        trace.write_trace(new, result)
+        write_trace_reference(old, result)
+        assert new.read_bytes() == old.read_bytes()
 
 
 @pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
