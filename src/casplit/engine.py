@@ -144,11 +144,11 @@ class RunResult:
 
 
 def expand_states(runs: list[tuple[int, tuple]], convert=np.asarray) -> list[np.ndarray]:
-    """The six ``trace_state`` columns of a run-length list of states: each
-    column's values, one per entry, passed through ``convert`` (an array
-    with a row per entry, such as ``trace._column_bytes``) and each row
-    repeated for its entry's slots.  Read-only views that take no storage
-    when there is one entry."""
+    """The six ``trace_state`` columns of a run-length list of states.  Each
+    column's values, one per entry, pass through ``convert``, which returns
+    a row per entry (``trace._column_bytes`` returns their ASCII bytes), and
+    each row is repeated for its entry's slots: read-only views that take no
+    storage when there is one entry."""
     columns = [convert(np.array([s[i] for _, s in runs], d)) for i, d in enumerate(STATE_DTYPES)]
     if len(runs) == 1:
         return [np.broadcast_to(c, (runs[0][0], *c.shape[1:])) for c in columns]

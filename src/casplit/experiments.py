@@ -60,6 +60,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
     """
     cfg = spec.config
     policies = spec.policies if spec.policies is not None else [cfg.policy]
+    policies = policies if RunMode.CA in spec.modes else []  # the CA policies that run
     collect = spec.out_dir is not None
     runs: list[RunResult] = []
     etas: list[EtaReport] = []
@@ -69,7 +70,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentOutcome:
         caps = build_caps(cfg, seed)
         cas = [_timed_run(build_run(cfg, RunMode.CA, seed, caps=caps, collect_trace=collect,
                                     policy=policy), timings)
-               for policy in (policies if RunMode.CA in spec.modes else [])]
+               for policy in policies]
         window = max(map(utilization_window, cas), default=cfg.max_slots)
         refs = [_timed_run(build_run(cfg, mode, seed, caps=caps, collect_trace=collect,
                                      max_slots=window), timings)

@@ -144,8 +144,9 @@ def write_summary(path, runs: list[RunResult], etas: list[EtaReport]) -> None:
 def write_metadata(path, config_text: str, seeds: list[int], modes: list[str],
                    policy: str) -> None:
     """The run's sidecar.  ``policy`` is the CA policy that ran (comma
-    separated when an experiment ran several): ``--policy`` where given,
-    which ``config_text`` does not record, else the config's."""
+    separated when an experiment ran several, empty when no CA mode ran):
+    ``--policy`` where given, which ``config_text`` does not record, else
+    the config's."""
     payload = {
         "artifact_version": __version__,
         "seeds": seeds,

@@ -87,17 +87,21 @@ def test_run_refuses_an_empty_or_unknown_policy(tiny_config, tmp_path, capsys, p
 
 
 @pytest.mark.parametrize("override", [None, "bwa"])
-def test_metadata_records_the_policy_that_ran(tiny_config, tmp_path, override):
+@pytest.mark.parametrize("mode", ["ca", "pcc,scc"])
+def test_metadata_records_the_policy_that_ran(tiny_config, tmp_path, override, mode):
     """``metadata.json`` names the CA policy that ran: ``--policy`` where
-    given, which ``scenario.ini`` does not record, else the config's."""
+    given, which ``scenario.ini`` does not record, else the config's; none
+    when no CA mode ran."""
     path, cfg = tiny_config
     out = tmp_path / "o"
     policy = [] if override is None else ["--policy", override]
-    assert run_cli("run", "--config", str(path), "--seeds", "1", "--mode", "ca",
+    assert run_cli("run", "--config", str(path), "--seeds", "1", "--mode", mode,
                    "--out", str(out), *policy) == 0
     meta = json.loads((out / "metadata.json").read_text(encoding="utf-8"))
-    assert meta["policy"] == (override or cfg.policy) and cfg.policy == "fuzzy_pid"
-    assert (out / f"trace_{cfg.name}_{meta['policy']}_1.csv").exists()
+    ran = (override or cfg.policy) if mode == "ca" else ""
+    assert meta["policy"] == ran and cfg.policy == "fuzzy_pid"
+    assert sorted(p.name for p in out.glob("trace_*_1.csv")) == sorted(
+        f"trace_{cfg.name}_{label}_1.csv" for label in (ran or "forced-pcc,forced-scc").split(","))
     assert "policy = fuzzy_pid\n" in (out / "scenario.ini").read_text(encoding="utf-8")
 
 

@@ -738,8 +738,7 @@ def test_a_run_of_no_slots_writes_the_header_alone(tmp_path):
     assert (tmp_path / "trace.csv").read_text() == ",".join(trace.trace_columns(2)) + "\n"
 
 
-_STATE_FLOATS = st.floats(width=64) | st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
-                                                       float("-inf")])
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
 
 
 @st.composite
@@ -752,10 +751,9 @@ def state_runs(draw):
     for _ in range(draw(st.integers(0, 8))):
         if runs and draw(st.booleans()):
             state = list(pickle.loads(pickle.dumps(runs[-1][1])))  # equal values, new objects
-            state[draw(st.integers(0, 3))] = draw(st.sampled_from([0.0, -0.0, float("nan"),
-                                                                   float("inf"), float("-inf")]))
+            state[draw(st.integers(0, 3))] = draw(_EDGE_FLOATS)
         else:
-            state = [draw(_STATE_FLOATS) for _ in range(4)]
+            state = [draw(st.floats(width=64) | _EDGE_FLOATS) for _ in range(4)]
             state.append(draw(st.integers(-300, 300) | st.integers(-2**63, 2**63 - 1)))
             state.append(draw(st.sampled_from(_MODES) | st.text(string.ascii_letters, max_size=8)))
         runs.append((draw(st.integers(0, 12)), tuple(state)))
