@@ -132,6 +132,11 @@ def _load_instance(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise sc.ConfigError(f"instance file not found: {path}")
+    except OSError as exc:  # a directory, say
+        raise sc.ConfigError(f"cannot read instance file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise sc.ConfigError(f"instance file is not valid UTF-8: {path} "
+                             f"(byte {exc.start}: {exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise sc.ConfigError(f"instance file is not valid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -2,7 +2,8 @@
 
 ``brute_force_min_T`` searches the full binary action-sequence space for
 the fastest burst completion.  A search state is one flat tuple of the
-queue counts (PDCP depth, RLC counts, Xn ring rows), and each expansion
+queue counts (PDCP depth, RLC counts, and the Xn ring's ``d_xn + 1``
+cells, each the number of SCCs that slot fed), and each expansion
 applies the count-level slot transition to a list copy of it; equivalent
 search prefixes are merged by deduplicating identical states per slot,
 which leaves the result identical to plain enumeration.
@@ -123,7 +124,8 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
     By default the search space is restricted to complementary actions;
     the flag widens it to the full two-bit action set to quantify the cost
     of that restriction.  A state is the tuple ``(pdcp_depth, rlc_0 ..
-    rlc_n_scc, xn ring rows flattened)``; each expansion makes the slot
+    rlc_n_scc, xn_0 .. xn_d_xn)``, where an Xn ring cell counts the SCCs
+    its slot fed, as in ``CountStack``; each expansion makes the slot
     transition of ``CountStack.step`` on a list copy of it.
     """
     if inst.preseed_rlc and any(inst.preseed_rlc):
@@ -131,7 +133,7 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
     n_scc = inst.n_scc
     n_car = 1 + n_scc
     d = inst.d_xn
-    ring = 1 + n_car  # index of the Xn ring's first row
+    ring = 1 + n_car  # index of the Xn ring's first cell
     actions = ALL_ACTIONS if allow_noncomplementary else COMPLEMENTARY_ACTIONS
     moves = [(a.a_p, a.a_s, a) for a in actions]
     sccs = range(n_scc)
@@ -139,14 +141,14 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
     # Every state of layer t shares the Xn ring phase t % (d_xn + 1), so
     # equal tuples within a layer are equal queue states.  The one finished
     # state is the all-zero tuple.
-    empty = (0,) * (1 + n_car + (d + 1) * n_scc)
+    empty = (0,) * (1 + n_car + d + 1)
     frontier = [(inst.l,) + empty[1:]]
     parents: list[dict] = []  # one layer per slot: state -> (parent, action, served)
     explored = 0
     for t in range(inst.max_slots):
         cap_p, *cap_s = [row[t] for row in inst.caps]
-        send = ring + (t + d) % (d + 1) * n_scc  # the row this slot's SCC packets enter
-        due = ring + t % (d + 1) * n_scc  # the row that surfaces this slot
+        send = ring + (t + d) % (d + 1)  # the cell that counts this slot's SCC packets
+        due = ring + t % (d + 1)  # the cell that surfaces this slot
         nxt: dict = {}
         for state in frontier:
             for a_p, a_s, action in moves:
@@ -158,16 +160,16 @@ def brute_force_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) 
                 if a_s and depth:
                     k = min(n_scc, depth)
                     depth -= k
-                    for i in range(send, send + k):
-                        st[i] += 1
+                    st[send] = k
                 st[0] = depth
                 # With d_xn = 0, ``due`` is ``send``: the packets surface here.
                 q = st[1]
                 served = cap_p if cap_p < q else q
                 st[1] = q - served
+                fed = st[due]
+                st[due] = 0
                 for s in sccs:
-                    q = st[2 + s] + st[due + s]
-                    st[due + s] = 0
+                    q = st[2 + s] + (s < fed)
                     n = cap_s[s] if cap_s[s] < q else q
                     st[2 + s] = q - n
                     served += n

@@ -1,7 +1,8 @@
 """PDCP and RLC queue dynamics, Xn-delayed SCC delivery, MAC service, UE reception.
 
 The splitter observes only buffer occupancies, so the simulation runs on
-``CountStack``: integer queue depths and an Xn ring of per-SCC counts.  The
+``CountStack``: integer queue depths and an Xn ring that holds, for each
+of the last ``d_xn + 1`` slots, the number of SCCs that slot fed.  The
 tests check it against a sequence-number model of the same phases, which
 also checks packet conservation and duplicate-free delivery.  The per-slot
 ordering is fixed: ingest, dispatch, Xn surfacing, service, UE count, so
@@ -20,7 +21,7 @@ tests check ``step`` and the oracle's search over flat state tuples against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import add, sub
 
 import numpy as np
@@ -77,9 +78,10 @@ class CountStack:
 
     Carrier index 0 is the PCC; indices 1..n_scc are the SCCs.  Optional
     ``preseed_rlc`` occupancies put packets straight into the RLC buffers,
-    counted as already ingested and dispatched.  An SCC packet dispatched in
-    slot t waits in row ``(t + d_xn) % (d_xn + 1)`` of the Xn ring until
-    ``xn_tick(t + d_xn)``, so ``xn_tick`` must see every slot in order.
+    counted as already ingested and dispatched.  Slot t feeds SCCs ``0..k-1``
+    one packet each, so the Xn ring keeps one count per slot: cell
+    ``(t + d_xn) % (d_xn + 1)`` holds k until ``xn_tick(t + d_xn)`` surfaces
+    the packets, so ``xn_tick`` must see every slot in order.
     ``step`` runs the five phases of one slot in a single call, and
     ``fold`` (or ``fold_repeat``) and ``commit`` replace them for slots whose
     actions and arrivals are fixed in advance: a whole open-loop run or a
@@ -98,7 +100,7 @@ class CountStack:
         if preseed_rlc and len(preseed_rlc) != self.n_carriers:
             raise ValueError("preseed_rlc must list one occupancy per carrier")
         self.rlc = list(preseed_rlc) if preseed_rlc else [0] * self.n_carriers
-        self.xn = [[0] * n_scc for _ in range(d_xn + 1)]
+        self.xn = [0] * (d_xn + 1)  # SCCs fed, per slot in flight
         self.pdcp_depth = 0
         self.out_counts = list(self.rlc)
         self.total_ingested = sum(self.rlc)
@@ -127,17 +129,16 @@ class CountStack:
         if a_s and self.pdcp_depth:
             k = min(self.n_scc, self.pdcp_depth)
             self.pdcp_depth -= k
-            row = self.xn[(slot + self.d_xn) % (self.d_xn + 1)]
-            for s in range(k):
-                row[s] += 1
-                self.out_counts[1 + s] += 1
+            self.xn[(slot + self.d_xn) % (self.d_xn + 1)] = k
+            for s in range(1, 1 + k):
+                self.out_counts[s] += 1
 
     def xn_tick(self, slot: int) -> None:
         """Surface the in-flight packets due this slot."""
-        row = self.xn[slot % (self.d_xn + 1)]
-        for s in range(self.n_scc):
-            self.rlc[1 + s] += row[s]
-            row[s] = 0
+        due = slot % (self.d_xn + 1)
+        for s in range(1, 1 + self.xn[due]):
+            self.rlc[s] += 1
+        self.xn[due] = 0
 
     def rlc_serve(self, capacities) -> list[int]:
         """Serve ``min(capacity, occupancy)`` packets per carrier; returns the counts."""
@@ -179,21 +180,20 @@ class CountStack:
             depth -= 1
             rlc[0] += 1
             out[0] += 1
+        xn = self.xn
         d = self.d_xn
-        due = self.xn[slot % (d + 1)]
         if a_s and depth:
             k = min(self.n_scc, depth)
             depth -= k
-            # With d_xn = 0 this row is ``due``: the packets surface below.
-            row = self.xn[(slot + d) % (d + 1)]
-            for s in range(k):
-                row[s] += 1
-                out[1 + s] += 1
+            # With d_xn = 0 this cell is ``due``: the packets surface below.
+            xn[(slot + d) % (d + 1)] = k
+            for s in range(1, 1 + k):
+                out[s] += 1
         self.pdcp_depth = depth
-        for s, n in enumerate(due):
-            if n:
-                rlc[1 + s] += n
-                due[s] = 0
+        due = slot % (d + 1)
+        for s in range(1, 1 + xn[due]):
+            rlc[s] += 1
+        xn[due] = 0
         served = list(map(min, caps_t, rlc))
         rlc[:] = map(sub, rlc, served)
         self.received = total = sum(served)
@@ -204,7 +204,7 @@ class CountStack:
         return list(self.rlc)
 
     def xn_inflight(self) -> list[int]:
-        return list(map(sum, zip(*self.xn)))
+        return [sum(k > s for k in self.xn) for s in range(self.n_scc)]
 
     def buffer_difference(self) -> int:
         """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
@@ -221,7 +221,7 @@ class CountStack:
         ``disp_t = D_{t-1} + arr_t - D_t``: ``min(a_p_t, disp_t)`` to the PCC
         and one packet to each SCC ``s < disp_t - pcc_t``, which surfaces in
         its RLC buffer ``d_xn`` slots later.  The packets already on the Xn
-        link surface in the first ``d_xn`` slots, from the ring rows those
+        link surface in the first ``d_xn`` slots, from the ring cells those
         slots read.  Each RLC count is the same recursion over its inflow,
         ``q_t = max(0, q_{t-1} + in_t - c_t)``, and slot t serves
         ``q_{t-1} + in_t - q_t``.  The buffer difference ``b`` is taken at
@@ -287,13 +287,12 @@ class CountStack:
         fold.delivered = delivered = np.zeros(n, np.int64)
         fold.b = b = np.zeros(n + 1, np.int64)
         fold.final_rlc = final_rlc = []
-        # The packets on the Xn link surface in the first d_xn slots: SCCs
-        # by slots, or None when the link is empty.
-        ring = None
-        if d and any(map(any, self.xn)):
-            xn = self.xn
-            ring = np.array([xn[(fold.t0 + j) % (d + 1)] for j in range(min(d, n))],
-                            np.int64).reshape(-1, self.n_scc).T
+        # The SCCs fed d_xn slots before each slot: the Xn ring's cells due in
+        # the first d_xn slots, then the schedule's own.
+        if d:
+            xn, t0 = self.xn, fold.t0
+            due = [xn[(t0 + j) % (d + 1)] for j in range(min(d, n))]
+            scc = np.concatenate((np.array(due, scc.dtype), scc[:max(0, n - d)]))
 
         # Each carrier's counts with the current one in front: q_{-1}, q_0, ...
         counts = np.empty((n_car if keep_occupancy else rows, n + 1), np.int64)
@@ -301,17 +300,14 @@ class CountStack:
             hi = lo + rows
             walk = counts[lo:hi] if keep_occupancy else counts
             q, before = walk[:, 1:], walk[:, :-1]
-            # The inflow in_t: the PCC's packets, and for SCC s from slot
-            # d_xn on one packet wherever more than s SCCs were fed d_xn
-            # slots before.
+            # The inflow in_t: the PCC's packets, and for SCC s one packet
+            # wherever more than s SCCs were fed d_xn slots before.
             first = 0 if lo else 1  # the block's first SCC row
             if not lo:
                 q[0] = pcc
             if first < rows:
-                np.greater(scc[:max(0, n - d)],
-                           np.arange(lo + first - 1, hi - 1, dtype=scc.dtype)[:, None],
-                           out=q[first:, d:])
-                q[first:, :d] = 0 if ring is None else ring[lo + first - 1:hi - 1]
+                np.greater(scc, np.arange(lo + first - 1, hi - 1, dtype=scc.dtype)[:, None],
+                           out=q[first:])
             # served_t = q_{t-1} + in_t - q_t, into the carriers' rows, or
             # one carrier's straight into ``delivered``.
             out = delivered[None] if served is None else served[lo:hi]
@@ -354,15 +350,13 @@ class CountStack:
         out[1:] = map(add, out[1:], fed)
         d = self.d_xn
         if d:
-            # The ring rows of the first d_xn slots surfaced, and the SCC
+            # The ring cells of the first d_xn slots surfaced, and the SCC
             # dispatches of the last d_xn slots are still in flight.
             xn, t0 = self.xn, fold.t0
-            for t in range(min(n, d)):
-                xn[(t0 + t) % (d + 1)][:] = repeat(0, self.n_scc)
+            for t in range(t0, t0 + min(n, d)):
+                xn[t % (d + 1)] = 0
             for t, k in enumerate(scc[max(0, n - d):].tolist(), t0 + max(0, n - d) + d):
-                row = xn[t % (d + 1)]
-                for s in range(k):
-                    row[s] += 1
+                xn[t % (d + 1)] = k
         self.rlc[:] = final_rlc
         self.delivered += int(fold.delivered[:n].sum())
 
@@ -371,4 +365,4 @@ class CountStack:
 
         The cumulative counters never affect a later slot and are left out.
         """
-        return (self.pdcp_depth, tuple(self.rlc), tuple(tuple(row) for row in self.xn))
+        return (self.pdcp_depth, tuple(self.rlc), tuple(self.xn))

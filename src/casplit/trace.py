@@ -27,6 +27,11 @@ def _f(x: float) -> str:
     return FLOAT_FMT.format(x)
 
 
+def _csv_row(row: list) -> str:
+    """One CSV line: ``_f`` of each float, ``str`` of anything else."""
+    return ",".join(_f(x) if isinstance(x, float) else str(x) for x in row)
+
+
 def trace_columns(n_scc: int) -> list[str]:
     cols = ["t", "b", "a_p", "a_s"]
     names = ["pcc"] + [f"scc{i + 1}" for i in range(n_scc)]
@@ -119,21 +124,15 @@ SUMMARY_COLUMNS = [
 
 
 def summary_lines(runs: list[RunResult], etas: list[EtaReport]) -> list[str]:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for s in runs:
-        lines.append(",".join([
-            "run", s.scenario, str(s.seed), s.mode, s.policy, str(s.l),
-            str(s.t_slots), str(s.total_delivered), _f(s.mean_throughput),
-            _f(s.mean_abs_b), str(int(s.completed)), "", "", "", "", "", "",
-        ]))
-    for e in etas:
-        lines.append(",".join([
-            "eta", e.scenario_id, str(e.seed), "ca", e.policy, "", "", "", "",
-            "", "", _f(e.eta) if e.eta is not None else "",
-            str(int(e.undefined)), str(e.window), str(e.numerator),
-            str(e.denominator_pcc), str(e.denominator_scc),
-        ]))
-    return lines
+    rows = [SUMMARY_COLUMNS]
+    rows += [["run", s.scenario, s.seed, s.mode, s.policy, s.l, s.t_slots, s.total_delivered,
+              s.mean_throughput, s.mean_abs_b, int(s.completed), "", "", "", "", "", ""]
+             for s in runs]
+    rows += [["eta", e.scenario_id, e.seed, "ca", e.policy, "", "", "", "", "", "",
+              "" if e.eta is None else e.eta, int(e.undefined), e.window, e.numerator,
+              e.denominator_pcc, e.denominator_scc]
+             for e in etas]
+    return [_csv_row(row) for row in rows]
 
 
 def write_summary(path, runs: list[RunResult], etas: list[EtaReport]) -> None:
@@ -160,8 +159,4 @@ def write_metadata(path, config_text: str, seeds: list[int], modes: list[str],
 
 def write_table(path, columns: list[str], rows: list[list]) -> None:
     """Tidy results table for figure-style post-processing."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(
-            _f(x) if isinstance(x, float) else str(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(map(_csv_row, [columns, *rows])) + "\n", encoding="utf-8")

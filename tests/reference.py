@@ -213,7 +213,7 @@ def fold_reference(stack, fold, keep_occupancy: bool, keep_served: bool = False)
         if c == 0:
             q[:] = pcc
         else:
-            q[:d] = [row[c - 1] for row in ring]
+            q[:d] = [k >= c for k in ring]
             np.greater(scc[:max(0, n - d)], c - 1, out=q[d:])
         out += q
         q -= caps[c]

@@ -174,6 +174,20 @@ def test_oracle_subcommand_identity(tmp_path, capsys):
     assert "identity holds: True" in out
 
 
+@pytest.mark.parametrize("make, names", [
+    (lambda path: path.write_bytes(b'{"l": 3, "label": "\xff"}'), "not valid UTF-8"),
+    (lambda path: path.mkdir(), "cannot read instance file"),
+], ids=["not-utf8", "directory"])
+def test_oracle_rejects_an_unreadable_instance_file(tmp_path, capsys, make, names):
+    """Bytes that do not decode as UTF-8, or a path that is a directory,
+    exit 1 naming the file, not 2."""
+    path = tmp_path / "inst.json"
+    make(path)
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err and str(path) in err
+
+
 def test_oracle_rejects_oversized_instance(tmp_path, capsys):
     inst = {"l": 99, "n_scc": 1, "caps": [[1] * 24, [1] * 24]}
     path = tmp_path / "big.json"

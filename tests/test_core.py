@@ -158,8 +158,8 @@ def test_forced_scc_closed_form_by_hand():
     assert [col.strides for col in result.state] == [(0,)] * 6  # one state, no storage
     assert (result.final_rlc, result.final_inflight, result.served) == ([0, 1], [2], [2, 3])
     assert result.total_delivered == 5 and not result.completed
-    # Xn ring rows: slot 3 lands in row (3 + 2) % 3, slot 4 in row (4 + 2) % 3.
-    assert sim.stack.snapshot() == (5, (0, 1), ((1,), (0,), (1,)))
+    # Xn ring cells: slot 3 feeds cell (3 + 2) % 3, slot 4 cell (4 + 2) % 3.
+    assert sim.stack.snapshot() == (5, (0, 1), (1, 0, 1))
     assert sim.stack.out_counts == [2, 6]
     assert (sim.stack.total_ingested, sim.stack.delivered) == (13, 5)
 
@@ -178,7 +178,7 @@ def test_burst_closed_form_stops_at_completion_by_hand():
     result = sim.run()
     assert result.delivered.tolist() == [1, 3, 1]
     assert (result.completed, result.completion_slot, result.t_slots) == (True, 2, 3)
-    assert sim.stack.snapshot() == (0, (0, 0, 0), ((0, 0), (0, 0)))
+    assert sim.stack.snapshot() == (0, (0, 0, 0), (0, 0))
     assert sim.stack.out_counts == [2, 2, 1]
 
 
@@ -1261,10 +1261,10 @@ def test_observe_is_called_only_where_the_class_overrides_it():
 
 @pytest.mark.parametrize("policy", LOOP_POLICIES[:4])
 def test_only_ltr_sums_the_xn_ring_per_slot(policy):
-    """``stack.xn_inflight`` sums the Xn ring columns.  ltr reads it once a
-    slot it steps, in ``observe``, and never in ``hold``; the other
-    closed-loop policies never do, so only the end-of-run call in
-    ``_result`` is left."""
+    """``stack.xn_inflight`` counts, per SCC, the Xn ring cells that fed
+    it.  ltr reads it once a slot it steps, in ``observe``, and never in
+    ``hold``; the other closed-loop policies never do, so only the
+    end-of-run call in ``_result`` is left."""
     cfg = default_static_scenario(2).copy(l=300, max_slots=400)
     sim = build_run(cfg, RunMode.CA, caps=build_caps(cfg), policy=policy)
     held = _held_windows(sim)

@@ -176,7 +176,7 @@ def _restore(stack: CountStack, state: tuple) -> None:
     """Reset the queue state of ``stack`` to a ``snapshot()``."""
     stack.pdcp_depth = state[0]
     stack.rlc = list(state[1])
-    stack.xn = [list(row) for row in state[2]]
+    stack.xn = list(state[2])
 
 
 def _reference_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) -> OracleResult:
@@ -189,7 +189,7 @@ def _reference_min_T(inst: TinyInstance, allow_noncomplementary: bool = False) -
     actions = ALL_ACTIONS if allow_noncomplementary else COMPLEMENTARY_ACTIONS
     stack = CountStack(inst.n_scc, inst.d_xn)
     stack.pdcp_ingest(inst.l)
-    done = lambda st: st[0] == 0 and not any(st[1]) and not any(map(any, st[2]))
+    done = lambda st: st[0] == 0 and not any(st[1]) and not any(st[2])
 
     frontier = [stack.snapshot()]
     parents: list[dict] = []

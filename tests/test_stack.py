@@ -274,7 +274,7 @@ def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0, all_slo
     packets on the Xn link or none, and any prefix of it committed, equals
     ``step`` over the same slots: served counts per carrier, end-of-slot
     counts, the buffer difference at every slot edge (before each slot and
-    after the last), and the whole end state, Xn ring rows included, which
+    after the last), and the whole end state, Xn ring cells included, which
     depend on the slot the fold started at.  It holds with all carriers
     folded in one pass and one at a time (``FOLD_ALL_SLOTS`` 0)."""
     n = data.draw(st.integers(1, 30))
