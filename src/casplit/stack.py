@@ -81,7 +81,7 @@ class CountStack:
     counted as already ingested and dispatched.  Slot t feeds SCCs ``0..k-1``
     one packet each, so the Xn ring keeps one count per slot: cell
     ``(t + d_xn) % (d_xn + 1)`` holds k until ``xn_tick(t + d_xn)`` surfaces
-    the packets, so ``xn_tick`` must see every slot in order.
+    the packets; ``xn_tick`` must therefore see every slot in order.
     ``step`` runs the five phases of one slot in a single call, and
     ``fold`` (or ``fold_repeat``) and ``commit`` replace them for slots whose
     actions and arrivals are fixed in advance: a whole open-loop run or a
