@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -141,20 +141,38 @@ class LtrController(Controller):
         """From a slot it plays on the PCC, the leading slots that leave the
         PCC's RLC buffer empty: its estimate is then 0, which no SCC estimate
         undercuts, so ``observe`` keeps the PCC whatever the rates.  The
-        rates are averaged over those slots in slot order, as ``observe``
-        averages them."""
+        rates are averaged over those slots as ``observe`` averages them,
+        one run of equal served counts at a time (``_average``)."""
         if action is not PCC_ONLY_ACTION or self._action is not action:
             return 0
         window = window()
         queued = np.flatnonzero(window.rlc[0])
         k = int(queued[0]) if queued.size else len(window.delivered)
-        a, keep, rates = self.smoothing, self._keep, self.rates
-        for c, counts in enumerate(window.served[:, :k].tolist()):
-            r = rates[c]
-            for n in counts:
-                r = keep * r + a * n
-            rates[c] = r
+        served = window.served[:, :k]
+        # A run starts at each carrier's first slot and where its count changes.
+        starts = np.ones(served.shape, bool)
+        np.not_equal(served[:, 1:], served[:, :-1], out=starts[:, 1:])
+        starts = np.flatnonzero(starts).tolist()
+        rates, ends = self.rates, starts[1:] + [served.size]
+        for i, count, end in zip(starts, np.take(served, starts).tolist(), ends):
+            rates[i // k] = self._average(rates[i // k], count, end - i)
         return k
+
+    def _average(self, r: float, n: int, slots: int) -> float:
+        """The rate ``r`` after ``slots`` slots that each served ``n``
+        packets, bit for bit ``r = keep * r + a * n`` slot by slot: with
+        ``n`` 0, ``r`` times ``keep`` once a slot (``a * 0`` adds +0.0, and a
+        rate is never -0.0); otherwise until ``r`` stands at the float fixed
+        point of the update, which it then keeps."""
+        keep = self._keep
+        if not n:
+            return math.prod(repeat(keep, slots), start=r)
+        an = self.smoothing * n
+        for _ in range(slots):
+            r, last = keep * r + an, r
+            if r == last:
+                break
+        return r
 
 
 @dataclass
@@ -323,8 +341,10 @@ class QLearningController(Controller):
         else:
             held = window()
 
-        # Each slot's next state, as the flat index 2 s of its row in Q.
+        # Each slot's next state, as the flat index 2 s of its row in Q,
+        # replayed on a list of Q's values, written back once.
         rows = (2 * self.table.buckets(held.b[1:])).tolist()
+        q = self._q.tolist()
         learn_rate, discount = self._learn_rate, self._discount
         k = len(rows)
         for j, (coin, row_next, reward) in enumerate(zip(plan, rows, held.delivered.tolist())):
@@ -342,6 +362,7 @@ class QLearningController(Controller):
             old = q[i]
             q[i] = old + learn_rate * (reward + discount * best - old)
             row = row_next
+        self.table.values.ravel()[:] = q
         self._state = row // 2
         if below:
             last = bisect_left(marks, (k,))

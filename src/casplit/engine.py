@@ -399,12 +399,10 @@ class Simulation:
                 else:
                     m = len(a_p)
                     fold = stack.fold(self._fold_caps[:, t:t + m], a_p, a_s,
-                                      np.full(m, arrivals, np.int64), t, keep_occupancy=True,
-                                      keep_served=True)
+                                      np.full(m, arrivals, np.int64), t, keep_occupancy=True)
                 m = self._completion(fold) if cut else len(fold.delivered)
-                folded.append((fold, HoldWindow(fold.b[:m + 1], fold.served[:, :m],
-                                                fold.occupancy[:, :m], fold.delivered[:m], states),
-                               a_p, a_s))
+                folded.append((fold, HoldWindow(fold.b[:m + 1], fold.occupancy[:, :m],
+                                                fold.delivered[:m], fold, states), a_p, a_s))
             return folded[0][1]
 
         k = self.plan.hold(t, action, n, window)

@@ -40,14 +40,14 @@ slots the controller does decide stay cheap.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from casplit.stack import CountStack
+from casplit.stack import CountStack, Fold
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,25 @@ class HoldWindow:
     """Slots ``t, t + 1, ..., t + m - 1`` of a fixed schedule, as a holding
     controller is offered them: the buffer difference at slot edges
     ``0..m``, before each slot (what its ``decide`` would get) and after
-    the last, the packets served per carrier and the end-of-slot RLC
-    counts, carriers by slots, and each slot's delivered total.  In a
-    traced run ``states`` is the run's run-length list of trace states:
-    where the controller's ``trace_state`` changes inside the slots it
-    holds, ``hold`` appends ``(n_slots, trace_state())`` for each stretch
+    the last, the end-of-slot RLC counts, carriers by slots, each slot's
+    delivered total, and the ``fold`` they come from, whose packets served
+    per carrier (``served``, carriers by slots) are derived when first
+    read.  In a traced run ``states`` is the run's run-length list of trace
+    states: where the controller's ``trace_state`` changes inside the slots
+    it holds, ``hold`` appends ``(n_slots, trace_state())`` for each stretch
     before a change, in slot order, and leaves the entries already there
     alone; the engine adds the rest of the held slots with the state
     ``hold`` leaves.  Otherwise it is None."""
 
     b: np.ndarray
-    served: np.ndarray
     rlc: np.ndarray
     delivered: np.ndarray
+    fold: Fold = field(repr=False)
     states: list | None = None
+
+    @property
+    def served(self) -> np.ndarray:
+        return self.fold.served[:, :len(self.delivered)]
 
 
 ACTIVE_BOTH = SplitAction(1, 1)
@@ -357,26 +362,32 @@ class FuzzyPidController(Controller):
              window: Callable[..., HoldWindow]) -> int:
         """The leading slots that stay ``static``: each one's ``b`` keeps the
         sign of the one before and does not run away past the escape band.
-        The gain updates due on them are made as ``decide`` makes them."""
+        Slot 0 is tested on its own, against the last ``b`` ``decide`` got;
+        past it, every ``b`` of the static run has slot 0's sign, so with
+        ``x`` the buffer differences times that sign, slot j stays static
+        while ``0 < x_j <= max(x_{j-1}, floor(escape))``.  The gain updates
+        due on the held slots are made as ``decide`` makes them."""
         if self.mode != "static":
             return 0
         window = window()
-        edges = np.concatenate(([self._b_prev], window.b))
-        prev, b = edges[:-2], edges[1:-1]
-        mag, mag_prev = np.abs(b), np.abs(prev)
-        static = (np.sign(b) * np.sign(prev) > 0) & ((mag <= mag_prev) | (mag <= self._escape))
-        k = len(b) if static.all() else int(static.argmin())
-        if not k:
+        b, b1 = window.b, self._b_prev
+        b0 = int(b[0])
+        if not (b0 * b1 > 0 and (abs(b0) <= abs(b1) or abs(b0) <= self._escape)):
             return 0
+        x = b[:-1] if b0 > 0 else -b[:-1]
+        off = x[1:] > np.maximum(x[:-1], int(self._escape))
+        off |= x[1:] <= 0
+        k = 1 + int(off.argmax()) if off.any() else len(x)
         states, start = window.states, t
         if self.adapt_gains:  # t > n in static mode, so every multiple of n updates
             for s in range(t + -t % self.n, t + k, self.n):
                 if states is not None and s > start:
                     states.append((s - start, self.trace_state()))
                     start = s
-                d_b, d_e = fuzzify(int(b[s - t]), int(prev[s - t]), self.cfg)
+                j = s - t
+                d_b, d_e = fuzzify(int(b[j]), int(b[j - 1]) if j else b1, self.cfg)
                 self.gains = update_gains(self.gains, d_b, d_e, self.cfg)
-        self._b_prev, self._b_prev2 = int(b[k - 1]), int(prev[k - 1])
+        self._b_prev, self._b_prev2 = int(b[k - 1]), int(b[k - 2]) if k > 1 else b1
         self._zero_streak = 0
         self.history.extend(repeat(action, min(k, self.n)))
         return k

@@ -376,7 +376,12 @@ def to_file(cfg: ScenarioConfig, path) -> None:
 def from_file(path) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh, str(path))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file is not valid UTF-8: {path} "
                           f"(byte {exc.start}: {exc.reason})") from None
@@ -384,8 +389,6 @@ def from_file(path) -> ScenarioConfig:
         raise ConfigError(f"{exc.section}.{exc.option}: repeated key (line {exc.lineno})") from None
     except configparser.Error as exc:  # no section header, a repeated section
         raise ConfigError(f"malformed config file: {exc}") from None
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
     return _from_parser(parser)
 
 

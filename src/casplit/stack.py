@@ -21,6 +21,7 @@ tests check ``step`` and the oracle's search over flat state tuples against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import add, sub
 
@@ -55,22 +56,42 @@ def _fed(scc: np.ndarray, n_scc: int) -> list[int]:
 class Fold:
     """A fixed schedule folded from a ``CountStack``'s state (``fold``):
     the slot it starts at, the inputs (int64 capacities, arrivals, packets
-    dispatched to the PCC and the number of SCCs fed, per slot) and the
-    per-slot results: packets served (all carriers), the buffer difference
-    at each of the n + 1 slot edges (before every slot, and after the last
-    one), optionally the end-of-slot RLC counts and the packets served per
-    carrier (carriers by slots), and the final counts."""
+    dispatched to the PCC and the number of SCCs fed, per slot, and the
+    number of SCCs fed ``d_xn`` slots before each slot, which surface in
+    it: the Xn ring's cells, then the schedule's own; ``fold_repeat`` adds
+    its constant ``spans``) and the per-slot results: packets delivered
+    (all carriers), the buffer difference at each of the n + 1 slot edges
+    (before every slot, and after the last one), each carrier's RLC count
+    before the first slot and at the end of each (``counts``, carriers by
+    n + 1 edges: kept over at most ``FOLD_ALL_SLOTS`` slots, or with the
+    occupancies), optionally the end-of-slot counts alone (``occupancy``),
+    and the final counts.  The packets served per carrier are derived from
+    ``counts`` on first read (``served``)."""
 
     t0: int
     caps: np.ndarray
     arrivals: np.ndarray
     pcc: np.ndarray
     scc: np.ndarray
+    scc_in: np.ndarray | None = None
+    # (first slot, slots, packets to the PCC and SCCs fed in each slot)
+    spans: list[tuple[int, int, int, int]] | None = None
     delivered: np.ndarray | None = None
     b: np.ndarray | None = None
+    counts: np.ndarray | None = None
     occupancy: np.ndarray | None = None
-    served: np.ndarray | None = None
     final_rlc: list[int] | None = None
+
+    @cached_property
+    def served(self) -> np.ndarray:
+        """The packets each carrier served in each slot (carriers by slots),
+        ``q_{t-1} + in_t - q_t``, from ``counts`` and the inflow."""
+        counts = self.counts
+        served = counts[:, :-1] - counts[:, 1:]
+        served[0] += self.pcc
+        scc_in = self.scc_in
+        served[1:] += np.greater(scc_in, np.arange(len(counts) - 1, dtype=scc_in.dtype)[:, None])
+        return served
 
 
 class CountStack:
@@ -210,8 +231,7 @@ class CountStack:
         """PCC RLC occupancy minus the summed SCC occupancies (Xn excluded)."""
         return self.rlc[0] - sum(self.rlc[1:])
 
-    def fold(self, caps, a_p, a_s, arrivals, t0: int = 0, keep_occupancy: bool = False,
-             keep_served: bool = False) -> Fold:
+    def fold(self, caps, a_p, a_s, arrivals, t0: int = 0, keep_occupancy: bool = False) -> Fold:
         """A fixed schedule from the current state, starting at slot ``t0``,
         in closed form; the stack is left unchanged (``commit`` advances it).
 
@@ -234,115 +254,129 @@ class CountStack:
         step = arrivals - a_p
         step -= np.multiply(a_s, self.n_scc, dtype=np.int64)
         depth = _lindley(self.pdcp_depth, step, out=step)
-        scc = arrivals - depth  # becomes disp_t = D_{t-1} + arr_t - D_t
-        scc[1:] += depth[:-1]
-        scc[:1] += self.pdcp_depth
+        disp = arrivals - depth  # becomes disp_t = D_{t-1} + arr_t - D_t
+        disp[1:] += depth[:-1]
+        disp[:1] += self.pdcp_depth
         del step, depth
-        pcc = a_p & (scc > 0)  # the PCC takes the first packet dispatched
-        scc -= pcc  # and the SCC group the rest, SCC 0 first
-        scc = scc.astype(np.min_scalar_type(self.n_scc))  # one byte a slot below 256 SCCs
-        return self._fold(Fold(t0, caps, arrivals, pcc, scc), keep_occupancy, keep_served)
+        pcc = a_p & (disp > 0)  # the PCC takes the first packet dispatched
+        disp -= pcc  # and the SCC group the rest, SCC 0 first
+        scc, scc_in = self._scc_columns(t0, len(pcc))
+        scc[:] = disp
+        return self._fold(Fold(t0, caps, arrivals, pcc, scc, scc_in), keep_occupancy)
 
     def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int) -> Fold:
         """``fold`` of one action repeated over the slots of ``caps``, with
-        ``arrivals`` new packets in each, occupancies and served counts
-        kept: a held window.  The PDCP recursion then drains
-        ``c = a_p + n_scc * a_s - arrivals`` packets a slot, so the slots
-        dispatch the full draw while the buffer covers it (all of them if
-        ``c <= 0``, else the first ``D // c``), then one slot what is left,
-        then the arrivals alone.  The PCC takes the first of each slot's
-        packets, as in ``fold``, whose preconditions ``caps`` meets."""
+        ``arrivals`` new packets in each, occupancies kept: a held window.
+        The PDCP recursion then drains ``c = a_p + n_scc * a_s - arrivals``
+        packets a slot, so the slots dispatch the full draw while the buffer
+        covers it (all of them if ``c <= 0``, else the first ``D // c``),
+        then one slot what is left, then the arrivals alone: at most three
+        constant ``spans``, written straight into the dispatch columns.  The
+        PCC takes the first of each slot's packets, as in ``fold``, whose
+        preconditions ``caps`` meets."""
         n = caps.shape[1]
         draw = a_p + self.n_scc * a_s
         c = draw - arrivals
         m, left = divmod(self.pdcp_depth, c) if c > 0 else (n, 0)
         pcc = np.empty(n, np.int8)
-        scc = np.empty(n, np.min_scalar_type(self.n_scc))
+        scc, scc_in = self._scc_columns(t0, n)
+        spans = []
         start = 0
         for stop, disp in ((m, draw), (m + 1, left + arrivals), (n, arrivals)):
             stop = min(stop, n)
             if start < stop:
                 pcc[start:stop] = to_pcc = min(a_p, disp)
                 scc[start:stop] = disp - to_pcc
+                spans.append((start, stop - start, to_pcc, disp - to_pcc))
                 start = stop
-        return self._fold(Fold(t0, caps, np.full(n, arrivals, np.int64), pcc, scc), True, True)
+        fold = Fold(t0, caps, np.full(n, arrivals, np.int64), pcc, scc, scc_in, spans)
+        return self._fold(fold, True)
 
-    def _fold(self, fold: Fold, keep_occupancy: bool, keep_served: bool = False) -> Fold:
+    def _scc_columns(self, t0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two views of one vector of ``d_xn + n`` SCC counts, one byte each
+        below 256 SCCs: the ``n`` slots' own, to be filled in, and the SCCs
+        fed ``d_xn`` slots before each of them, the Xn ring's cells due in
+        slots ``t0 .. t0 + d_xn - 1`` first."""
+        d = self.d_xn
+        fed = np.empty(d + n, np.min_scalar_type(self.n_scc))
+        fed[:d] = [self.xn[(t0 + j) % (d + 1)] for j in range(d)]
+        return fed[d:], fed[:n]
+
+    def _fold(self, fold: Fold, keep_occupancy: bool) -> Fold:
         """Fill in ``fold``'s per-slot deliveries and its buffer differences
         at every slot edge from every carrier's RLC recursion, plus the
-        occupancies and per-carrier served counts (if kept) and the final
-        counts; leaves the stack unchanged.  The carriers are folded in blocks of rows: all of them
-        in one pass over a window of at most ``FOLD_ALL_SLOTS`` slots, one at
-        a time over a longer one, whose rows then stay small enough to sit in
-        cache, and whose work memory, unless the occupancies are kept, is a
-        few slot-length vectors."""
-        caps, pcc, scc = fold.caps, fold.pcc, fold.scc
+        counts at the slot edges (over a short window, or if kept) and the
+        final counts; leaves the stack unchanged.  Both results come from
+        the carriers' summed counts ``S_t``: slot t delivers
+        ``in_t + S_{t-1} - S_t``, where ``in_t`` is the PCC's packets and the
+        SCCs' surfacing ones, and ``b_t = 2 q_pcc,t - S_t``.  The carriers
+        are folded in blocks of rows: all of them in one pass over a window
+        of at most ``FOLD_ALL_SLOTS`` slots, one at a time over a longer
+        one, whose rows then stay small enough to sit in cache, and whose
+        work memory, unless the occupancies are kept, is a few slot-length
+        vectors."""
+        caps, pcc, scc_in = fold.caps, fold.pcc, fold.scc_in
         n = len(pcc)
-        d = self.d_xn
         n_car = self.n_carriers
         rows = n_car if n <= FOLD_ALL_SLOTS else 1
-        # Per-carrier served counts: kept, or summed over a block of rows.
-        served = np.zeros((n_car, n), np.int64) if keep_served or rows > 1 else None
-        fold.served = served if keep_served else None
-        fold.delivered = delivered = np.zeros(n, np.int64)
-        fold.b = b = np.zeros(n + 1, np.int64)
         fold.final_rlc = final_rlc = []
-        # The SCCs fed d_xn slots before each slot: the Xn ring's cells due in
-        # the first d_xn slots, then the schedule's own.
-        if d:
-            xn, t0 = self.xn, fold.t0
-            due = [xn[(t0 + j) % (d + 1)] for j in range(min(d, n))]
-            scc = np.concatenate((np.array(due, scc.dtype), scc[:max(0, n - d)]))
-
         # Each carrier's counts with the current one in front: q_{-1}, q_0, ...
         counts = np.empty((n_car if keep_occupancy else rows, n + 1), np.int64)
         for lo in range(0, n_car, rows):
             hi = lo + rows
             walk = counts[lo:hi] if keep_occupancy else counts
-            q, before = walk[:, 1:], walk[:, :-1]
+            q = walk[:, 1:]
             # The inflow in_t: the PCC's packets, and for SCC s one packet
             # wherever more than s SCCs were fed d_xn slots before.
             first = 0 if lo else 1  # the block's first SCC row
             if not lo:
                 q[0] = pcc
             if first < rows:
-                np.greater(scc, np.arange(lo + first - 1, hi - 1, dtype=scc.dtype)[:, None],
+                np.greater(scc_in, np.arange(lo + first - 1, hi - 1, dtype=scc_in.dtype)[:, None],
                            out=q[first:])
-            # served_t = q_{t-1} + in_t - q_t, into the carriers' rows, or
-            # one carrier's straight into ``delivered``.
-            out = delivered[None] if served is None else served[lo:hi]
-            out += q
             q -= caps[lo:hi]
             walk[:, 0] = self.rlc[lo:hi]  # a first step from 0 to the count now
             _lindley(0, walk, out=walk)
-            out += before
-            out -= q
-            # b is the PCC's count less the SCCs', at each slot edge.
-            if not lo:
-                b += walk[0]
-            if first < rows:
-                b -= walk[first:].sum(axis=0) if rows > 1 else walk[0]
             final_rlc += walk[:, -1].tolist()
+            if not lo:
+                fold.b = b = walk[0] + walk[0]
+                total = walk.sum(axis=0)
+            else:
+                total += walk[0]
+        b -= total
+        fold.delivered = delivered = total[:-1] - total[1:]
+        delivered += pcc
+        delivered += scc_in
+        if rows == n_car or keep_occupancy:
+            fold.counts = counts
         fold.occupancy = counts[:, 1:] if keep_occupancy else None
-        if served is not None:
-            served.sum(axis=0, out=delivered)
         return fold
 
     def commit(self, fold: Fold, n: int) -> None:
         """Advance the stack by the first ``n`` slots of ``fold``, which must
         have been folded from the current state: exactly where the per-slot
         phases leave it.  A prefix shorter than the fold needs its
-        occupancies."""
+        occupancies.  The packets dispatched come from a repeated action's
+        constant spans in Python, or else from the per-slot columns, and
+        those delivered from the packets dispatched and the packets queued
+        before and after, since none is lost."""
         if not n:
             return
         if n < len(fold.pcc):
             final_rlc = fold.occupancy[:, n - 1].tolist()
         else:
             final_rlc = fold.final_rlc
-        to_pcc = int(fold.pcc[:n].sum())
-        scc = fold.scc[:n]
-        fed = _fed(scc, self.n_scc)
-        ingested = int(fold.arrivals[:n].sum())
+        if fold.spans is None:
+            to_pcc = int(fold.pcc[:n].sum())
+            fed = _fed(fold.scc[:n], self.n_scc)
+            ingested = int(fold.arrivals[:n].sum())
+        else:  # the spans' slots up to slot n
+            spans = [(min(m, n - t), p, k) for t, m, p, k in fold.spans if t < n]
+            to_pcc = sum(m * p for m, p, _ in spans)
+            fed = [sum(m for m, _, k in spans if k > s) for s in range(self.n_scc)]
+            ingested = n * int(fold.arrivals[0])
+        xn, rlc = self.xn, self.rlc
+        queued = sum(rlc) + sum(xn)
         self.total_ingested += ingested
         self.pdcp_depth += ingested - to_pcc - sum(fed)
         out = self.out_counts
@@ -352,13 +386,13 @@ class CountStack:
         if d:
             # The ring cells of the first d_xn slots surfaced, and the SCC
             # dispatches of the last d_xn slots are still in flight.
-            xn, t0 = self.xn, fold.t0
+            t0 = fold.t0
             for t in range(t0, t0 + min(n, d)):
                 xn[t % (d + 1)] = 0
-            for t, k in enumerate(scc[max(0, n - d):].tolist(), t0 + max(0, n - d) + d):
+            for t, k in enumerate(fold.scc[max(0, n - d):n].tolist(), t0 + max(0, n - d) + d):
                 xn[t % (d + 1)] = k
-        self.rlc[:] = final_rlc
-        self.delivered += int(fold.delivered[:n].sum())
+        rlc[:] = final_rlc
+        self.delivered += queued + to_pcc + sum(fed) - sum(rlc) - sum(xn)
 
     def snapshot(self) -> tuple:
         """Hashable queue state: PDCP depth, RLC counts and the Xn ring.

@@ -282,8 +282,7 @@ def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0, all_slo
     k = data.draw(st.integers(1, n))
     stack, ref = _warm_stacks(data, n_scc, d_xn, t0)
     with mock.patch.object(stack_module, "FOLD_ALL_SLOTS", all_slots):
-        fold = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=True,
-                          keep_served=True)
+        fold = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=True)
     for t in range(n):
         assert fold.b[t] == ref.buffer_difference()
         served = ref.step(t0 + t, int(arrivals[t]), int(a_p[t]), int(a_s[t]),
@@ -300,26 +299,31 @@ def test_fold_and_commit_match_step_from_any_slot(data, n_scc, d_xn, t0, all_slo
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 13),
-       st.sampled_from([0, 7, 2048]), st.booleans(), st.booleans())
-def test_fold_matches_per_carrier_reference(data, n_scc, d_xn, t0, all_slots, keep_occupancy,
-                                            keep_served):
+       st.sampled_from([0, 7, 2048]), st.booleans())
+def test_fold_matches_per_carrier_reference(data, n_scc, d_xn, t0, all_slots, keep_occupancy):
     """``_fold``, all carriers in one pass over windows of at most
     ``FOLD_ALL_SLOTS`` slots and one at a time over longer ones, fills in
-    the same deliveries, buffer differences, occupancies, served counts and
-    final counts as the per-carrier reference, from states with packets on
-    the Xn link or none."""
+    the same deliveries, buffer differences, occupancies and final counts
+    as the per-carrier reference, from states with packets on the Xn link
+    or none.  It derives no served counts until they are read; read, they
+    are the reference's, wherever the fold keeps its slot-edge counts: over
+    a short window, or with the occupancies."""
     n = data.draw(st.integers(1, 40))
     a_p, a_s, arrivals, caps = _schedule(data, 1 + n_scc, n)
     stack, = _warm_stacks(data, n_scc, d_xn, t0, n_stacks=1)
     with mock.patch.object(stack_module, "FOLD_ALL_SLOTS", all_slots):
-        got = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=keep_occupancy,
-                         keep_served=keep_served)
+        got = stack.fold(caps, a_p, a_s, arrivals, t0=t0, keep_occupancy=keep_occupancy)
     want = fold_reference(stack, Fold(t0, got.caps, got.arrivals, got.pcc, got.scc),
-                          keep_occupancy, keep_served)
-    for name in ("delivered", "b", "occupancy", "served"):
+                          keep_occupancy, keep_served=True)
+    for name in ("delivered", "b", "occupancy"):
         x, y = getattr(got, name), getattr(want, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
     assert got.final_rlc == want.final_rlc
+    assert "served" not in vars(got)  # no carriers-by-slots array built unread
+    if n <= all_slots or keep_occupancy:
+        assert np.array_equal(got.served, want.served)
+    else:
+        assert got.counts is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,8 +332,9 @@ def test_fold_matches_per_carrier_reference(data, n_scc, d_xn, t0, all_slots, ke
 def test_fold_repeat_matches_fold(data, n_scc, d_xn, t0, a_p, a_s, arrivals):
     """A window of one action repeated with the same arrivals each slot,
     folded by ``fold_repeat``, equals ``fold`` over the constant schedule:
-    the dispatches, every per-slot result and, after a committed prefix, the
-    whole end state."""
+    the dispatches, the SCC inflow, every per-slot result, the served
+    counts derived from it, also against the per-carrier reference, and,
+    after a committed prefix, the whole end state."""
     n = data.draw(st.integers(1, 40))
     caps = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                                        min_size=1 + n_scc, max_size=1 + n_scc)), np.int64)
@@ -337,10 +342,14 @@ def test_fold_repeat_matches_fold(data, n_scc, d_xn, t0, a_p, a_s, arrivals):
     stack.pdcp_depth = ref.pdcp_depth = stack.pdcp_depth + data.draw(st.integers(0, 40))
     got = stack.fold_repeat(caps, a_p, a_s, arrivals, t0)
     want = ref.fold(caps, np.full(n, a_p, np.int8), np.full(n, a_s, np.int8),
-                    np.full(n, arrivals, np.int64), t0=t0, keep_occupancy=True, keep_served=True)
-    for name in ("pcc", "scc", "arrivals", "delivered", "b", "occupancy", "served"):
+                    np.full(n, arrivals, np.int64), t0=t0, keep_occupancy=True)
+    assert "served" not in vars(got)
+    for name in ("pcc", "scc", "scc_in", "arrivals", "delivered", "b", "occupancy", "served"):
         assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
     assert got.final_rlc == want.final_rlc
+    per_carrier = fold_reference(stack, Fold(t0, caps, got.arrivals, got.pcc, got.scc), True,
+                                 keep_served=True)
+    assert got.served.tolist() == per_carrier.served.tolist()
     k = data.draw(st.integers(1, n))
     stack.commit(got, k)
     ref.commit(want, k)
@@ -367,5 +376,5 @@ def test_fold_serves_a_pdcp_depth_set_directly():
     stack, ref = CountStack(1, 0), CountStack(1, 0)
     stack.pdcp_depth = ref.pdcp_depth = 1
     fold = stack.fold(np.array([[1], [0]], np.int64), np.array([1], np.int8),
-                      np.array([0], np.int8), np.zeros(1, np.int64), keep_served=True)
+                      np.array([0], np.int8), np.zeros(1, np.int64))
     assert fold.served[:, 0].tolist() == ref.step(0, 0, 1, 0, [1, 0]) == [1, 0]
