@@ -7,6 +7,7 @@ and the RLC buffers and Xn pipelines are FIFOs.  ``capacity_reference``
 is the scalar channel chain that ``channel.capacity_series`` vectorises,
 and ``distance_reference`` the scalar form of ``Trajectory.distances``.
 ``fold_reference`` folds a ``CountStack`` window one carrier at a time,
+``ltr_rates_reference`` averages ltr's rates slot by slot,
 ``update_gains_reference`` and ``compute_k_reference`` are the fuzzy
 controller's table sum and history count as generator expressions, and
 ``write_trace_reference`` writes a trace column by column into Python
@@ -180,6 +181,19 @@ def compute_k_reference(history, n_scc: int) -> int:
     sum_p = sum(a.a_p for a in history)
     sum_s = n_scc * sum(a.a_s for a in history)
     return max(1, sum_s // max(1, sum_p))
+
+
+def ltr_rates_reference(rates: list[float], served: list[list[int]], smoothing: float) -> list:
+    """ltr's service rates after the slots of ``served`` (carriers by
+    slots), averaged slot by slot as ``LtrController.observe`` averages
+    them: ``r = (1 - smoothing) * r + smoothing * n``."""
+    keep = 1 - smoothing
+    out = []
+    for r, counts in zip(rates, served):
+        for n in counts:
+            r = keep * r + smoothing * n
+        out.append(r)
+    return out
 
 
 def _lindley_1d(start: int, walk: np.ndarray) -> None:

@@ -1,3 +1,4 @@
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,9 @@ from casplit.baselines import (
 )
 from casplit.core import make_rng
 from casplit.engine import Simulation
-from casplit.fuzzy_pid import SplitAction
+from casplit.fuzzy_pid import PCC_ONLY_ACTION, SplitAction
 from casplit.stack import CountStack
+from reference import ltr_rates_reference
 
 P = SplitAction(1, 0)
 S = SplitAction(0, 1)
@@ -100,6 +102,47 @@ def test_ltr_counts_xn_inflight_packets():
     c = LtrController(n_scc=1, d_xn=0, smoothing=0.0)
     c.observe([0, 0], stack.buffer_difference(), stack)
     assert c.decide(1, 0) == P  # 2 < 0 + 3
+
+
+@st.composite
+def served_rows(draw, n_car):
+    """Served counts of ``n_car`` carriers over the same slots, up to about
+    2,000: each row a sequence of zero runs, constant runs and random counts."""
+    n = draw(st.integers(0, 2000))
+    rows = []
+    for _ in range(n_car):
+        row = []
+        while len(row) < n:
+            kind = draw(st.sampled_from(["zeros", "constant", "random"]))
+            size = draw(st.integers(1, n - len(row)))
+            if kind == "random":
+                row += draw(st.lists(st.integers(0, 9), min_size=min(size, 20),
+                                     max_size=min(size, 20)))[:n - len(row)]
+            else:
+                row += [0 if kind == "zeros" else draw(st.integers(1, 9))] * size
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from([0, 0.0, 0.05, 0.5, 1, 1.0]))
+def test_ltr_hold_averages_rates_as_slot_by_slot(data, n_scc, smoothing):
+    """ltr's ``hold`` updates its rates one run of equal served counts at a
+    time: a zero run as one product, a non-zero run until the float fixed
+    point.  That equals the per-slot update bit for bit, over rows of up to
+    about 2,000 slots, long enough to decay to 0 or to reach the fixed
+    point, from rates of 0, the least subnormal, 1 and large ones."""
+    served = data.draw(served_rows(1 + n_scc))
+    rates = data.draw(st.lists(st.sampled_from([0.0, 5e-324, 1.0, 0.37, 7.0, 1e300]) |
+                               st.floats(0, 1e6), min_size=1 + n_scc, max_size=1 + n_scc))
+    ltr = LtrController(n_scc, 0, smoothing=smoothing)
+    ltr.rates = list(rates)
+    m = len(served[0])
+    window = SimpleNamespace(rlc=np.zeros((1 + n_scc, m), np.int64), delivered=np.zeros(m),
+                             served=np.array(served, np.int64).reshape(1 + n_scc, m))
+    assert ltr.hold(0, PCC_ONLY_ACTION, m, lambda: window) == m
+    want = ltr_rates_reference(rates, served, smoothing)
+    assert [r.hex() for r in ltr.rates] == [float(r).hex() for r in want]
 
 
 def test_ltr_rate_tracking():

@@ -437,6 +437,21 @@ def test_run_rejects_config_that_is_not_utf8(tiny_config, tmp_path, capsys):
     assert err.startswith("config error: ") and "not valid UTF-8" in err and str(path) in err
 
 
+@pytest.mark.parametrize("make, names", [
+    (lambda path: None, "config file not found"),
+    (lambda path: path.mkdir(), "cannot read config file"),
+], ids=["missing", "directory"])
+def test_run_names_a_config_file_it_cannot_read(tmp_path, capsys, make, names):
+    """A config path that does not exist, or exists but cannot be read (a
+    directory), exits 1 with a message that says which, naming the path."""
+    path = tmp_path / "scenario.ini"
+    make(path)
+    code = run_cli("run", "--config", str(path), "--seeds", "1", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and names in err and str(path) in err
+
+
 @pytest.mark.parametrize("policy, key, value", [
     ("fuzzy_pid", "escape_divisr", "4"),
     ("fuzzy_pid", "probe_resets_gains", "maybe"),

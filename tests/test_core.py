@@ -23,7 +23,7 @@ from casplit.fuzzy_pid import (PCC_ONLY_ACTION, SCC_ONLY_ACTION, Controller, Fuz
 from casplit.oracle import ScriptedController
 from casplit.scenario import (RunMode, build_caps, build_run, default_mobile_scenario,
                               default_static_scenario, make_controller)
-from casplit.stack import CountStack
+from casplit.stack import CountStack, Fold
 
 from reference import ProtocolStack, fold_reference, write_trace_reference
 
@@ -970,6 +970,59 @@ def test_default_runs_hold_most_of_their_slots(preset, policy):
     result = sim.run()
     floor = 0.8 if policy != "qlearning" else 0.9 if preset is default_mobile_scenario else 0.6
     assert sum(held) >= floor * result.t_slots, (sum(held), result.t_slots)
+
+
+# Offers made and slots held by each holding policy's default run at seed
+# 1001, as counted before the offers were made cheaper: a cheaper offer must
+# not change which windows are offered or how many slots they hold.
+OFFERS_AT_1001 = {
+    ("static", "fuzzy_pid"): (58, 8939), ("static", "nofuzzy_pid"): (42, 9062),
+    ("static", "ltr"): (11, 9983), ("static", "qlearning"): (124, 15615),
+    ("mobile", "fuzzy_pid"): (97, 16587), ("mobile", "nofuzzy_pid"): (97, 16512),
+    ("mobile", "ltr"): (21, 19984), ("mobile", "qlearning"): (24, 19884)}
+
+
+@pytest.mark.parametrize("preset, policy", OFFERS_AT_1001)
+def test_default_runs_make_the_pinned_offers(preset, policy):
+    """Each holding policy's default run at seed 1001, static and mobile,
+    is offered as many windows and holds as many slots as pinned."""
+    cfg = (default_static_scenario if preset == "static" else default_mobile_scenario)(3)
+    sim = build_run(cfg, RunMode.CA, 1001, policy=policy)
+    held = _held_windows(sim)
+    offers = []
+    hold = sim.plan.hold
+
+    def counted(t, action, n, window):
+        offers.append(t)
+        return hold(t, action, n, window)
+    sim.plan.hold = counted
+    sim.run()
+    assert (len(offers), sum(held)) == OFFERS_AT_1001[preset, policy]
+
+
+@pytest.mark.parametrize("policy", HOLDERS)
+def test_only_ltr_derives_served_counts(policy):
+    """A window's packets served per carrier are derived from its fold when
+    first read, and only ltr's ``hold`` reads them, once for each window it
+    looks at; the other holding policies' windows derive none."""
+    sim = build_run(default_mobile_scenario(3).copy(max_slots=3000), RunMode.CA,
+                    policy=policy)
+    derived, looked = [], []
+    served, hold = Fold.served.func, sim.plan.hold
+
+    def counted(fold):
+        derived.append(None)
+        return served(fold)
+
+    def counted_hold(t, action, n, window):
+        def seen(*schedule):
+            looked.append(t)
+            return window(*schedule)
+        return hold(t, action, n, seen)
+    sim.plan.hold = counted_hold
+    with mock.patch.object(Fold, "served", property(counted)):
+        sim.run()
+    assert looked and len(derived) == (len(looked) if policy == "ltr" else 0)
 
 
 def test_qlearning_windows_run_across_a_chunk_of_draws():
