@@ -14,7 +14,8 @@ draw, so the slots a window explores on, and their coins, are known before
 the window is folded; between them it plays its greedy action, which
 rarely changes.  A window runs on where the buffered words end, fetching
 the next chunk as ``decide`` would.  It reads and writes its Q table in
-place through a flat float view.  It owns its generator, which a run
+place through a flat float view; a held window is replayed on a list copy
+of the values, written back once.  It owns its generator, which a run
 leaves less than one chunk ahead of those draws."""
 
 from __future__ import annotations
@@ -308,7 +309,10 @@ class QLearningController(Controller):
         (the window's slot edges from 1 on).  The first slot that does not
         explore and whose greedy choice has changed ends the window; the
         words the held slots drew are then taken off the buffer
-        (``_take``)."""
+        (``_take``).  The replay reads and writes a list copy of the Q
+        table's values, Python floats indexed faster than the flat view,
+        and writes it back into ``table.values`` once: the same array, the
+        same bits."""
         q = self._q
         row = 2 * self._state  # set by the ``observe`` of the slot before
         g = 1 if q[row + 1] > q[row] else 0
@@ -341,10 +345,9 @@ class QLearningController(Controller):
         else:
             held = window()
 
-        # Each slot's next state, as the flat index 2 s of its row in Q,
-        # replayed on a list of Q's values, written back once.
+        # Each slot's next state, as the flat index 2 s of its row in Q.
         rows = (2 * self.table.buckets(held.b[1:])).tolist()
-        q = self._q.tolist()
+        q = self._q.tolist()  # replayed on a list, written back once
         learn_rate, discount = self._learn_rate, self._discount
         k = len(rows)
         for j, (coin, row_next, reward) in enumerate(zip(plan, rows, held.delivered.tolist())):

@@ -37,9 +37,9 @@ from generator words it buffers a chunk at a time.  The controller's
 stack commits just those (``CountStack.commit``); the loop then
 reads the buffer difference once and steps on, converting capacity rows
 afresh from ``CAPS_FIRST_CHUNK`` slots.  A fold costs almost the same
-whatever the window's length: ``fold_repeat`` over 4 carriers took 32, 35,
-44 and 108 µs at 16, 64, 256 and 1,024 slots, and a stepped slot takes
-about 4 to 6 µs (shared 2-core host).  Hence the first window of 256
+whatever the window's length: ``fold_repeat`` over 4 carriers took 21, 22,
+29 and 58 µs at 16, 64, 256 and 1,024 slots (best of 9 × 300 calls), and
+``CountStack.step`` about 2 µs a slot (shared 2-core host).  Hence the first window of 256
 slots: a ``static`` stretch of 100 to 400 slots (38 of fuzzy_pid's 57 on
 static seed 1001) takes one or two offers instead of three.  And the loop
 offers only after ``HOLD_MIN`` repeats: offering after 8 or 4 made

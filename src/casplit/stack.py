@@ -11,11 +11,16 @@ same slot.  ``CountStack.step`` runs that whole slot in one call, which the
 engine's slot loop makes once per slot it steps; ``fold`` and ``commit``
 compute slots of a fixed schedule in closed form, from any state, packets
 on the Xn link included: the engine folds a whole open-loop run with
-``fold`` and a held window of one action with ``fold_repeat``.  A fold is a
-few dozen numpy calls whatever its length, so a short one folds all
+``fold`` and a held window of one action with ``fold_repeat``.  A fold is
+about two dozen numpy calls whatever its length, so a short one folds all
 carriers in one pass; it takes int64 capacities as given, which the engine
-prepares once a run.  The separate phase methods are the reference the
-tests check ``step`` and the oracle's search over flat state tuples against.
+prepares once a run.  It derives each slot's deliveries and buffer
+difference from the carriers' summed counts, and builds the packets served
+per carrier only when they are read (``Fold.served``, which ltr's ``hold``
+alone reads).  ``fold_repeat`` writes its dispatch columns as at most three
+constant spans, and ``commit`` counts a window's packets from those spans
+in Python.  The separate phase methods are the reference the tests check
+``step`` and the oracle's search over flat state tuples against.
 """
 
 from __future__ import annotations
@@ -356,10 +361,12 @@ class CountStack:
         """Advance the stack by the first ``n`` slots of ``fold``, which must
         have been folded from the current state: exactly where the per-slot
         phases leave it.  A prefix shorter than the fold needs its
-        occupancies.  The packets dispatched come from a repeated action's
-        constant spans in Python, or else from the per-slot columns, and
-        those delivered from the packets dispatched and the packets queued
-        before and after, since none is lost."""
+        occupancies.  The packets that arrived and were dispatched come from
+        a repeated action's constant spans in Python, with no numpy call, or
+        else from the per-slot columns (two sums and a ``bincount``).  The
+        packets delivered follow from those dispatched and the packets in
+        the RLC buffers and on the Xn link before and after, since none is
+        lost."""
         if not n:
             return
         if n < len(fold.pcc):
