@@ -8,8 +8,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from casplit import scenario as sc
 from casplit import trace as tr
 from casplit.baselines import StationaryKController
@@ -122,19 +120,31 @@ def _emit(spec, cfg, policies, runs, etas, results, timings) -> list[Path]:
 
 # -- figure-style presets -----------------------------------------------------
 
-FLAT_PCC_RHO = 2.0  # the flat PCC's packets per slot, twice an SCC's
+SUITE_SEEDS = tuple(range(1, 11))  # the η suites' seeds
+
+
+def eta_cells(cells):
+    """Run each ``(axis values, config)`` cell over ``SUITE_SEEDS`` and
+    ``ETA_POLICIES``, one cell at a time.  Yields each cell's η rows
+    ``[*axis values, policy, seed, eta]`` in ``run_experiment``'s order,
+    with -1 where η is undefined, and its outcome."""
+    for axis, cfg in cells:
+        outcome = run_experiment(ExperimentSpec(
+            config=cfg, seeds=list(SUITE_SEEDS), policies=list(ETA_POLICIES)))
+        yield ([[*axis, e.policy, e.seed, e.eta if e.eta is not None else -1.0]
+                for e in outcome.etas], outcome)
 
 
 def flat_carriers(n_scc: int) -> list:
     """Deterministic above-threshold carriers (fixed loss, zero variance);
-    the PCC carries ``FLAT_PCC_RHO`` packets a slot, each SCC one."""
+    the PCC carries two packets a slot, each SCC one."""
     carriers = sc.default_carriers(n_scc)
     out = []
     for c in carriers:
         margin_db = 8.0 if c.kind == "pcc" else 15.0
         out.append(dataclasses.replace(
             c, sigma2=0.0, pl_model="fixed", pl_fixed_db=margin_db,
-            rho=FLAT_PCC_RHO if c.kind == "pcc" else 1.0))
+            rho=2.0 if c.kind == "pcc" else 1.0))
     return out
 
 
@@ -147,8 +157,9 @@ def flat_scenario(n_scc: int, **changes) -> ScenarioConfig:
     return cfg.copy(**changes) if changes else cfg
 
 
-def convergence_suite(out_dir: Path | None = None, n: int = 16) -> dict:
+def convergence_suite(out_dir: Path | None = None) -> dict:
     """Windowed SCC/PCC action-ratio trajectories on a flat channel."""
+    n = 16  # the controller's window, and the ratio's
     rows = []
     for n_scc in (2, 3):
         for policy in ("fuzzy_pid", "nofuzzy_pid"):
@@ -163,24 +174,22 @@ def convergence_suite(out_dir: Path | None = None, n: int = 16) -> dict:
     return {"rows": rows}
 
 
-def stationary_sweep_suite(out_dir: Path | None = None, ks=(1, 2, 3, 4, 5, 6),
-                           n_scc: int = 2, window: int = 32) -> dict:
+def stationary_sweep_suite(out_dir: Path | None = None) -> dict:
     """Stationary-k sweep in the saturated backlogged regime (flat channel).
 
     The PCC starts with a window-deep backlog so one side stays saturated,
     which is the regime where the window-throughput identity links mean |B|
     to delivered packets.
     """
-    ratio = int(FLAT_PCC_RHO)  # the flat PCC's packets per slot, as in ``flat_carriers``
-    caps = np.vstack([np.full(window, ratio, dtype=np.int64)]
-                     + [np.ones(window, dtype=np.int64) for _ in range(n_scc)])
+    n_scc, window = 2, 32
+    caps = build_caps(flat_scenario(n_scc, max_slots=window))
     rows = []
     points = []
-    for k in ks:
+    for k in range(1, 7):
         sim = Simulation(
             l=1, arrival_mode=PER_SLOT, arrival_rate=n_scc + 2, n_scc=n_scc,
             d_xn=0, caps=caps, controller=StationaryKController(k),
-            max_slots=window, preseed_rlc=[(window + 1) * ratio] + [0] * n_scc,
+            max_slots=window, preseed_rlc=[(window + 1) * int(caps[0, 0])] + [0] * n_scc,
         )
         result = sim.run()
         rows.append([k, result.mean_throughput, result.mean_abs_b])
@@ -194,36 +203,25 @@ def stationary_sweep_suite(out_dir: Path | None = None, ks=(1, 2, 3, 4, 5, 6),
     return {"rows": rows, "pearson": corr}
 
 
-def static_eta_suite(out_dir: Path | None = None, seeds=tuple(range(1, 11)),
-                     n_sccs=(1, 2, 3), policies=ETA_POLICIES) -> dict:
+def static_eta_suite(out_dir: Path | None = None) -> dict:
     """Utilization of every policy for static UEs across carrier counts."""
-    rows = []
-    for n_scc in n_sccs:
-        cfg = sc.default_static_scenario(n_scc)
-        outcome = run_experiment(ExperimentSpec(
-            config=cfg, seeds=list(seeds), policies=list(policies)))
-        for e in outcome.etas:
-            rows.append([n_scc, e.policy, e.seed,
-                         e.eta if e.eta is not None else -1.0])
+    cells = (((n_scc,), sc.default_static_scenario(n_scc)) for n_scc in (1, 2, 3))
+    rows = [row for cell_rows, _ in eta_cells(cells) for row in cell_rows]
     if out_dir is not None:
         tr.write_table(Path(out_dir) / "fig6_eta.csv",
                        ["n_scc", "policy", "seed", "eta"], rows)
     return {"rows": rows}
 
 
-def mobile_eta_suite(out_dir: Path | None = None, seeds=tuple(range(1, 11)),
-                     policies=ETA_POLICIES, window: int = 1000) -> dict:
+def mobile_eta_suite(out_dir: Path | None = None) -> dict:
     """Utilization and throughput over time for the out-and-back UE."""
-    cfg = sc.default_mobile_scenario(3)
-    outcome = run_experiment(ExperimentSpec(
-        config=cfg, seeds=list(seeds), policies=list(policies)))
-    rows = [[e.policy, e.seed, e.eta if e.eta is not None else -1.0]
-            for e in outcome.etas]
+    [(rows, outcome)] = eta_cells([((), sc.default_mobile_scenario(3))])
+    window = 1000
     series = []
-    for seed in seeds:
+    for seed in SUITE_SEEDS:
         pcc = outcome.results[(seed, "forced-pcc")]
         scc = outcome.results[(seed, "forced-scc")]
-        for policy in policies:
+        for policy in ETA_POLICIES:
             run = outcome.results[(seed, policy)]
             for start in range(0, run.t_slots - window + 1, window):
                 num = int(run.delivered[start:start + window].sum())
@@ -240,7 +238,8 @@ def mobile_eta_suite(out_dir: Path | None = None, seeds=tuple(range(1, 11)),
     return {"rows": rows, "series": series}
 
 
-# Named experiment presets; each expands to runs plus a tidy table.
+# Named experiment presets; each expands to runs plus a tidy table, and
+# takes only its output directory.
 FIGURE_SUITES = {
     "fig4": convergence_suite,
     "fig5": stationary_sweep_suite,

@@ -75,8 +75,9 @@ class TinyInstance:
         cells = list(chain.from_iterable(self.caps))
         if not (set(map(type, cells)) <= {int} and min(cells, default=0) >= 0):
             raise ValueError("caps must be non-negative integers")
-        if self.preseed_rlc and (len(self.preseed_rlc) != 1 + self.n_scc or not all(
-                type(c) is int and c >= 0 for c in self.preseed_rlc)):
+        if type(self.preseed_rlc) is not list or self.preseed_rlc and (
+                len(self.preseed_rlc) != 1 + self.n_scc
+                or not all(type(c) is int and c >= 0 for c in self.preseed_rlc)):
             raise ValueError("preseed_rlc must list one non-negative integer per carrier")
         if not 0 <= self.d_xn <= MAX_SLOTS:  # a packet delayed past the horizon never lands
             raise ValueError(f"d_xn must be in [0, {MAX_SLOTS}]")

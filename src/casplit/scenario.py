@@ -151,8 +151,11 @@ class ScenarioConfig:
         if not re.fullmatch(r"[A-Za-z0-9._-]*", self.name):
             raise ConfigError(f"run.name must hold only letters, digits, '.', '_' and '-', "
                               f"got {self.name!r}")
+        names = [c.name for c in self.carriers]
         for c in self.carriers:
             c.validate()
+            if names.count(c.name) > 1:  # fading streams and config sections go by name
+                raise ConfigError(f"carriers.{c.name}: two carriers share this name")
         traj = self.trajectory
         if not isinstance(traj, Trajectory):
             raise ConfigError(f"trajectory: expected a Trajectory, got {traj!r}")

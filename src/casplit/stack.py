@@ -267,6 +267,7 @@ class CountStack:
         disp -= pcc  # and the SCC group the rest, SCC 0 first
         scc, scc_in = self._scc_columns(t0, len(pcc))
         scc[:] = disp
+        del disp  # free before ``_fold`` allocates its counts
         return self._fold(Fold(t0, caps, arrivals, pcc, scc, scc_in), keep_occupancy)
 
     def fold_repeat(self, caps, a_p: int, a_s: int, arrivals: int, t0: int) -> Fold:

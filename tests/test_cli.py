@@ -310,6 +310,8 @@ def test_oracle_rejects_malformed_identity_block(tmp_path, capsys, identity, key
     ("max_slots", "24"),
     ("caps", [[1] * 24, [1.5] + [1] * 23]),
     ("preseed_rlc", [3, 0.5]),
+    ("preseed_rlc", None),
+    ("preseed_rlc", 0),
 ])
 def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
     inst = {"l": 3, "n_scc": 1, "caps": [[1] * 24, [1] * 24], field: value}
@@ -450,6 +452,21 @@ def test_run_names_a_config_file_it_cannot_read(tmp_path, capsys, make, names):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and names in err and str(path) in err
+
+
+def test_run_refuses_two_carriers_of_one_name(tiny_config, tmp_path, capsys):
+    """``[carriers.]`` takes its kind's name, so next to ``[carriers.scc]``
+    two SCCs would share one fading stream and one written-back section:
+    exit 1 naming the carrier, before any run."""
+    path, _ = tiny_config
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("[carriers.scc1]", "[carriers.]")
+                    .replace("[carriers.scc2]", "[carriers.scc]"), encoding="utf-8")
+    out = tmp_path / "o"
+    code = run_cli("run", "--config", str(path), "--seeds", "1", "--out", str(out))
+    assert code == 1
+    assert "carriers.scc: two carriers share this name" in capsys.readouterr().err
+    assert not list(out.glob("trace_*.csv"))
 
 
 @pytest.mark.parametrize("policy, key, value", [

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from casplit.engine import RunResult
-from casplit.experiments import ExperimentSpec
+from casplit.experiments import ETA_POLICIES, SUITE_SEEDS, ExperimentSpec, eta_cells
 from casplit.metrics import (
     buffer_throughput_correlation,
     pearson,
@@ -98,3 +100,24 @@ def test_experiment_spec_refuses_repeated_values(field, values):
     spec = {"config": default_static_scenario(1), "seeds": [1], field: values}
     with pytest.raises(ConfigError, match=f"^{field}: "):
         ExperimentSpec(**spec)
+
+
+def test_eta_cells_give_one_row_per_seed_and_policy_after_the_axis():
+    """Each cell yields one η row per (seed, policy), in ``run_experiment``'s
+    order, led by the cell's axis values; a cell whose carriers are all in
+    outage has no η, written as -1."""
+    live = default_static_scenario(1, l=300, max_slots=3000)
+    dark = live.copy(name="dark", max_slots=200, carriers=[
+        dataclasses.replace(c, sigma2=0.0, pl_model="fixed", pl_fixed_db=300.0)
+        for c in live.carriers])
+    axes = [(1,), (1, "dark")]
+    cells = list(eta_cells(zip(axes, [live, dark])))
+    order = [[seed, policy] for seed in SUITE_SEEDS for policy in ETA_POLICIES]
+    for axis, (rows, outcome) in zip(axes, cells):
+        assert [row[:-3] for row in rows] == [list(axis)] * len(order)
+        assert [[seed, policy] for *_, policy, seed, _ in rows] == order
+    (live_rows, live_out), (dark_rows, dark_out) = cells
+    assert [row[-1] for row in live_rows] == [e.eta for e in live_out.etas]
+    assert all(0 < row[-1] <= 1 for row in live_rows)
+    assert all(e.undefined for e in dark_out.etas)
+    assert [row[-1] for row in dark_rows] == [-1.0] * len(order)

@@ -115,6 +115,15 @@ def test_validate_runs_each_carriers_own_check():
     assert str(direct.value) == str(validated.value) == "carriers.scc1.sigma2 must be non-negative"
 
 
+def test_validate_refuses_two_carriers_of_one_name():
+    """Carriers are keyed by name (fading streams, config sections), so a
+    repeated name is refused, naming it, also from the API."""
+    cfg = default_static_scenario(2)
+    twin = dataclasses.replace(cfg.carriers[1], name="scc2")
+    with pytest.raises(ConfigError, match=r"^carriers\.scc2: two carriers share this name"):
+        cfg.copy(carriers=[cfg.carriers[0], twin, cfg.carriers[2]])
+
+
 @pytest.mark.parametrize("preset", [default_static_scenario, default_mobile_scenario])
 def test_copy_owns_its_mutable_parts(preset):
     """A copy gets its own trajectory, carriers and policy parameters:
