@@ -12,8 +12,11 @@ exploration draws from raw generator words fetched ``DRAW_CHUNK`` at a
 time, the same stream per-slot ``random()`` and ``integers(2)`` calls would
 draw, so the slots a window explores on, and their coins, are known before
 the window is folded; between them it plays its greedy action, which
-rarely changes.  A window runs on where the buffered words end, fetching
-the next chunk as ``decide`` would.  It reads and writes its Q table in
+rarely changes while packets move.  Where none can move (a free window:
+the PDCP buffer is empty and nothing arrives) it holds the window whole,
+following its greedy choice as it changes, and hands the actions back.
+A window runs on where the buffered words end, fetching the next chunk
+as ``decide`` would.  It reads and writes its Q table in
 place through a flat float view; a held window is replayed on a list copy
 of the values, written back once.  It owns its generator, which a run
 leaves less than one chunk ahead of those draws."""
@@ -309,25 +312,31 @@ class QLearningController(Controller):
         (the window's slot edges from 1 on).  The first slot that does not
         explore and whose greedy choice has changed ends the window; the
         words the held slots drew are then taken off the buffer
-        (``_take``).  The replay reads and writes a list copy of the Q
-        table's values, Python floats indexed faster than the flat view,
+        (``_take``).  A free window (``HoldWindow.free``), which moves no
+        packet, gives the same fold whatever is played: it is held whole,
+        whatever the action offered, each slot that does not explore plays
+        the greedy choice of its moment, and the actions played are handed
+        back to the window.  The replay reads and writes a list copy of the
+        Q table's values, Python floats indexed faster than the flat view,
         and writes it back into ``table.values`` once: the same array, the
         same bits."""
         q = self._q
         row = 2 * self._state  # set by the ``observe`` of the slot before
-        g = 1 if q[row + 1] > q[row] else 0
+        g = first = 1 if q[row + 1] > q[row] else 0
+        held = None
         if action is not (SCC_ONLY_ACTION if g else PCC_ONLY_ACTION):
-            return 0
+            held = window()  # the offered action's fold: held only if free
+            if not held.free:
+                return 0
         below = self._explore_below
         plan = [None] * n  # each slot's coin, None where it plays the greedy action
+        marks = []  # for each exploring slot: the slot, the words drawn up to it, the half left
         if below:
             if not self._words:
                 self._fetch()
             fetched: list[tuple[dict, list[int]]] = []
             draws = chain.from_iterable(self._chunks(fetched))
-            # For each exploring slot: the slot, the words drawn up to it
-            # and the half left after it, as ``decide`` and ``_coin`` draw.
-            marks = []
+            # As ``decide`` and ``_coin`` draw.
             half, coins = self._half, 0
             for j, w in zip(range(n), draws):
                 if w < below:
@@ -338,23 +347,26 @@ class QLearningController(Controller):
                     else:
                         plan[j], half = half, None
                     marks.append((j, j + 1 + coins, half))
+        if held is None:
             a_s = np.full(n, g, np.int8)
             for j, _, _ in marks:
                 a_s[j] = plan[j]
-            held = window(1 - a_s, a_s)
-        else:
-            held = window()
+            held = window(1 - a_s, a_s) if marks else window()
 
         # Each slot's next state, as the flat index 2 s of its row in Q.
         rows = (2 * self.table.buckets(held.b[1:])).tolist()
         q = self._q.tolist()  # replayed on a list, written back once
         learn_rate, discount = self._learn_rate, self._discount
+        free, flips = held.free, []
         k = len(rows)
         for j, (coin, row_next, reward) in enumerate(zip(plan, rows, held.delivered.tolist())):
             if coin is None:
                 if (q[row + 1] > q[row]) != g:  # the greedy choice changed
-                    k = j
-                    break
+                    if not free:  # the fold played the old one
+                        k = j
+                        break
+                    g ^= 1
+                    flips.append(j)
                 i = row + g
             else:
                 i = row + coin
@@ -367,8 +379,16 @@ class QLearningController(Controller):
             row = row_next
         self.table.values.ravel()[:] = q
         self._state = row // 2
+        last = bisect_left(marks, (k,))
+        if free:  # the greedy choice, flipped at each change, and the coins
+            a_s = np.zeros(k, np.int8)
+            a_s[flips] = 1
+            np.bitwise_xor.accumulate(a_s, out=a_s)
+            a_s ^= first
+            for j, _, _ in marks[:last]:
+                a_s[j] = plan[j]
+            held.a_p, held.a_s = 1 - a_s, a_s
         if below:
-            last = bisect_left(marks, (k,))
             if last:
                 j, drawn, self._half = marks[last - 1]
                 drawn += k - 1 - j

@@ -32,7 +32,12 @@ to ``HOLD_MAX_WINDOW``, and never past the horizon or the slot that
 completes a burst.  A controller that knows its
 own schedule hands the fold its per-slot actions instead
 (``CountStack.fold``): qlearning, whose exploring slots and coins come
-from generator words it buffers a chunk at a time.  The controller's
+from generator words it buffers a chunk at a time.  A window is free when
+the PDCP buffer is empty and nothing arrives (a burst after slot 0, or a
+rate of 0): no slot dispatches a packet, so the repeated action's fold
+serves any schedule, and a controller may play other actions on it, which
+it hands back in the ``HoldWindow`` (qlearning's greedy choice, which
+flickers once a static burst's PDCP buffer has emptied).  The controller's
 ``hold`` says how many leading slots it would itself have played, and the
 stack commits just those (``CountStack.commit``); the loop then
 reads the buffer difference once and steps on, converting capacity rows
@@ -381,40 +386,47 @@ class Simulation:
         commit the slots it holds.  The window is folded in closed form when
         the controller first calls ``window()``, so one that refuses without
         looking costs no fold; ``window(a_p, a_s)`` folds the controller's
-        own per-slot actions, at most ``n`` slots of them, instead.  With
-        ``cut`` (a burst not yet complete), the window stops before the slot
-        that would complete it, so the loop steps that slot.  Returns the
-        slots held and their columns, and adds the held slots to a traced
-        run's ``states``, which the window hands the controller."""
+        own per-slot actions, at most ``n`` slots of them, instead.  A window
+        is free when the PDCP buffer is empty and nothing arrives: no slot
+        dispatches a packet whatever its action, so the repeated action's
+        fold serves every schedule, and the controller may hand back other
+        actions in the window's ``a_p`` and ``a_s``.  With ``cut`` (a burst
+        not yet complete), the window stops before the slot that would
+        complete it, so the loop steps that slot.  Returns the slots held
+        and their columns, the window's actions among them, and adds the
+        held slots to a traced run's ``states``, which the window hands the
+        controller."""
         stack = self.stack
-        folded: list[tuple] = []
+        folded: list[HoldWindow] = []
         mark = len(states or ())
+        arrivals = 0 if self.arrival_mode == BURST else self.arrival_rate
+        free = not stack.pdcp_depth and not arrivals
 
         def window(a_p: np.ndarray | None = None, a_s: np.ndarray | None = None) -> HoldWindow:
             if not folded:
-                arrivals = 0 if self.arrival_mode == BURST else self.arrival_rate
-                if a_p is None:
-                    fold = stack.fold_repeat(self._fold_caps[:, t:t + n], action.a_p,
+                m = n if a_p is None else len(a_p)
+                if a_p is None or free:
+                    fold = stack.fold_repeat(self._fold_caps[:, t:t + m], action.a_p,
                                              action.a_s, arrivals, t)
                 else:
-                    m = len(a_p)
                     fold = stack.fold(self._fold_caps[:, t:t + m], a_p, a_s,
                                       np.full(m, arrivals, np.int64), t, keep_occupancy=True)
-                m = self._completion(fold) if cut else len(fold.delivered)
-                folded.append((fold, HoldWindow(fold.b[:m + 1], fold.occupancy[:, :m],
-                                                fold.delivered[:m], fold, states), a_p, a_s))
-            return folded[0][1]
+                if a_p is None:
+                    a_p, a_s = np.full(m, action.a_p, np.int8), np.full(m, action.a_s, np.int8)
+                m = self._completion(fold) if cut else m
+                folded.append(HoldWindow(fold.b[:m + 1], fold.occupancy[:, :m],
+                                         fold.delivered[:m], a_p, a_s, free, fold, states))
+            return folded[0]
 
         k = self.plan.hold(t, action, n, window)
         if not k:
             return 0, ()
-        fold, _, a_p, a_s = folded[0]
+        held = folded[0]
+        fold = held.fold
         stack.commit(fold, k)
-        if a_p is None:  # the repeated action
-            a_p, a_s = np.full(k, action.a_p, np.int8), np.full(k, action.a_s, np.int8)
         # Copies, so that a window cut short does not keep the whole fold's
         # columns alive until the run's columns are joined.
-        part = (fold.delivered[:k].copy(), a_p[:k], a_s[:k], fold.b[:k].copy())
+        part = (fold.delivered[:k].copy(), held.a_p[:k], held.a_s[:k], fold.b[:k].copy())
         if states is not None:  # the held slots after the last change of state
             _add_state(states, k - sum(c for c, _ in states[mark:]), self.plan.trace_state())
             part += (fold.occupancy[:, :k].copy(),)

@@ -82,7 +82,10 @@ class Controller:
     ``decide`` and ``observe`` would have left it after those slots; a
     controller that can tell it holds none returns 0 without calling
     ``window``, which costs a closed-form fold; the base ``hold`` holds
-    none."""
+    none.  In a window that moves no packet (``HoldWindow.free``) any
+    actions give the same fold, so ``hold`` may play actions other than
+    the offered ones, as ``decide`` would, and hands them back in the
+    window's ``a_p`` and ``a_s``."""
 
     name: str
 
@@ -106,9 +109,16 @@ class HoldWindow:
     controller is offered them: the buffer difference at slot edges
     ``0..m``, before each slot (what its ``decide`` would get) and after
     the last, the end-of-slot RLC counts, carriers by slots, each slot's
-    delivered total, and the ``fold`` they come from, whose packets served
-    per carrier (``served``, carriers by slots) are derived when first
-    read.  In a traced run ``states`` is the run's run-length list of trace
+    delivered total, the schedule's per-slot actions (int8 vectors of at
+    least m slots; the engine records their first held slots as the run's
+    ``a_p`` and ``a_s``), whether the window is ``free``, and the ``fold``
+    they come from, whose packets served per carrier (``served``, carriers
+    by slots) are derived when first read.  A window is free when the PDCP
+    buffer is empty and nothing arrives in it: no slot dispatches a packet,
+    so the same ``b``, counts and deliveries follow from any actions, and a
+    controller may play other actions than the schedule's on the slots it
+    holds.  It then hands them back by setting ``a_p`` and ``a_s``.  In a
+    traced run ``states`` is the run's run-length list of trace
     states: where the controller's ``trace_state`` changes inside the slots
     it holds, ``hold`` appends ``(n_slots, trace_state())`` for each stretch
     before a change, in slot order, and leaves the entries already there
@@ -118,6 +128,9 @@ class HoldWindow:
     b: np.ndarray
     rlc: np.ndarray
     delivered: np.ndarray
+    a_p: np.ndarray
+    a_s: np.ndarray
+    free: bool
     fold: Fold = field(repr=False)
     states: list | None = None
 
@@ -366,13 +379,15 @@ class FuzzyPidController(Controller):
         past it, every ``b`` of the static run has slot 0's sign, so with
         ``x`` the buffer differences times that sign, slot j stays static
         while ``0 < x_j <= max(x_{j-1}, floor(escape))``.  The gain updates
-        due on the held slots are made as ``decide`` makes them."""
+        due on the held slots are made as ``decide`` makes them.  A window
+        cut to no slot, offered on the slot that completes a burst, holds
+        none and leaves the state alone."""
         if self.mode != "static":
             return 0
         window = window()
         b, b1 = window.b, self._b_prev
         b0 = int(b[0])
-        if not (b0 * b1 > 0 and (abs(b0) <= abs(b1) or abs(b0) <= self._escape)):
+        if len(b) == 1 or not (b0 * b1 > 0 and (abs(b0) <= abs(b1) or abs(b0) <= self._escape)):
             return 0
         x = b[:-1] if b0 > 0 else -b[:-1]
         off = x[1:] > np.maximum(x[:-1], int(self._escape))

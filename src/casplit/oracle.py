@@ -62,6 +62,9 @@ class TinyInstance:
     def __post_init__(self) -> None:
         for name in ("l", "n_scc", "d_xn", "max_slots"):
             check_kind(name, getattr(self, name), int)
+        check_kind("label", self.label, str)
+        if type(self.caps) is not list or any(type(row) is not list for row in self.caps):
+            raise ValueError("caps must be a list of one list per carrier")
         if not 1 <= self.l <= MAX_L:
             raise ValueError(f"l must be in [1, {MAX_L}]")
         if not 1 <= self.n_scc <= MAX_SCC:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import casplit
 from casplit import scenario as sc
 from casplit.cli import main
 from casplit.engine import Simulation
@@ -320,6 +324,43 @@ def test_oracle_rejects_non_integer_fields(tmp_path, capsys, field, value):
     assert run_cli("oracle", "--instance", str(path)) == 1
     captured = capsys.readouterr()
     assert f"config error: instance rejected: {field}" in captured.err
+    assert "t_star" not in captured.out
+
+
+def test_python_m_casplit_runs_the_cli_and_exits_with_its_code(tmp_path):
+    """``python -m casplit`` runs ``cli.main``: a solvable instance prints
+    its T* and exits 0, a rejected one exits 1 naming the field."""
+    src = str(Path(casplit.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    codes = []
+    for name, l in (("good.json", 2), ("bad.json", 0)):
+        path = tmp_path / name
+        path.write_text(json.dumps({"l": l, "n_scc": 1, "caps": [[1] * 24, [1] * 24]}),
+                        encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "casplit", "oracle", "--instance",
+                               str(path)], capture_output=True, text=True, env=env, timeout=120)
+        codes.append(done.returncode)
+        assert ("t_star=" in done.stdout) == (l > 0)
+        assert ("instance rejected: l" in done.stderr) == (l == 0)
+    assert codes == [0, 1]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("caps", 5, "caps must be a list of one list per carrier"),
+    ("caps", [5, 6], "caps must be a list of one list per carrier"),
+    ("caps", "ab", "caps must be a list of one list per carrier"),
+    ("label", [1], "label: expected"),
+    ("label", 7, "label: expected"),
+])
+def test_oracle_rejects_caps_and_labels_of_the_wrong_kind(tmp_path, capsys, field, value,
+                                                          message):
+    inst = {"l": 3, "n_scc": 1, "caps": [[1] * 24, [1] * 24], field: value}
+    path = tmp_path / "kinds.json"
+    path.write_text(json.dumps(inst), encoding="utf-8")
+    assert run_cli("oracle", "--instance", str(path)) == 1
+    captured = capsys.readouterr()
+    assert f"config error: instance rejected: {message}" in captured.err
     assert "t_star" not in captured.out
 
 

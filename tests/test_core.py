@@ -937,6 +937,67 @@ def test_held_windows_match_phase_reference(policy):
     assert len(held) >= 50 and sum(held) >= 500, (len(held), sum(held))
 
 
+def test_free_windows_match_a_run_that_refuses_every_offer():
+    """A qlearning burst run whose PDCP buffer empties while packets still
+    wait in the RLC buffers or on the Xn link (small ``l``, outages, d_xn 0
+    to 2) holds free windows whole, replaying the greedy choice as it
+    changes, and equals the same run with every offer refused, which steps
+    every slot: every ``RunResult`` field, the end state, the Q table bit
+    for bit, the generator's state, the buffered words and the buffered
+    half.  With ``HOLD_MIN`` 2 and windows of 4 to 16 slots, epsilon 0 and
+    the default, words fetched 1, 7 or 1024 at a time, burst runs cut at
+    completion or run on.  Across the runs, free windows were held before
+    the burst completed and cut at its completion, and some handed back
+    actions other than those they were folded with: the greedy choice
+    changed inside them, or differed from the action offered."""
+    seen = {"before": 0, "cut": 0, "changed": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(0, 2), st.sampled_from([0.0, 0.1]),
+           st.sampled_from([1, 7, 1024]), st.booleans(), st.booleans())
+    def check(data, n_scc, d_xn, epsilon, draw_chunk, stop_on_complete, collect_trace):
+        n_slots = data.draw(st.integers(8, 400))
+        caps = data.draw(arrays(np.int64, (1 + n_scc, n_slots),
+                                elements=st.sampled_from([0, 0, 1, 3]), fill=st.nothing()))
+        kwargs = dict(l=data.draw(st.integers(1, 30)), arrival_mode="burst", arrival_rate=0,
+                      n_scc=n_scc, d_xn=d_xn, caps=caps, max_slots=n_slots,
+                      stop_on_complete=stop_on_complete, collect_trace=collect_trace)
+        runs = [Simulation(controller=QLearningController(
+            QTable(b_max=8, epsilon=epsilon), make_rng(7, "q")), **kwargs) for _ in range(2)]
+        sim, ref = runs
+        ref.plan.hold = lambda t, action, n, window: 0
+        hold, free = sim.plan.hold, []
+
+        def counted(t, action, n, window):
+            folded = []  # the schedule the window is folded with, if given
+
+            def seen_window(*schedule):
+                folded.append(schedule)
+                return window(*schedule)
+            k = hold(t, action, n, seen_window)
+            held = window()
+            if k and held.free:
+                a_s = folded[0][1] if folded[0] else np.full(n, action.a_s, np.int8)
+                free.append((t, n, held, not np.array_equal(held.a_s[:k], a_s[:k])))
+            return k
+        sim.plan.hold = counted
+        with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4, HOLD_MAX_WINDOW=16), \
+                mock.patch.object(baselines, "DRAW_CHUNK", draw_chunk):
+            got, want = sim.run(), ref.run()
+        _assert_same_run(sim, got, ref, want)
+        q, q_ref = sim.controller, ref.controller
+        assert q.table.values.tobytes() == q_ref.table.values.tobytes()
+        assert q.rng.bit_generator.state == q_ref.rng.bit_generator.state
+        assert (q._words, q._half) == (q_ref._words, q_ref._half)
+        end = got.completion_slot if got.completed else n_slots
+        for t, n, window, changed in free:
+            seen["before"] += t < end
+            seen["cut"] += len(window.delivered) < n
+            seen["changed"] += changed
+    check()
+    assert min(seen.values()) >= 5, seen
+
+
 def test_ltr_holds_no_window_it_would_start_on_an_scc():
     """ltr played the PCC on slots 0 and 1, but the SCC's queue drained in
     slot 1, so it plays slot 2 on the SCC: the window offered from slot 2
@@ -962,22 +1023,25 @@ def test_default_runs_hold_most_of_their_slots(preset, policy):
     """On both presets, fuzzy_pid and ltr hold at least 80% of a run's
     slots: the loop steps only where the controller decides (at seed 1,
     fuzzy_pid 90.0% on static and 83.4% on mobile, ltr 99.8% and 99.9%).
-    qlearning holds at least 90% on mobile, where its greedy choice hardly
-    changes (99.7%), and 60% on static, where it flickers (69.5%)."""
+    qlearning holds at least 90%: on mobile its greedy choice hardly
+    changes (99.7%), and on static it flickers only once the PDCP buffer
+    has emptied, where it holds free windows whole (98.3%)."""
     cfg = preset(3)
     sim = build_run(cfg, RunMode.CA, policy=policy)
     held = _held_windows(sim)
     result = sim.run()
-    floor = 0.8 if policy != "qlearning" else 0.9 if preset is default_mobile_scenario else 0.6
+    floor = 0.8 if policy != "qlearning" else 0.9
     assert sum(held) >= floor * result.t_slots, (sum(held), result.t_slots)
 
 
 # Offers made and slots held by each holding policy's default run at seed
 # 1001, as counted before the offers were made cheaper: a cheaper offer must
-# not change which windows are offered or how many slots they hold.
+# not change which windows are offered or how many slots they hold.  Static
+# qlearning's are counted since it holds free windows whole: its greedy
+# choice flickers once the PDCP buffer has emptied, after slot 9,091.
 OFFERS_AT_1001 = {
     ("static", "fuzzy_pid"): (58, 8939), ("static", "nofuzzy_pid"): (42, 9062),
-    ("static", "ltr"): (11, 9983), ("static", "qlearning"): (124, 15615),
+    ("static", "ltr"): (11, 9983), ("static", "qlearning"): (25, 21833),
     ("mobile", "fuzzy_pid"): (97, 16587), ("mobile", "nofuzzy_pid"): (97, 16512),
     ("mobile", "ltr"): (21, 19984), ("mobile", "qlearning"): (24, 19884)}
 
