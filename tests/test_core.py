@@ -947,10 +947,11 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
     half.  With ``HOLD_MIN`` 2 and windows of 4 to 16 slots, epsilon 0 and
     the default, words fetched 1, 7 or 1024 at a time, burst runs cut at
     completion or run on.  Across the runs, free windows were held before
-    the burst completed and cut at its completion, and some handed back
-    actions other than those they were folded with: the greedy choice
-    changed inside them, or differed from the action offered."""
-    seen = {"before": 0, "cut": 0, "changed": 0}
+    the burst completed, cut at its completion and with packets on the Xn
+    link, and some handed back actions other than those they were folded
+    with: the greedy choice changed inside them, or differed from the
+    action offered."""
+    seen = {"before": 0, "cut": 0, "xn": 0, "changed": 0}
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 3), st.integers(0, 2), st.sampled_from([0.0, 0.1]),
@@ -962,9 +963,13 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
         kwargs = dict(l=data.draw(st.integers(1, 30)), arrival_mode="burst", arrival_rate=0,
                       n_scc=n_scc, d_xn=d_xn, caps=caps, max_slots=n_slots,
                       stop_on_complete=stop_on_complete, collect_trace=collect_trace)
+        values = data.draw(arrays(np.float64, (16, 2), elements=st.sampled_from([0.0, 1.0, 2.0]),
+                                  fill=st.nothing()))  # a learned table, greedy on either side
         runs = [Simulation(controller=QLearningController(
             QTable(b_max=8, epsilon=epsilon), make_rng(7, "q")), **kwargs) for _ in range(2)]
         sim, ref = runs
+        for run in runs:
+            run.controller.table.values[:] = values
         ref.plan.hold = lambda t, action, n, window: 0
         hold, free = sim.plan.hold, []
 
@@ -974,11 +979,12 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
             def seen_window(*schedule):
                 folded.append(schedule)
                 return window(*schedule)
+            inflight = any(sim.stack.xn)  # the stack is committed after ``hold``
             k = hold(t, action, n, seen_window)
-            held = window()
-            if k and held.free:
+            if k and window().free:
+                held = window()
                 a_s = folded[0][1] if folded[0] else np.full(n, action.a_s, np.int8)
-                free.append((t, n, held, not np.array_equal(held.a_s[:k], a_s[:k])))
+                free.append((t, n, held, inflight, not np.array_equal(held.a_s[:k], a_s[:k])))
             return k
         sim.plan.hold = counted
         with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4, HOLD_MAX_WINDOW=16), \
@@ -990,12 +996,32 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
         assert q.rng.bit_generator.state == q_ref.rng.bit_generator.state
         assert (q._words, q._half) == (q_ref._words, q_ref._half)
         end = got.completion_slot if got.completed else n_slots
-        for t, n, window, changed in free:
+        for t, n, window, inflight, changed in free:
             seen["before"] += t < end
             seen["cut"] += len(window.delivered) < n
+            seen["xn"] += inflight
             seen["changed"] += changed
     check()
     assert min(seen.values()) >= 5, seen
+
+
+def test_fuzzy_pid_leaves_its_state_alone_on_a_window_cut_to_no_slot():
+    """Offered a window on the slot that completes the burst, which the
+    engine cuts to no slot, fuzzy_pid holds none and changes nothing: the
+    run equals the per-phase reference, gains and trace rows included."""
+    caps = np.zeros((2, 72), np.int64)
+    caps[:, 23] = caps[1, 30] = 124
+    kwargs = dict(l=30, arrival_mode="burst", arrival_rate=0, n_scc=1, d_xn=3, caps=caps,
+                  max_slots=72, stop_on_complete=False, collect_trace=True)
+    sim = Simulation(controller=FuzzyPidController(2, 1), **kwargs)
+    ref = _PhaseLoop(controller=FuzzyPidController(2, 1), **kwargs)
+    offered = []
+    _held_windows(sim, offered)
+    with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4, HOLD_MAX_WINDOW=16):
+        got = sim.run()
+    assert (30, 0, 0) in offered
+    _assert_same_run(sim, got, ref, ref.run())
+    _assert_same_learning(sim.controller, ref.controller)
 
 
 def test_ltr_holds_no_window_it_would_start_on_an_scc():
