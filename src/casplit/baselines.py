@@ -330,13 +330,14 @@ class QLearningController(Controller):
                 return 0
         below = self._explore_below
         plan = [None] * n  # each slot's coin, None where it plays the greedy action
-        marks = []  # for each exploring slot: the slot, the words drawn up to it, the half left
+        # For each exploring slot: the slot, the words drawn up to it and the
+        # half left after it, as ``decide`` and ``_coin`` draw.
+        marks = []
         if below:
             if not self._words:
                 self._fetch()
             fetched: list[tuple[dict, list[int]]] = []
             draws = chain.from_iterable(self._chunks(fetched))
-            # As ``decide`` and ``_coin`` draw.
             half, coins = self._half, 0
             for j, w in zip(range(n), draws):
                 if w < below:

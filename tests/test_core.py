@@ -944,19 +944,22 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
     changes, and equals the same run with every offer refused, which steps
     every slot: every ``RunResult`` field, the end state, the Q table bit
     for bit, the generator's state, the buffered words and the buffered
-    half.  With ``HOLD_MIN`` 2 and windows of 4 to 16 slots, epsilon 0 and
-    the default, words fetched 1, 7 or 1024 at a time, burst runs cut at
-    completion or run on.  Across the runs, free windows were held before
-    the burst completed, cut at its completion and with packets on the Xn
-    link, and some handed back actions other than those they were folded
-    with: the greedy choice changed inside them, or differed from the
-    action offered."""
+    half.  With ``HOLD_MIN`` 2 and windows of 1 to 4 or 4 to 16 slots,
+    epsilon 0 and the default, a drawn starting Q table, words fetched 1,
+    7 or 1024 at a time, burst runs cut at completion or run on.  Across
+    the runs, free windows were held before the burst completed, cut at its
+    completion and with packets on the Xn link, and some handed back
+    actions other than those they were folded with: the greedy choice
+    changed inside them, or differed from the action offered."""
     seen = {"before": 0, "cut": 0, "xn": 0, "changed": 0}
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), st.integers(1, 3), st.integers(0, 2), st.sampled_from([0.0, 0.1]),
            st.sampled_from([1, 7, 1024]), st.booleans(), st.booleans())
     def check(data, n_scc, d_xn, epsilon, draw_chunk, stop_on_complete, collect_trace):
+        # Windows of 1 to 4 slots often start just after the PDCP buffer empties,
+        # with packets still on the Xn link.
+        size = data.draw(st.sampled_from([1, 4]))
         n_slots = data.draw(st.integers(8, 400))
         caps = data.draw(arrays(np.int64, (1 + n_scc, n_slots),
                                 elements=st.sampled_from([0, 0, 1, 3]), fill=st.nothing()))
@@ -987,7 +990,7 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
                 free.append((t, n, held, inflight, not np.array_equal(held.a_s[:k], a_s[:k])))
             return k
         sim.plan.hold = counted
-        with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=4, HOLD_MAX_WINDOW=16), \
+        with mock.patch.multiple(engine, HOLD_MIN=2, HOLD_WINDOW=size, HOLD_MAX_WINDOW=4 * size), \
                 mock.patch.object(baselines, "DRAW_CHUNK", draw_chunk):
             got, want = sim.run(), ref.run()
         _assert_same_run(sim, got, ref, want)
@@ -1002,7 +1005,7 @@ def test_free_windows_match_a_run_that_refuses_every_offer():
             seen["xn"] += inflight
             seen["changed"] += changed
     check()
-    assert min(seen.values()) >= 5, seen
+    assert min(seen.values()) >= 3, seen
 
 
 def test_fuzzy_pid_leaves_its_state_alone_on_a_window_cut_to_no_slot():
